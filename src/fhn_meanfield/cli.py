@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +157,7 @@ class ExperimentConfig:
     notes: tuple[str, ...]
     profile_diagnostics: bool = False
     seeds: int = 1
+    snapshot_stride: int | None = None  # density solver: steps between field snapshots
 
     def to_dict(self) -> dict:
         p, s, i = self.params, self.sim, self.init
@@ -178,7 +179,8 @@ class ExperimentConfig:
         if self.grid is not None:
             g = self.grid
             d["grid"] = {"v_min": g.v_min, "v_max": g.v_max, "x_min": g.x_min,
-                         "x_max": g.x_max, "nv": g.nv, "nx": g.nx}
+                         "x_max": g.x_max, "nv": g.nv, "nx": g.nx,
+                         "snapshot_stride": self.snapshot_stride}
         return d
 
 
@@ -267,8 +269,12 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
                              concentration=ic["concentration"],
                              offset=ic["offset"], kind=ic["kind"])
         grid = None
+        snapshot_stride = None
         if model in ("pde", "compare"):
             gr = settings["grid"]
+            snapshot_stride = gr["snapshot_stride"]
+            if snapshot_stride is not None and snapshot_stride < 1:
+                raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
             span = 3.0 * params.lam
             grid = Grid(
                 v_min=gr["v_min"] if gr["v_min"] is not None else -span,
@@ -286,7 +292,7 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
         model=model, params=params, sim=sim, grid=grid, init=init,
         out_dir=Path(out_dir), label=settings["output"]["label"],
         preset=preset_name, notes=notes, profile_diagnostics=profile_diag,
-        seeds=getattr(args, "seeds", 1) or 1)
+        seeds=getattr(args, "seeds", 1) or 1, snapshot_stride=snapshot_stride)
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +398,17 @@ def run_pde(cfg: ExperimentConfig) -> dict:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     field0 = gaussian_field(cfg.grid, cfg.init, cfg.params)
-    snapshot_stride = None
     sol = solve(field0, cfg.params, cfg.sim.t_end,
                 record_stride=cfg.sim.record_stride,
-                snapshot_stride=snapshot_stride)
+                snapshot_stride=cfg.snapshot_stride)
     write_series_csv(cfg.out_dir / f"{cfg.label}_pde.csv", sol)
     for k, snap in enumerate(sol.snapshots):
         save_snapshot(cfg.out_dir / f"{cfg.label}_field_{k:04d}.bin",
                       snap, cfg.params)
 
     report = classify(cfg.params)
+    # the solver takes its own CFL-bounded step; echo that step as sim.dt
+    cfg = replace(cfg, sim=replace(cfg.sim, dt=sol.dt))
     summary = _base_summary(cfg, time.perf_counter() - t0)
     summary["classification"] = report_to_dict(report)
     summary["results"] = {
@@ -419,6 +426,7 @@ def run_ode(cfg: ExperimentConfig) -> dict:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     dt = cfg.sim.dt if cfg.sim.dt is not None else 0.01
+    cfg = replace(cfg, sim=replace(cfg.sim, dt=dt))
     s0 = LimitState(t=0.0, alpha=cfg.init.mean_v, beta=cfg.init.mean_x)
     traj = rk4_integrate(s0, cfg.params, dt, cfg.sim.t_end,
                          record_stride=cfg.sim.record_stride)

@@ -108,12 +108,11 @@ def _nearest_index(t: float, times: np.ndarray, tol: float) -> int:
     return i
 
 
-def _sup_profile_error(samples, epsilon, center_state, p, bins, curvature) -> float:
+def _sup_profile_error(samples, epsilon, center, bins, curvature) -> float:
+    """Sup distance of the samples' profile from -curvature (y - center)^2 / 2
+    over the resolvable, unmasked bins."""
     prof = log_density_profile(samples, epsilon, bins=bins, curvature=curvature)
-    if curvature == 1.0:
-        theo = -0.5 * (prof.centers - center_state[0]) ** 2
-    else:
-        theo = -0.5 * curvature * (prof.centers - center_state[1]) ** 2
+    theo = -0.5 * curvature * (prof.centers - center) ** 2
     resolvable = theo >= -RESOLVABLE_DECADES * epsilon * np.log(10.0)
     use = resolvable & ~prof.mask
     if not use.any():
@@ -151,11 +150,10 @@ def compare(data: TrajectoryRecord | Iterable[EnsembleState],
         t = float(state.t)
         i = _nearest_index(t, limit.t, spacing)
         alpha, beta = float(limit.alpha[i]), float(limit.beta[i])
-        center = (alpha, beta)
         out.append(ProfileComparison(
             t=t,
-            sup_error_v=_sup_profile_error(state.v, p.epsilon, center, p, bins, 1.0),
-            sup_error_x=_sup_profile_error(state.x, p.epsilon, center, p, bins, p.a),
+            sup_error_v=_sup_profile_error(state.v, p.epsilon, alpha, bins, 1.0),
+            sup_error_x=_sup_profile_error(state.x, p.epsilon, beta, bins, p.a),
             var_ratio_v=float(np.var(state.v)) / p.epsilon,
             var_ratio_x=float(np.var(state.x)) / (p.epsilon / p.a),
             mean_error=float(np.hypot(np.mean(state.v) - alpha,

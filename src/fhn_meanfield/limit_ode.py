@@ -50,8 +50,13 @@ def limit_rhs(s: LimitState, p: ModelParams) -> tuple[float, float]:
 
 
 def _rhs(alpha: float, beta: float, p: ModelParams) -> tuple[float, float]:
-    return (-float(nonlinearity(alpha, p.drift_spec)) + p.i_ext - beta,
-            -p.a * beta + p.b * alpha)
+    # The untruncated cubic is core.cubic written out on floats, in its
+    # operation order, which skips building a DriftSpec on every call.
+    if p.truncation is None:
+        n0 = alpha * (alpha - p.lam) * (alpha - 1.0)
+    else:
+        n0 = float(nonlinearity(alpha, p.drift_spec))
+    return (-n0 + p.i_ext - beta, -p.a * beta + p.b * alpha)
 
 
 def rk4_step(alpha: float, beta: float, p: ModelParams, dt: float) -> tuple[float, float]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fhn_meanfield.cli import main
+from fhn_meanfield.fokker_planck import load_snapshot
 
 FAST_NET = ["--n", "64", "--t-end", "0.2", "--dt", "1e-3", "--epsilon", "0.05",
             "--seed", "3", "--record-stride", "20"]
@@ -132,6 +133,58 @@ def test_simulate_pde_outputs(tmp_path):
     assert summary["results"]["mass_drift"] < 1e-10
     lines = (out / "pde_pde.csv").read_text().splitlines()
     assert lines[0] == "t,jg,mass"
+
+
+PDE_SMALL = ["--epsilon", "0.1", "--t-end", "0.002", "--nv", "64", "--nx", "32",
+             "--v-min", "-2", "--v-max", "4", "--x-min", "-2", "--x-max", "3",
+             "--init-mean-v", "1.0", "--init-mean-x", "0.5"]
+
+
+def test_simulate_pde_snapshot_stride_writes_fields(tmp_path):
+    out = tmp_path / "o"
+    assert run(["simulate-pde", "--out", str(out), "--label", "p",
+                "--snapshot-stride", "1", *PDE_SMALL]) == 0
+    summary = json.loads((out / "p_summary.json").read_text())
+    n_steps = round(0.002 / summary["results"]["dt"])
+    files = sorted(out.glob("p_field_*.bin"))
+    assert len(files) == n_steps + 1
+    assert summary["config"]["grid"]["snapshot_stride"] == 1
+    field, eps = load_snapshot(files[-1])
+    assert eps == 0.1
+    assert field.rho.shape == (32, 64)
+    assert field.t == pytest.approx(0.002)
+
+
+def test_snapshot_stride_from_config_file_and_validation(tmp_path, capsys):
+    cfgfile = tmp_path / "pde.ini"
+    cfgfile.write_text("[grid]\nsnapshot_stride = 1000\n")
+    out = tmp_path / "o"
+    assert run(["simulate-pde", "--config", str(cfgfile), "--out", str(out),
+                "--label", "p", *PDE_SMALL]) == 0
+    # only the initial and the final fields within the horizon
+    assert len(list(out.glob("p_field_*.bin"))) == 2
+    assert run(["simulate-pde", "--snapshot-stride", "0", "--out", str(out),
+                *PDE_SMALL]) == 2
+    assert "snapshot_stride" in capsys.readouterr().err
+
+
+def test_simulate_pde_summary_reports_solver_step(tmp_path):
+    out = tmp_path / "o"
+    assert run(["simulate-pde", "--out", str(out), "--label", "p",
+                *PDE_SMALL]) == 0
+    summary = json.loads((out / "p_summary.json").read_text())
+    assert summary["results"]["dt"] < 1e-3  # below the particle default
+    assert summary["config"]["sim"]["dt"] == summary["results"]["dt"]
+    assert not list(out.glob("p_field_*.bin"))
+
+
+def test_simulate_ode_summary_reports_integrator_step(tmp_path):
+    out = tmp_path / "o"
+    assert run(["simulate-ode", "--out", str(out), "--label", "o",
+                "--t-end", "0.05", "--record-stride", "1"]) == 0
+    summary = json.loads((out / "o_summary.json").read_text())
+    rows = (out / "o_ode.csv").read_text().splitlines()
+    assert float(rows[2].split(",")[0]) == summary["config"]["sim"]["dt"] == 0.01
 
 
 def test_compare_smoke(tmp_path):

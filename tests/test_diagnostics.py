@@ -105,6 +105,23 @@ def test_compare_on_exact_product_gaussian_samples():
     assert c.sup_error_v < 0.15
 
 
+def test_compare_centres_adaptation_profile_on_beta_at_unit_curvature():
+    # a = 1 gives both profiles the same curvature; the x profile must still
+    # be centred on beta, so its error matches a nearby curvature's
+    rng = np.random.default_rng(12)
+    n = 200_000
+    alpha, beta, eps = 1.2, 0.5, 0.01
+    z_v, z_x = rng.standard_normal(n), rng.standard_normal(n)
+    errs = {}
+    for a in (1.0, 0.999):
+        p = ModelParams(a=a, epsilon=eps)
+        state = EnsembleState(0.5, alpha + np.sqrt(eps) * z_v,
+                              beta + np.sqrt(eps / a) * z_x)
+        errs[a] = compare([state], _flat_limit(alpha, beta), p)[0].sup_error_x
+    assert errs[1.0] < 0.01
+    assert errs[1.0] == pytest.approx(errs[0.999], rel=0.5)
+
+
 def test_compare_zero_mean_error_for_copied_means():
     p = ModelParams(a=0.3, epsilon=0.05)
     rec = simulate(SimConfig(n=200, t_end=0.2, dt=1e-3, seed=5, record_stride=20),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fhn_meanfield.core import (BlowUpError, EnsembleState, InitCondition,
-                                ModelParams)
+                                ModelParams, sample_initial, voltage_drift)
 from fhn_meanfield.limit_ode import LimitState, equilibria, rk4_integrate
 from fhn_meanfield.particle import (NoiseStream, SimConfig, coupling_mean,
                                     default_dt, em_step, empirical_moments,
@@ -229,3 +229,117 @@ def test_mean_adaptation_dynamics_with_noise():
     # per-step Monte Carlo error of the mean increment
     mc = 4.0 * np.sqrt(2.0 * p.epsilon / 1e-3 / 4000)
     assert np.max(np.abs(lhs - rhs)) < mc
+
+
+def _reference_step(v, x, p, dt, rng):
+    """The Euler-Maruyama step written out plainly, as the reference the
+    in-place update must match bit for bit."""
+    vbar = float(np.mean(v))
+    xi = rng.standard_normal(v.size)
+    v_new = v + voltage_drift(v, x, vbar, p) * dt + p.sigma * np.sqrt(2.0 * dt) * xi
+    x_new = x + (-p.a * x + p.b * v) * dt
+    if p.adaptation_noise:
+        x_new = x_new + np.sqrt(2.0 * p.epsilon * dt) * rng.standard_normal(v.size)
+    return v_new, x_new
+
+
+def _reference_row(v, x, qs):
+    return ([np.mean(v), np.mean(x), np.var(v), np.var(x),
+             np.mean(v ** 4), np.mean(x ** 4)],
+            np.quantile(v, qs), np.quantile(x, qs))
+
+
+@pytest.mark.parametrize("params, n, t_end, stride", [
+    (dict(epsilon=0.05), 64, 0.05, 7),
+    (dict(epsilon=0.05, adaptation_noise=False), 33, 0.03, 4),
+    (dict(epsilon=0.05, truncation=1.5), 40, 0.032, 5),
+    (dict(epsilon=0.02), 1, 0.02, 3),
+    (dict(a=0.3, b=3.0, i_ext=10.0, epsilon=0.01), 300, 0.05, 10),
+])
+def test_simulate_matches_plain_loop_bitwise(params, n, t_end, stride):
+    p = ModelParams(**params)
+    dt = 1e-3
+    cfg = SimConfig(n=n, t_end=t_end, dt=dt, seed=21, record_stride=stride)
+    init = InitCondition(mean_v=1.2, mean_x=0.4, concentration=0.3)
+    rec = simulate(cfg, p, init)
+
+    stream = NoiseStream(cfg.seed)
+    state = sample_initial(init, n, p, stream.block(0))
+    stepped = state
+    v, x, t = state.v, state.x, 0.0
+    times, rows = [0.0], [_reference_row(v, x, cfg.quantile_fractions)]
+    n_steps = int(round(t_end / dt))
+    for k in range(n_steps):
+        v, x = _reference_step(v, x, p, dt, stream.block(k + 1))
+        stepped = em_step(stepped, p, cfg, stream.block(k + 1))
+        assert np.array_equal(stepped.v, v) and np.array_equal(stepped.x, x)
+        t = t + dt
+        if (k + 1) % stride == 0 or k + 1 == n_steps:
+            times.append((k + 1) * dt)
+            rows.append(_reference_row(v, x, cfg.quantile_fractions))
+
+    moments = np.array([r[0] for r in rows]).T
+    assert np.array_equal(rec.t, np.array(times))
+    for got, want in zip((rec.mean_v, rec.mean_x, rec.var_v, rec.var_x,
+                          rec.m4_v, rec.m4_x), moments):
+        assert np.array_equal(got, want)
+    assert np.array_equal(rec.quantiles_v, np.vstack([r[1] for r in rows]))
+    assert np.array_equal(rec.quantiles_x, np.vstack([r[2] for r in rows]))
+    assert np.array_equal(rec.final_state.v, v)
+    assert np.array_equal(rec.final_state.x, x)
+    assert rec.final_state.t == t == stepped.t
+
+
+def test_rekeyed_generator_draws_equal_fresh_blocks():
+    stream = NoiseStream(2 ** 70 + 5)
+    for k in (0, 1, 2, 17, 6500, 2 ** 40, 2 ** 64 + 3):
+        rng = stream.rekeyed(k)
+        got = (rng.standard_normal(301), rng.integers(0, 2 ** 32, 3, dtype=np.uint32),
+               rng.standard_normal(7))
+        fresh = stream.block(k)
+        want = (fresh.standard_normal(301), fresh.integers(0, 2 ** 32, 3, dtype=np.uint32),
+                fresh.standard_normal(7))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    assert stream.rekeyed(3) is stream.rekeyed(4)
+
+
+def test_recorded_quantiles_equal_numpy_quantile():
+    qs = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+    p = ModelParams(epsilon=0.05)
+    for n in (1, 2, 5, 300):
+        cfg = SimConfig(n=n, t_end=0.01, dt=1e-3, seed=4, quantile_fractions=qs)
+        rec = simulate(cfg, p, InitCondition())
+        final = rec.final_state
+        assert np.array_equal(rec.quantiles_v[-1], np.quantile(final.v, qs))
+        assert np.array_equal(rec.quantiles_x[-1], np.quantile(final.x, qs))
+        assert np.array_equal(quantiles(final.v, qs), np.quantile(final.v, qs))
+
+
+def test_quantiles_propagate_nan_and_reject_nan_fractions():
+    assert np.isnan(quantiles(np.array([1.0, np.nan, 3.0]), [0.1])).all()
+    with pytest.raises(ValueError):
+        quantiles(np.array([1.0, 2.0]), [np.nan])
+
+
+def test_simulate_blowup_reports_plain_loop_time_and_index():
+    # dt far above epsilon: the coupling term amplifies the spread by about
+    # dt/epsilon per step until some neuron overflows
+    p = ModelParams(epsilon=1e-3, sigma=0.0, adaptation_noise=False)
+    dt = 0.05
+    rng = np.random.default_rng(3)
+    v0, x0 = 0.1 * rng.standard_normal(6), np.zeros(6)
+    init = InitCondition(kind="custom", sampler=lambda n, rng: (v0, x0))
+    v, x, t = v0, x0, 0.0
+    quiet = np.random.default_rng(0)  # sigma = 0: the draws do not matter
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.isfinite(v).all() and np.isfinite(x).all():
+            v, x = _reference_step(v, x, p, dt, quiet)
+            t = t + dt
+    bad = int(np.argmin(np.isfinite(v) & np.isfinite(x)))
+    assert t > 5 * dt
+    with pytest.raises(BlowUpError) as info:
+        simulate(SimConfig(n=6, t_end=100.0, dt=dt, seed=1), p, init)
+    assert info.value.t == t and info.value.index == bad
+    assert f"neuron {bad}" in str(info.value)
+    assert "[n=6, seed=1, t_end=100.0]" in str(info.value)
