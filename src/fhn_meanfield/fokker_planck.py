@@ -9,8 +9,19 @@ scheme is explicit first-order upwind for both advection terms plus centered
 second differences for the diffusion (coefficient 1 in v, eps in x), with
 zero-flux boundaries.  Interface fluxes telescope, so the discrete mass is
 conserved to roundoff, and under the CFL bound every update coefficient is
-nonnegative, which keeps the density nonnegative.  Simplicity is preferred
-throughout: this solver is a cross-check oracle, not the product.
+nonnegative, which keeps the density nonnegative.
+
+solve builds one kernel per call for its (grid, params, dt).  Everything
+that does not depend on time is computed there once: the v-face drift
+without its coupling term (so the cubic is never evaluated in a step), the
+x-face speeds with their upwind mask, and the flux and scratch buffers.  A
+step then runs in-place ufuncs in the operation order of the plain formula,
+alternating between two density buffers owned by the call, so the results
+equal those of a fresh-array loop bit for bit.  The CFL denominator of a
+cell is affine in J[g] up to an absolute value, so the moments for which dt
+is stable form one interval; it is computed once, and a step runs the exact
+full-grid cfl_limit only when its moment falls outside.  fp_step is one
+step of the same kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InitCondition, ModelParams, voltage_drift
+from .core import InitCondition, ModelParams, nonlinearity, voltage_drift
 
 CFL_SAFETY = 0.9
 DENSITY_FLOOR = 1e-300
@@ -138,12 +149,6 @@ def uniform_field(grid: Grid) -> DensityField:
     return DensityField(grid=grid, rho=np.full((grid.nx, grid.nv), 1.0 / area), t=0.0)
 
 
-def _advection_speeds(grid: Grid, p: ModelParams, jg: float,
-                      v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # speed in the divergence form d_v(U g): U = -(deterministic drift)
-    return -voltage_drift(v, x, jg, p)
-
-
 def cfl_limit(f: DensityField, p: ModelParams, jg: float,
               advection: bool = True) -> tuple[float, tuple[int, int]]:
     """Largest stable dt (with safety factor) and the limiting cell."""
@@ -153,7 +158,8 @@ def cfl_limit(f: DensityField, p: ModelParams, jg: float,
     denom = 2.0 * (1.0 / g.dv ** 2 + p.epsilon / g.dx ** 2)
     denom = np.full((g.nx, g.nv), denom)
     if advection:
-        uv = np.abs(_advection_speeds(g, p, jg, vc, xc))
+        # speed in the divergence form d_v(U g): U = -(deterministic drift)
+        uv = np.abs(-voltage_drift(vc, xc, jg, p))
         ux = np.abs(p.a * xc - p.b * vc)
         denom = denom + uv / g.dv + ux / g.dx
     worst = int(np.argmax(denom))
@@ -181,57 +187,144 @@ def fp_step(f: DensityField, p: ModelParams, dt: float, jg: float | None = None,
     current for truncated-drift experiments).
 
     advection=False drops both advection fluxes and leaves pure diffusion, a
-    hook for scheme tests only.
+    hook for scheme tests only.  Runs one step of the kernel that solve uses.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     g = f.grid
-    rho = f.rho
     if jg is None:
         jg = first_moment(f)
-
-    dt_max, cell = cfl_limit(f, p, jg, advection=advection)
-    if dt > dt_max:
-        raise CflError(
-            f"dt={dt:.3g} violates the stability bound {dt_max:.3g} "
-            f"(limiting cell ix={cell[0]}, iv={cell[1]})",
-            required_dt=dt_max, cell=cell)
-
-    # v-direction interface fluxes H = U g_up + d_v g, zero at the walls
-    hv = np.zeros((g.nx, g.nv + 1))
-    hv[:, 1:-1] = (rho[:, 1:] - rho[:, :-1]) / g.dv
-    if advection:
-        uvf = _advection_speeds(g, p, jg, g.v_faces_interior()[None, :],
-                                g.x_centers()[:, None])
-        hv[:, 1:-1] += np.where(uvf <= 0.0, uvf * rho[:, :-1], uvf * rho[:, 1:])
-
-    # x-direction interface fluxes H = U g_up + eps d_x g
-    hx = np.zeros((g.nx + 1, g.nv))
-    hx[1:-1, :] = p.epsilon * (rho[1:, :] - rho[:-1, :]) / g.dx
-    if advection:
-        uxf = p.a * g.x_faces_interior()[:, None] - p.b * g.v_centers()[None, :]
-        hx[1:-1, :] += np.where(uxf <= 0.0, uxf * rho[:-1, :], uxf * rho[1:, :])
-
-    rho_new = rho + dt * ((hv[:, 1:] - hv[:, :-1]) / g.dv
-                          + (hx[1:, :] - hx[:-1, :]) / g.dx)
-
-    worst = float(rho_new.min())
-    if worst < NEGATIVITY_TOL:
-        raise SchemeError(f"density fell to {worst:.3e} at t={f.t + dt:.6g}")
+    rho_new = np.empty((g.nx, g.nv))
+    _UpwindKernel(g, p, dt, advection=advection).step(f.rho, rho_new, jg, f.t)
     return DensityField(grid=g, rho=rho_new, t=f.t + dt)
+
+
+class _UpwindKernel:
+    """The explicit update for one (grid, params, dt): every time-independent
+    array is computed once, every per-step array is preallocated.
+
+    step() keeps the IEEE operation order of the fresh-array formula, so it
+    gives the same bits.  With W the voltage drift, the v-speed is U = -W;
+    U <= 0 exactly where W >= 0, and h + U*rho equals h - W*rho because
+    negation is exact.
+    """
+
+    def __init__(self, grid: Grid, p: ModelParams, dt: float, advection: bool = True):
+        g = self.grid = grid
+        self.p, self.dt, self.advection = p, dt, advection
+        nx, nv = g.nx, g.nv
+        # fluxes with their zero walls, and one grid-sized scratch array
+        self._hv = np.zeros((nx, nv + 1))
+        self._hx = np.zeros((nx + 1, nv))
+        self._scratch = np.empty(nx * nv)
+        self._lo, self._hi = self._stable_moments()
+        if advection:
+            vf = self._v_faces = g.v_faces_interior()
+            xc = g.x_centers()[:, None]
+            # the v-face drift without its coupling term, (jg - v_f)/eps
+            self._drift_v = -nonlinearity(vf[None, :], p.drift_spec) + p.i_ext - xc
+            self._up_v = np.empty((nx, nv - 1), dtype=bool)
+            self._speed_x = p.a * g.x_faces_interior()[:, None] - p.b * g.v_centers()[None, :]
+            self._up_x = self._speed_x <= 0.0
+
+    def _stable_moments(self) -> tuple[float, float]:
+        """Moments jg for which dt certainly passes cfl_limit, as [lo, hi].
+
+        The CFL denominator of a cell is K + |U_c(jg)|/dv + |ux_c|/dx and
+        U_c is affine in jg, so each cell allows one interval of jg.  The
+        intersection is shrunk by a relative 1e-9, far above the roundoff of
+        either side; a moment outside it runs the exact cfl_limit."""
+        g, p, dt = self.grid, self.p, self.dt
+        k = 2.0 * (1.0 / g.dv ** 2 + p.epsilon / g.dx ** 2)
+        if not self.advection:
+            return (-np.inf, np.inf) if not dt > CFL_SAFETY / k else (np.inf, -np.inf)
+        vc = g.v_centers()[None, :]
+        xc = g.x_centers()[:, None]
+        base = -nonlinearity(vc, p.drift_spec) + p.i_ext - xc
+        # the largest |U_c| that dt allows; U_c = -(base + (jg - v_c)/eps).
+        # A cell with u_max < 0 empties the intersection (lo > hi).
+        u_max = g.dv * (CFL_SAFETY / dt - k - np.abs(p.a * xc - p.b * vc) / g.dx)
+        lo = float(np.max(vc - p.epsilon * (u_max + base)))
+        hi = float(np.min(vc + p.epsilon * (u_max - base)))
+        tol = 1e-9 * (float(np.abs(vc).max())
+                      + p.epsilon * (g.dv * CFL_SAFETY / dt + float(np.abs(base).max())))
+        return lo + tol, hi - tol
+
+    def step(self, src: np.ndarray, dst: np.ndarray, jg: float, t: float) -> None:
+        """Write the density one step after src (at time t) into dst."""
+        g, p, dt = self.grid, self.p, self.dt
+        nx, nv = g.nx, g.nv
+        if not self._lo <= jg <= self._hi:
+            dt_max, cell = cfl_limit(DensityField(g, src, t), p, jg,
+                                     advection=self.advection)
+            if dt > dt_max:
+                raise CflError(
+                    f"dt={dt:.3g} violates the stability bound {dt_max:.3g} "
+                    f"(limiting cell ix={cell[0]}, iv={cell[1]})",
+                    required_dt=dt_max, cell=cell)
+        # dst and the scratch array double as upwind buffers until the sum
+        spare = dst.reshape(-1)
+        scratch = self._scratch
+
+        # v-direction interface fluxes H = U g_up + d_v g, zero at the walls
+        hv = self._hv[:, 1:-1]
+        np.subtract(src[:, 1:], src[:, :-1], out=hv)
+        hv /= g.dv
+        if self.advection:
+            w = scratch[:nx * (nv - 1)].reshape(nx, nv - 1)
+            np.add(self._drift_v, (jg - self._v_faces) / p.epsilon, out=w)
+            np.greater_equal(w, 0.0, out=self._up_v)
+            up = spare[:nx * (nv - 1)].reshape(nx, nv - 1)
+            np.copyto(up, src[:, 1:])
+            np.copyto(up, src[:, :-1], where=self._up_v)
+            w *= up
+            hv -= w
+
+        # x-direction interface fluxes H = U g_up + eps d_x g
+        hx = self._hx[1:-1, :]
+        np.subtract(src[1:, :], src[:-1, :], out=hx)
+        hx *= p.epsilon
+        hx /= g.dx
+        if self.advection:
+            up = spare[:(nx - 1) * nv].reshape(nx - 1, nv)
+            np.copyto(up, src[1:, :])
+            np.copyto(up, src[:-1, :], where=self._up_x)
+            up *= self._speed_x
+            hx += up
+
+        np.subtract(self._hv[:, 1:], self._hv[:, :-1], out=dst)
+        dst /= g.dv
+        div_x = scratch.reshape(nx, nv)
+        np.subtract(self._hx[1:, :], self._hx[:-1, :], out=div_x)
+        div_x /= g.dx
+        dst += div_x
+        dst *= dt
+        dst += src
+
+        worst = float(dst.min())
+        if worst < NEGATIVITY_TOL:
+            raise SchemeError(f"density fell to {worst:.3e} at t={t + dt:.6g}")
 
 
 def solve(f0: DensityField, p: ModelParams, t_end: float, *,
           dt: float | None = None, record_stride: int = 1,
           jg_of_t=None, snapshot_stride: int | None = None) -> FpSolution:
-    """Repeated fp_step with recorded (t, J[g], mass) diagnostics.
+    """Repeated explicit steps with recorded (t, J[g], mass) diagnostics.
 
     With dt=None a uniform step is chosen from the worst-case CFL bound so
     recording times are reproducible.  jg_of_t, when given, supplies the
-    input current externally instead of the self-consistent moment.
+    input current externally instead of the self-consistent moment.  The
+    steps alternate between two buffers owned by this call; f0 is not
+    written.
     """
     if t_end < 0:
         raise ValueError(f"t_end must be >= 0, got {t_end}")
+    if dt is not None and not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if record_stride < 1:
+        raise ValueError(f"record_stride must be >= 1, got {record_stride}")
+    if snapshot_stride is not None and snapshot_stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     if dt is None:
         if t_end > 0:
             n_steps = max(1, int(np.ceil(t_end / stable_dt(f0.grid, p))))
@@ -241,23 +334,39 @@ def solve(f0: DensityField, p: ModelParams, t_end: float, *,
     else:
         n_steps = int(round(t_end / dt))
 
-    f = f0
-    times = [f.t]
-    jgs = [first_moment(f)]
-    masses = [mass(f)]
+    g = f0.grid
+    t = f0.t
+    times = [t]
+    jgs = [first_moment(f0)]
+    masses = [mass(f0)]
     snaps: list[DensityField] = []
     if snapshot_stride is not None:
-        snaps.append(DensityField(f.grid, f.rho.copy(), f.t))
+        snaps.append(DensityField(g, f0.rho.copy(), t))
+
+    kernel = _UpwindKernel(g, p, dt)
+    buffers = [DensityField(g, np.empty((g.nx, g.nv))) for _ in range(2)]
+    src = f0
+    moment = jgs[0]  # J[g] of src, when known
     for k in range(n_steps):
-        jg = None if jg_of_t is None else float(jg_of_t(f.t))
-        f = fp_step(f, p, dt, jg=jg)
+        dst = buffers[k % 2]
+        if jg_of_t is not None:
+            jg = float(jg_of_t(t))
+        elif moment is not None:
+            jg = moment
+        else:
+            jg = first_moment(src)
+        kernel.step(src.rho, dst.rho, jg, t)
+        t = t + dt
+        moment = None
         last = k + 1 == n_steps
         if (k + 1) % record_stride == 0 or last:
-            times.append(f.t)
-            jgs.append(first_moment(f))
-            masses.append(mass(f))
+            moment = first_moment(dst)
+            times.append(t)
+            jgs.append(moment)
+            masses.append(mass(dst))
         if snapshot_stride is not None and ((k + 1) % snapshot_stride == 0 or last):
-            snaps.append(DensityField(f.grid, f.rho.copy(), f.t))
+            snaps.append(DensityField(g, dst.rho.copy(), t))
+        src = dst
     return FpSolution(t=np.asarray(times), jg=np.asarray(jgs),
                       mass=np.asarray(masses), dt=dt, snapshots=snaps)
 

@@ -178,6 +178,23 @@ def test_simulate_pde_summary_reports_solver_step(tmp_path):
     assert not list(out.glob("p_field_*.bin"))
 
 
+def test_simulate_pde_honours_user_step(tmp_path):
+    out = tmp_path / "o"
+    assert run(["simulate-pde", "--out", str(out), "--label", "p",
+                "--dt", "1e-4", *PDE_SMALL]) == 0
+    summary = json.loads((out / "p_summary.json").read_text())
+    assert summary["results"]["dt"] == summary["config"]["sim"]["dt"] == 1e-4
+    rows = (out / "p_pde.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3  # header, t=0 and every 10th of 20 steps
+
+
+def test_simulate_pde_too_large_step_is_a_numerical_failure(tmp_path, capsys):
+    code = run(["simulate-pde", "--out", str(tmp_path / "o"), "--label", "p",
+                "--dt", "0.002", *PDE_SMALL])
+    assert code == 3
+    assert "stability bound" in capsys.readouterr().err
+
+
 def test_simulate_ode_summary_reports_integrator_step(tmp_path):
     out = tmp_path / "o"
     assert run(["simulate-ode", "--out", str(out), "--label", "o",

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fhn_meanfield.core import InitCondition, ModelParams
-from fhn_meanfield.fokker_planck import (CflError, DensityField, Grid,
-                                         SchemeError, cfl_limit, first_moment,
+from fhn_meanfield.fokker_planck import (NEGATIVITY_TOL, CflError, DensityField,
+                                         Grid, SchemeError, cfl_limit, first_moment,
                                          fp_step, gaussian_field, hopf_cole,
                                          load_snapshot, mass, save_snapshot,
                                          solve, stable_dt, uniform_field,
@@ -199,3 +199,167 @@ def test_cfl_limit_matches_formula():
     ux = np.abs(P01.a * xc - P01.b * vc)
     denom = uv / g.dv + ux / g.dx + 2 * (1 / g.dv ** 2 + P01.epsilon / g.dx ** 2)
     assert dt_max == pytest.approx(0.9 / denom.max(), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# solve against a plain loop of the original single-step formula
+
+def _reference_step(f, p, dt, jg=None, advection=True):
+    """The explicit update written out plainly, as fp_step was before solve
+    got its preallocated kernel; solve must reproduce it bit for bit."""
+    from fhn_meanfield.core import voltage_drift
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    g = f.grid
+    rho = f.rho
+    if jg is None:
+        jg = first_moment(f)
+
+    dt_max, cell = cfl_limit(f, p, jg, advection=advection)
+    if dt > dt_max:
+        raise CflError(
+            f"dt={dt:.3g} violates the stability bound {dt_max:.3g} "
+            f"(limiting cell ix={cell[0]}, iv={cell[1]})",
+            required_dt=dt_max, cell=cell)
+
+    # v-direction interface fluxes H = U g_up + d_v g, zero at the walls
+    hv = np.zeros((g.nx, g.nv + 1))
+    hv[:, 1:-1] = (rho[:, 1:] - rho[:, :-1]) / g.dv
+    if advection:
+        uvf = -voltage_drift(g.v_faces_interior()[None, :], g.x_centers()[:, None], jg, p)
+        hv[:, 1:-1] += np.where(uvf <= 0.0, uvf * rho[:, :-1], uvf * rho[:, 1:])
+
+    # x-direction interface fluxes H = U g_up + eps d_x g
+    hx = np.zeros((g.nx + 1, g.nv))
+    hx[1:-1, :] = p.epsilon * (rho[1:, :] - rho[:-1, :]) / g.dx
+    if advection:
+        uxf = p.a * g.x_faces_interior()[:, None] - p.b * g.v_centers()[None, :]
+        hx[1:-1, :] += np.where(uxf <= 0.0, uxf * rho[:-1, :], uxf * rho[1:, :])
+
+    rho_new = rho + dt * ((hv[:, 1:] - hv[:, :-1]) / g.dv
+                          + (hx[1:, :] - hx[:-1, :]) / g.dx)
+
+    worst = float(rho_new.min())
+    if worst < NEGATIVITY_TOL:
+        raise SchemeError(f"density fell to {worst:.3e} at t={f.t + dt:.6g}")
+    return DensityField(grid=g, rho=rho_new, t=f.t + dt)
+
+
+def _reference_solve(f0, p, t_end, *, dt=None, record_stride=1, jg_of_t=None,
+                     snapshot_stride=None):
+    if dt is None:
+        if t_end > 0:
+            n_steps = max(1, int(np.ceil(t_end / stable_dt(f0.grid, p))))
+            dt = t_end / n_steps
+        else:
+            n_steps, dt = 0, stable_dt(f0.grid, p)
+    else:
+        n_steps = int(round(t_end / dt))
+    f = f0
+    times, jgs, masses = [f.t], [first_moment(f)], [mass(f)]
+    snaps = [] if snapshot_stride is None else [DensityField(f.grid, f.rho.copy(), f.t)]
+    for k in range(n_steps):
+        jg = None if jg_of_t is None else float(jg_of_t(f.t))
+        f = _reference_step(f, p, dt, jg=jg)
+        last = k + 1 == n_steps
+        if (k + 1) % record_stride == 0 or last:
+            times.append(f.t)
+            jgs.append(first_moment(f))
+            masses.append(mass(f))
+        if snapshot_stride is not None and ((k + 1) % snapshot_stride == 0 or last):
+            snaps.append(DensityField(f.grid, f.rho.copy(), f.t))
+    return np.asarray(times), np.asarray(jgs), np.asarray(masses), dt, snaps
+
+
+P_TRUNC = ModelParams(a=0.3, b=0.1, lam=4.0, i_ext=0.5, epsilon=0.1, truncation=3.0)
+
+SOLVE_CASES = {
+    "default_dt": (P01, 0.3, dict(record_stride=7, snapshot_stride=11)),
+    "user_dt": (P01, 0.2, dict(dt=0.7 * stable_dt(small_grid(), P01),
+                               record_stride=3, snapshot_stride=5)),
+    "jg_of_t": (P01, 0.2, dict(jg_of_t=lambda t: 1.0 + np.sin(30.0 * t),
+                               record_stride=4, snapshot_stride=9)),
+    "truncation": (P_TRUNC, 0.3, dict(record_stride=13, snapshot_stride=17)),
+    "every_step": (P01, 0.02, dict(snapshot_stride=1)),
+    "zero_horizon": (P01, 0.0, dict(snapshot_stride=1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_solve_bit_identical_to_reference_loop(case):
+    p, t_end, kw = SOLVE_CASES[case]
+    f0 = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), p)
+    rho0 = f0.rho.copy()
+    sol = solve(f0, p, t_end, **kw)
+    t, jg, m, dt, snaps = _reference_solve(f0, p, t_end, **kw)
+    assert np.array_equal(f0.rho, rho0)  # solve never writes its input
+    assert sol.dt == dt
+    assert np.array_equal(sol.t, t)
+    assert np.array_equal(sol.jg, jg)
+    assert np.array_equal(sol.mass, m)
+    assert len(sol.snapshots) == len(snaps) >= 1
+    for got, want in zip(sol.snapshots, snaps):
+        assert got.t == want.t
+        assert np.array_equal(got.rho, want.rho)
+
+
+def test_fp_step_bit_identical_to_reference_step():
+    f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P_TRUNC)
+    f.t = 0.25
+    dt = stable_dt(f.grid, P_TRUNC)
+    for kw in ({}, {"jg": 2.5}, {"advection": False}):
+        got, want = fp_step(f, P_TRUNC, dt, **kw), _reference_step(f, P_TRUNC, dt, **kw)
+        assert got.t == want.t
+        assert np.array_equal(got.rho, want.rho)
+
+
+@pytest.mark.parametrize("kw, what", [
+    (dict(dt=-1e-4), "dt"), (dict(dt=0.0), "dt"),
+    (dict(record_stride=0), "record_stride"), (dict(snapshot_stride=0), "snapshot_stride")])
+def test_solve_rejects_bad_steps_and_strides(kw, what):
+    f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
+    with pytest.raises(ValueError, match=what):
+        solve(f, P01, 0.01, **kw)
+
+
+def test_solve_too_large_dt_raises_the_cfl_limit_error():
+    f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
+    dt_max, cell = cfl_limit(f, P01, first_moment(f))
+    with pytest.raises(CflError) as info:
+        solve(f, P01, 0.2, dt=0.05)
+    assert info.value.required_dt == dt_max
+    assert info.value.cell == cell
+
+
+def test_moment_jump_outside_domain_fails_at_the_reference_step():
+    f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
+    errors = []
+    for run in (solve, _reference_solve):
+        asked = []
+
+        def jg_of_t(t):
+            asked.append(t)
+            return 1.0 if t < 0.05 else 1e3
+
+        with pytest.raises(CflError) as info:
+            run(f, P01, 0.2, jg_of_t=jg_of_t)
+        errors.append((asked[-1], len(asked), str(info.value),
+                       info.value.required_dt, info.value.cell))
+    assert errors[0] == errors[1]
+    assert errors[0][0] >= 0.05
+
+
+def test_default_step_solve_skips_the_exact_cfl_check(monkeypatch):
+    from fhn_meanfield import fokker_planck
+    calls = []
+    exact = fokker_planck.cfl_limit
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(fokker_planck, "cfl_limit", counting)
+    f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
+    sol = solve(f, P01, 0.1, record_stride=10)
+    assert small_grid().v_min < sol.jg.min() and sol.jg.max() < small_grid().v_max
+    assert calls == []
