@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import presets as presets_mod
 from .bifurcation import CycleDetectionError, classify, detect_limit_cycle, report_to_dict
-from .core import BlowUpError, InitCondition, ModelParams
+from .core import GAUSSIAN_CLUSTER, BlowUpError, InitCondition, ModelParams
 from .diagnostics import (compare as diag_compare, log_density_profile,
                           theoretical_profile, write_comparison_csv,
                           write_profile_csv)
@@ -39,12 +39,13 @@ ENV_OUT_DIR = "FHN_MEANFIELD_OUT"
 PDE_EPSILON_WARN = 0.02  # below this the stiff coupling dominates the CFL budget
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """Bad configuration input.  A ValueError, so a flag parser that raises
+    it makes argparse report a usage error."""
 
 
 # ---------------------------------------------------------------------------
-# configuration schema and resolution
+# configuration keys and resolution
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -62,36 +63,62 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise ConfigError(f"expected a list of numbers, got {text!r}") from err
 
 
-_SCHEMA = {
-    "model": {"kind": str},
-    "params": {"a": float, "b": float, "lambda": float, "i_ext": float,
-               "sigma": float, "epsilon": float, "adaptation_noise": _parse_bool,
-               "truncation": float},
-    "sim": {"n": int, "dt": float, "t_end": float, "seed": int,
-            "record_stride": int, "quantiles": _parse_floats},
-    "grid": {"v_min": float, "v_max": float, "x_min": float, "x_max": float,
-             "nv": int, "nx": int, "snapshot_stride": int},
-    "init": {"kind": str, "mean_v": float, "mean_x": float,
-             "concentration": float, "offset": float},
-    "output": {"directory": str, "label": str},
-}
+# Every configuration key, as (INI section, INI key, field, parser).  The
+# field is an attribute of the section's dataclass (ModelParams, SimConfig,
+# Grid, InitCondition), or of ExperimentConfig for the keys it holds itself:
+# [output] and [grid] snapshot_stride.  INI values and flag values go through
+# the same parser.
+_KEYS = (
+    ("params", "a", "a", float),
+    ("params", "b", "b", float),
+    ("params", "lambda", "lam", float),
+    ("params", "i_ext", "i_ext", float),
+    ("params", "sigma", "sigma", float),
+    ("params", "epsilon", "epsilon", float),
+    ("params", "adaptation_noise", "adaptation_noise", _parse_bool),
+    ("params", "truncation", "truncation", float),
+    ("sim", "n", "n", int),
+    ("sim", "dt", "dt", float),
+    ("sim", "t_end", "t_end", float),
+    ("sim", "seed", "seed", int),
+    ("sim", "record_stride", "record_stride", int),
+    ("sim", "quantiles", "quantile_fractions", _parse_floats),
+    ("grid", "v_min", "v_min", float),
+    ("grid", "v_max", "v_max", float),
+    ("grid", "x_min", "x_min", float),
+    ("grid", "x_max", "x_max", float),
+    ("grid", "nv", "nv", int),
+    ("grid", "nx", "nx", int),
+    ("grid", "snapshot_stride", "snapshot_stride", int),
+    ("init", "kind", "kind", str),
+    ("init", "mean_v", "mean_v", float),
+    ("init", "mean_x", "mean_x", float),
+    ("init", "concentration", "concentration", float),
+    ("output", "directory", "out_dir", Path),
+    ("output", "label", "label", str),
+)
 
-_DEFAULTS = {
-    "model": {"kind": "network"},
-    "params": {"a": 0.3, "b": 0.1, "lambda": 4.0, "i_ext": 0.0, "sigma": 1.0,
-               "epsilon": 0.01, "adaptation_noise": True, "truncation": None},
-    "sim": {"n": 1000, "dt": None, "t_end": 10.0, "seed": 0,
-            "record_stride": 10, "quantiles": (0.10, 0.25, 0.75, 0.90)},
-    "grid": {"v_min": None, "v_max": None, "x_min": None, "x_max": None,
-             "nv": 128, "nx": 64, "snapshot_stride": None},
-    "init": {"kind": "gaussian", "mean_v": 0.0, "mean_x": 0.0,
-             "concentration": 0.3, "offset": 0.1},
-    "output": {"directory": None, "label": "run"},
-}
+# section -> title of its flag group
+_SECTIONS = {"params": "parameters", "sim": "simulation", "grid": "grid",
+             "init": "initial cluster", "output": "output"}
+
+_METAVARS = {_parse_bool: "on|off", _parse_floats: "Q,Q,..."}
+
+
+def _flag(section: str, key: str) -> tuple[str, tuple[str, ...]]:
+    """argparse dest and option strings of a key's flag: the key with dashes,
+    prefixed init- in [init].  Two flags keep their own spelling."""
+    if key == "lambda":  # a Python keyword, so the dest is the field name
+        return "lam", ("--lambda", "--lam")
+    if key == "directory":
+        return "out", ("--out",)
+    dest = f"init_{key}" if section == "init" else key
+    return dest, ("--" + dest.replace("_", "-"),)
 
 
 def load_config_file(path: str) -> dict:
-    """Parse the INI config; any unknown section or key is an error."""
+    """Parse the INI config into {section: {field: value}}; any unknown
+    section or key is an error."""
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -101,47 +128,21 @@ def load_config_file(path: str) -> dict:
     except configparser.Error as err:
         raise ConfigError(f"malformed config file {path}: {err}") from err
 
+    rows = {(section, key): (field, parse) for section, key, field, parse in _KEYS}
     settings: dict = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in rows:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        coerce = None
-        for key, raw in parser.items(section):
-            coerce = _SCHEMA[section][key]
+            field, parse = rows[section, key]
             try:
-                settings.setdefault(section, {})[key] = coerce(raw)
-            except ConfigError:
-                raise
-            except Exception as err:
+                settings.setdefault(section, {})[field] = parse(raw)
+            except ValueError as err:
                 raise ConfigError(
                     f"bad value for {section}.{key}: {raw!r} ({err})") from err
     return settings
-
-
-def _preset_settings(run: PresetRun) -> dict:
-    p, sim, init = run.params, run.sim, run.init
-    return {
-        "params": {"a": p.a, "b": p.b, "lambda": p.lam, "i_ext": p.i_ext,
-                   "sigma": p.sigma, "epsilon": p.epsilon,
-                   "adaptation_noise": p.adaptation_noise,
-                   "truncation": p.truncation},
-        "sim": {"n": sim.n, "dt": sim.dt, "t_end": sim.t_end, "seed": sim.seed,
-                "record_stride": sim.record_stride,
-                "quantiles": sim.quantile_fractions},
-        "init": {"kind": init.kind, "mean_v": init.mean_v, "mean_x": init.mean_x,
-                 "concentration": init.concentration, "offset": init.offset},
-        "output": {"label": run.label},
-    }
-
-
-def _merge(base: dict, extra: dict) -> dict:
-    out = {sec: dict(vals) for sec, vals in base.items()}
-    for sec, vals in extra.items():
-        out.setdefault(sec, {}).update(vals)
-    return out
 
 
 @dataclass
@@ -159,65 +160,29 @@ class ExperimentConfig:
     seeds: int = 1
     snapshot_stride: int | None = None  # density solver: steps between field snapshots
 
+    def __post_init__(self):
+        if self.seeds < 1:
+            raise ValueError(f"seeds must be >= 1, got {self.seeds}")
+        if self.snapshot_stride is not None and self.snapshot_stride < 1:
+            raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
+
     def to_dict(self) -> dict:
-        p, s, i = self.params, self.sim, self.init
-        d = {
-            "model": self.model,
-            "params": {"a": p.a, "b": p.b, "lambda": p.lam, "i_ext": p.i_ext,
-                       "sigma": p.sigma, "epsilon": p.epsilon,
-                       "adaptation_noise": p.adaptation_noise,
-                       "truncation": p.truncation},
-            "sim": {"n": s.n, "dt": s.dt if s.dt is not None else default_dt(p),
-                    "t_end": s.t_end, "seed": s.seed,
-                    "record_stride": s.record_stride,
-                    "quantiles": list(s.quantile_fractions)},
-            "init": {"kind": i.kind, "mean_v": i.mean_v, "mean_x": i.mean_x,
-                     "concentration": i.concentration, "offset": i.offset},
-            "output": {"directory": str(self.out_dir), "label": self.label},
-            "preset": self.preset,
-        }
-        if self.grid is not None:
-            g = self.grid
-            d["grid"] = {"v_min": g.v_min, "v_max": g.v_max, "x_min": g.x_min,
-                         "x_max": g.x_max, "nv": g.nv, "nx": g.nx,
-                         "snapshot_stride": self.snapshot_stride}
+        """The resolved configuration by INI section and key; [grid] only
+        for runs that have a grid."""
+        d: dict = {"model": self.model, "preset": self.preset}
+        for section, key, field, _ in _KEYS:
+            if section == "grid" and self.grid is None:
+                continue
+            part = getattr(self, section, None)
+            value = getattr(part if hasattr(part, field) else self, field)
+            if isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, Path):
+                value = str(value)
+            elif field == "dt" and value is None:
+                value = default_dt(self.params)  # the step the ensemble takes
+            d.setdefault(section, {})[key] = value
         return d
-
-
-# flag destination -> (section, key)
-_FLAG_MAP = {
-    "a": ("params", "a"), "b": ("params", "b"), "lam": ("params", "lambda"),
-    "i_ext": ("params", "i_ext"), "sigma": ("params", "sigma"),
-    "epsilon": ("params", "epsilon"),
-    "adaptation_noise": ("params", "adaptation_noise"),
-    "truncation": ("params", "truncation"),
-    "n": ("sim", "n"), "dt": ("sim", "dt"), "t_end": ("sim", "t_end"),
-    "seed": ("sim", "seed"), "record_stride": ("sim", "record_stride"),
-    "quantiles": ("sim", "quantiles"),
-    "v_min": ("grid", "v_min"), "v_max": ("grid", "v_max"),
-    "x_min": ("grid", "x_min"), "x_max": ("grid", "x_max"),
-    "nv": ("grid", "nv"), "nx": ("grid", "nx"),
-    "snapshot_stride": ("grid", "snapshot_stride"),
-    "init_kind": ("init", "kind"), "init_mean_v": ("init", "mean_v"),
-    "init_mean_x": ("init", "mean_x"),
-    "init_concentration": ("init", "concentration"),
-    "init_offset": ("init", "offset"),
-    "out": ("output", "directory"), "label": ("output", "label"),
-}
-
-
-def _flag_overrides(args: argparse.Namespace) -> dict:
-    settings: dict = {}
-    for dest, (section, key) in _FLAG_MAP.items():
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        if dest == "adaptation_noise":
-            value = _parse_bool(value)
-        if dest == "quantiles":
-            value = _parse_floats(value)
-        settings.setdefault(section, {})[key] = value
-    return settings
 
 
 def _select_preset(spec: str) -> tuple[str, PresetRun, tuple[str, ...]]:
@@ -241,58 +206,45 @@ def _select_preset(spec: str) -> tuple[str, PresetRun, tuple[str, ...]]:
 
 
 def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
-    settings = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
-    preset_name = None
-    notes: tuple[str, ...] = ()
-    profile_diag = False
+    """The run's configuration: the preset's run (or the dataclass defaults),
+    then the INI config file, then flags.  A flag that args lacks or holds
+    as None is not set."""
+    preset_name, notes = None, ()
+    run = PresetRun(label="run", params=ModelParams(), init=InitCondition(),
+                    sim=SimConfig(n=1000, t_end=10.0, record_stride=10))
     if getattr(args, "preset", None):
         preset_name, run, notes = _select_preset(args.preset)
-        settings = _merge(settings, _preset_settings(run))
-        profile_diag = run.profile_diagnostics
+    given = {section: {} for section in _SECTIONS}
     if getattr(args, "config", None):
-        settings = _merge(settings, load_config_file(args.config))
-    settings = _merge(settings, _flag_overrides(args))
+        for section, values in load_config_file(args.config).items():
+            given[section].update(values)
+    for section, key, field, _ in _KEYS:
+        value = getattr(args, _flag(section, key)[0], None)
+        if value is not None:
+            given[section][field] = value
+    seeds = getattr(args, "seeds", None)
 
     try:
-        pr = settings["params"]
-        params = ModelParams(a=pr["a"], b=pr["b"], lam=pr["lambda"],
-                             i_ext=pr["i_ext"], sigma=pr["sigma"],
-                             epsilon=pr["epsilon"],
-                             adaptation_noise=pr["adaptation_noise"],
-                             truncation=pr["truncation"])
-        sm = settings["sim"]
-        sim = SimConfig(n=sm["n"], t_end=sm["t_end"], dt=sm["dt"],
-                        seed=sm["seed"], record_stride=sm["record_stride"],
-                        quantile_fractions=tuple(sm["quantiles"]))
-        ic = settings["init"]
-        init = InitCondition(mean_v=ic["mean_v"], mean_x=ic["mean_x"],
-                             concentration=ic["concentration"],
-                             offset=ic["offset"], kind=ic["kind"])
-        grid = None
-        snapshot_stride = None
+        params = replace(run.params, **given["params"])
+        init = replace(run.init, **given["init"])
+        grid = snapshot_stride = None
         if model in ("pde", "compare"):
-            gr = settings["grid"]
-            snapshot_stride = gr["snapshot_stride"]
-            if snapshot_stride is not None and snapshot_stride < 1:
-                raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+            snapshot_stride = given["grid"].pop("snapshot_stride", None)
             span = 3.0 * params.lam
-            grid = Grid(
-                v_min=gr["v_min"] if gr["v_min"] is not None else -span,
-                v_max=gr["v_max"] if gr["v_max"] is not None else span,
-                x_min=gr["x_min"] if gr["x_min"] is not None else -span,
-                x_max=gr["x_max"] if gr["x_max"] is not None else span,
-                nv=gr["nv"], nx=gr["nx"])
-    except (ValueError, KeyError) as err:
+            grid = Grid(**{"v_min": -span, "v_max": span, "x_min": -span,
+                           "x_max": span, "nv": 128, "nx": 64, **given["grid"]})
+        out_dir = given["output"].get("out_dir", os.environ.get(ENV_OUT_DIR, "out"))
+        cfg = ExperimentConfig(
+            model=model, params=params, sim=replace(run.sim, **given["sim"]),
+            grid=grid, init=init, out_dir=Path(out_dir),
+            label=given["output"].get("label", run.label), preset=preset_name,
+            notes=notes, profile_diagnostics=run.profile_diagnostics,
+            seeds=1 if seeds is None else seeds, snapshot_stride=snapshot_stride)
+    except ValueError as err:
         raise ConfigError(str(err)) from err
-
-    out_dir = settings["output"]["directory"]
-    if out_dir is None:
-        out_dir = os.environ.get(ENV_OUT_DIR, "out")
-    return ExperimentConfig(
-        model=model, params=params, sim=sim, grid=grid, init=init,
-        out_dir=Path(out_dir), label=settings["output"]["label"],
-        preset=preset_name, notes=notes, profile_diagnostics=profile_diag,
-        seeds=getattr(args, "seeds", 1) or 1, snapshot_stride=snapshot_stride)
+    if grid is not None and init.kind != GAUSSIAN_CLUSTER:
+        raise ConfigError("the density solver needs a gaussian initial cluster")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +274,21 @@ def _write_summary(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _base_summary(cfg: ExperimentConfig, runtime: float) -> dict:
-    return {
+def _finish(cfg: ExperimentConfig, t0: float, report, results: dict) -> dict:
+    """Write <label>_summary.json: the resolved configuration, the runtime
+    since t0, the closed-form classification and the run's results."""
+    summary = {
         "version": __version__,
         "model": cfg.model,
         "config": cfg.to_dict(),
         "seed": cfg.sim.seed,
-        "runtime_sec": runtime,
+        "runtime_sec": time.perf_counter() - t0,
         "notes": list(cfg.notes),
+        "classification": report_to_dict(report),
+        "results": results,
     }
+    _write_summary(cfg.out_dir / f"{cfg.label}_summary.json", summary)
+    return summary
 
 
 def reference_trajectory(rec: TrajectoryRecord, cfg: ExperimentConfig):
@@ -385,22 +343,19 @@ def run_network(cfg: ExperimentConfig) -> dict:
         results["final_profile_sup_error_v"] = final_comp.sup_error_v
         results["final_profile_sup_error_x"] = final_comp.sup_error_x
 
-    summary = _base_summary(cfg, time.perf_counter() - t0)
-    summary["classification"] = report_to_dict(report)
-    summary["results"] = results
-    _write_summary(cfg.out_dir / f"{cfg.label}_summary.json", summary)
-    return summary
+    return _finish(cfg, t0, report, results)
 
 
 def run_pde(cfg: ExperimentConfig) -> dict:
-    if cfg.init.kind != "gaussian":
-        raise ConfigError("the density solver needs a gaussian initial cluster")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     field0 = gaussian_field(cfg.grid, cfg.init, cfg.params)
-    sol = solve(field0, cfg.params, cfg.sim.t_end, dt=cfg.sim.dt,
-                record_stride=cfg.sim.record_stride,
-                snapshot_stride=cfg.snapshot_stride)
+    try:
+        sol = solve(field0, cfg.params, cfg.sim.t_end, dt=cfg.sim.dt,
+                    record_stride=cfg.sim.record_stride,
+                    snapshot_stride=cfg.snapshot_stride)
+    except ValueError as err:  # a user step that does not divide t_end
+        raise ConfigError(str(err)) from err
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_series_csv(cfg.out_dir / f"{cfg.label}_pde.csv", sol)
     for k, snap in enumerate(sol.snapshots):
         save_snapshot(cfg.out_dir / f"{cfg.label}_field_{k:04d}.bin",
@@ -409,17 +364,13 @@ def run_pde(cfg: ExperimentConfig) -> dict:
     report = classify(cfg.params)
     # without [sim] dt the solver takes its own CFL-bounded step; echo the step taken
     cfg = replace(cfg, sim=replace(cfg.sim, dt=sol.dt))
-    summary = _base_summary(cfg, time.perf_counter() - t0)
-    summary["classification"] = report_to_dict(report)
-    summary["results"] = {
+    return _finish(cfg, t0, report, {
         "dt": sol.dt,
         "final_jg": float(sol.jg[-1]),
         "mass_drift": float(np.abs(sol.mass - sol.mass[0]).max()),
         "nearest_equilibrium_distance": float(min(
             abs(sol.jg[-1] - e.v) for e in report.equilibria)),
-    }
-    _write_summary(cfg.out_dir / f"{cfg.label}_summary.json", summary)
-    return summary
+    })
 
 
 def run_ode(cfg: ExperimentConfig) -> dict:
@@ -435,15 +386,10 @@ def run_ode(cfg: ExperimentConfig) -> dict:
         for t, al, be in zip(traj.t, traj.alpha, traj.beta):
             fh.write(f"{_fmt(t)},{_fmt(al)},{_fmt(be)}\n")
 
-    report = classify(cfg.params)
-    summary = _base_summary(cfg, time.perf_counter() - t0)
-    summary["classification"] = report_to_dict(report)
-    summary["results"] = {
+    return _finish(cfg, t0, classify(cfg.params), {
         "final_alpha": float(traj.alpha[-1]),
         "final_beta": float(traj.beta[-1]),
-    }
-    _write_summary(cfg.out_dir / f"{cfg.label}_summary.json", summary)
-    return summary
+    })
 
 
 def run_compare(cfg: ExperimentConfig) -> dict:
@@ -456,13 +402,8 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
 
-    recs = []
-    for k in range(cfg.seeds):
-        sim_k = SimConfig(n=cfg.sim.n, t_end=cfg.sim.t_end, dt=cfg.sim.dt,
-                          seed=cfg.sim.seed + k,
-                          record_stride=cfg.sim.record_stride,
-                          quantile_fractions=cfg.sim.quantile_fractions)
-        recs.append(simulate(sim_k, cfg.params, cfg.init))
+    recs = [simulate(replace(cfg.sim, seed=cfg.sim.seed + k), cfg.params, cfg.init)
+            for k in range(cfg.seeds)]
     mean_v = np.mean([r.mean_v for r in recs], axis=0)
     mean_x0 = float(np.mean([r.mean_x[0] for r in recs]))
     times = recs[0].t
@@ -479,40 +420,23 @@ def run_compare(cfg: ExperimentConfig) -> dict:
         for row in zip(times, mean_v, jg, alpha):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
-    summary = _base_summary(cfg, time.perf_counter() - t0)
-    summary["results"] = {
+    return _finish(cfg, t0, classify(cfg.params), {
         "seeds_averaged": cfg.seeds,
         "initial_mean_x": mean_x0,
         "sup_network_vs_pde": float(np.abs(mean_v - jg).max()),
         "sup_network_vs_limit": float(np.abs(mean_v - alpha).max()),
         "sup_pde_vs_limit": float(np.abs(jg - alpha).max()),
         "pde_mass_drift": float(np.abs(sol.mass - sol.mass[0]).max()),
-    }
-    summary["classification"] = report_to_dict(classify(cfg.params))
-    _write_summary(cfg.out_dir / f"{cfg.label}_summary.json", summary)
-    return summary
+    })
 
 
 # ---------------------------------------------------------------------------
 # subcommand entry points
 
-def _cmd_simulate_network(args) -> int:
-    run_network(resolve_config(args, "network"))
-    return 0
-
-
-def _cmd_simulate_pde(args) -> int:
-    run_pde(resolve_config(args, "pde"))
-    return 0
-
-
-def _cmd_simulate_ode(args) -> int:
-    run_ode(resolve_config(args, "ode"))
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    run_compare(resolve_config(args, "compare"))
+def _cmd_run(args) -> int:
+    runners = {"network": run_network, "pde": run_pde, "ode": run_ode,
+               "compare": run_compare}
+    runners[args.model](resolve_config(args, args.model))
     return 0
 
 
@@ -548,70 +472,49 @@ def _cmd_detect_cycle(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    preset = presets_mod.load(args.name)
-    out_root = args.out or os.environ.get(ENV_OUT_DIR, "out")
-    out_dir = Path(out_root) / preset.name
-    statuses = []
-    for run in preset.runs:
-        ns = argparse.Namespace(preset=f"{preset.name}:{run.label}",
-                                config=None, out=str(out_dir), seeds=1)
-        cfg = resolve_config(ns, "network")
-        summary = run_network(cfg)
-        statuses.append({"label": run.label,
-                         "regime": summary["classification"]["regime"],
-                         "results": summary["results"]})
-    _write_summary(out_dir / f"{preset.name}_scenario.json", {
-        "version": __version__,
-        "preset": preset.name,
-        "notes": list(preset.notes),
-        "runs": statuses,
-    })
+    names = presets_mod.available() if "all" in args.names else dict.fromkeys(args.names)
+    out_root = Path(args.out or os.environ.get(ENV_OUT_DIR, "out"))
+    for name in names:
+        preset = presets_mod.load(name)
+        out_dir = out_root / preset.name
+        statuses = []
+        for run in preset.runs:
+            ns = argparse.Namespace(preset=f"{preset.name}:{run.label}",
+                                    out=str(out_dir))
+            summary = run_network(resolve_config(ns, "network"))
+            statuses.append({"label": run.label,
+                             "regime": summary["classification"]["regime"],
+                             "results": summary["results"]})
+        _write_summary(out_dir / f"{preset.name}_scenario.json", {
+            "version": __version__,
+            "preset": preset.name,
+            "notes": list(preset.notes),
+            "runs": statuses,
+        })
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common_flags(sp, *, grid: bool = False, init: bool = True):
+_RUN_SECTIONS = ("params", "sim", "init", "output")
+_GRID_SECTIONS = _RUN_SECTIONS + ("grid",)
+
+
+def _add_config_flags(sp, sections: tuple[str, ...]) -> None:
+    """--config, --preset and one flag per key of the given sections."""
     sp.add_argument("--config", help="INI config file")
     sp.add_argument("--preset", help="preset name, or name:label for one run")
-    sp.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or ./out)")
-    sp.add_argument("--label", help="output file prefix")
-    g = sp.add_argument_group("parameters")
-    g.add_argument("--a", type=float)
-    g.add_argument("--b", type=float)
-    g.add_argument("--lambda", "--lam", dest="lam", type=float)
-    g.add_argument("--i-ext", dest="i_ext", type=float)
-    g.add_argument("--sigma", type=float)
-    g.add_argument("--epsilon", type=float)
-    g.add_argument("--adaptation-noise", dest="adaptation_noise",
-                   choices=["on", "off"])
-    g.add_argument("--truncation", type=float)
-    s = sp.add_argument_group("simulation")
-    s.add_argument("--n", type=int)
-    s.add_argument("--dt", type=float)
-    s.add_argument("--t-end", dest="t_end", type=float)
-    s.add_argument("--seed", type=int)
-    s.add_argument("--record-stride", dest="record_stride", type=int)
-    s.add_argument("--quantiles", help="comma-separated fractions in [0,1]")
-    if grid:
-        gg = sp.add_argument_group("grid")
-        gg.add_argument("--v-min", dest="v_min", type=float)
-        gg.add_argument("--v-max", dest="v_max", type=float)
-        gg.add_argument("--x-min", dest="x_min", type=float)
-        gg.add_argument("--x-max", dest="x_max", type=float)
-        gg.add_argument("--nv", type=int)
-        gg.add_argument("--nx", type=int)
-        gg.add_argument("--snapshot-stride", dest="snapshot_stride", type=int)
-    if init:
-        gi = sp.add_argument_group("initial cluster")
-        gi.add_argument("--init-kind", dest="init_kind",
-                        choices=["gaussian", "point"])
-        gi.add_argument("--init-mean-v", dest="init_mean_v", type=float)
-        gi.add_argument("--init-mean-x", dest="init_mean_x", type=float)
-        gi.add_argument("--init-concentration", dest="init_concentration",
-                        type=float)
-        gi.add_argument("--init-offset", dest="init_offset", type=float)
+    groups = {section: sp.add_argument_group(title)
+              for section, title in _SECTIONS.items() if section in sections}
+    groups["output"].description = (
+        f"files <label>_* go to --out (default ${ENV_OUT_DIR} or ./out)")
+    for section, key, _, parse in _KEYS:
+        if section in groups:
+            dest, names = _flag(section, key)
+            groups[section].add_argument(*names, dest=dest, type=parse,
+                                         metavar=_METAVARS.get(parse),
+                                         help=f"[{section}] {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -623,35 +526,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate-network", help="integrate the n-neuron ensemble")
-    _add_common_flags(sp)
-    sp.set_defaults(func=_cmd_simulate_network)
+    _add_config_flags(sp, _RUN_SECTIONS)
+    sp.set_defaults(func=_cmd_run, model="network")
 
     sp = sub.add_parser("simulate-pde", help="integrate the density equation")
-    _add_common_flags(sp, grid=True)
-    sp.set_defaults(func=_cmd_simulate_pde)
+    _add_config_flags(sp, _GRID_SECTIONS)
+    sp.set_defaults(func=_cmd_run, model="pde")
 
     sp = sub.add_parser("simulate-ode", help="integrate the limit system")
-    _add_common_flags(sp)
-    sp.set_defaults(func=_cmd_simulate_ode)
+    _add_config_flags(sp, _RUN_SECTIONS)
+    sp.set_defaults(func=_cmd_run, model="ode")
 
     sp = sub.add_parser("classify", help="closed-form regime classification")
-    _add_common_flags(sp, init=False)
+    _add_config_flags(sp, ("params", "sim", "output"))
     sp.add_argument("--json-out", help="also write the JSON report here")
     sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("detect-cycle", help="Poincare-section cycle detection")
-    _add_common_flags(sp)
+    _add_config_flags(sp, _RUN_SECTIONS)
     sp.add_argument("--max-time", dest="max_time", type=float, default=2000.0)
     sp.set_defaults(func=_cmd_detect_cycle)
 
     sp = sub.add_parser("compare", help="network vs density solver vs limit system")
-    _add_common_flags(sp, grid=True)
+    _add_config_flags(sp, _GRID_SECTIONS)
     sp.add_argument("--seeds", type=int, default=1,
                     help="average the network over this many seeds")
-    sp.set_defaults(func=_cmd_compare)
+    sp.set_defaults(func=_cmd_run, model="compare")
 
-    sp = sub.add_parser("scenario", help="run a full figure preset")
-    sp.add_argument("name", choices=presets_mod.available())
+    sp = sub.add_parser("scenario", help="run full figure presets")
+    sp.add_argument("names", nargs="+", metavar="name",
+                    choices=(*presets_mod.available(), "all"),
+                    help="preset names, or all")
     sp.add_argument("--out", help="output root directory")
     sp.set_defaults(func=_cmd_scenario)
 

@@ -302,7 +302,7 @@ class _UpwindKernel:
         dst += src
 
         worst = float(dst.min())
-        if worst < NEGATIVITY_TOL:
+        if not worst >= NEGATIVITY_TOL:  # also catches NaN
             raise SchemeError(f"density fell to {worst:.3e} at t={t + dt:.6g}")
 
 
@@ -312,10 +312,10 @@ def solve(f0: DensityField, p: ModelParams, t_end: float, *,
     """Repeated explicit steps with recorded (t, J[g], mass) diagnostics.
 
     With dt=None a uniform step is chosen from the worst-case CFL bound so
-    recording times are reproducible.  jg_of_t, when given, supplies the
-    input current externally instead of the self-consistent moment.  The
-    steps alternate between two buffers owned by this call; f0 is not
-    written.
+    recording times are reproducible; a given dt must divide t_end into
+    whole steps.  jg_of_t, when given, supplies the input current externally
+    instead of the self-consistent moment.  The steps alternate between two
+    buffers owned by this call; f0 is not written.
     """
     if t_end < 0:
         raise ValueError(f"t_end must be >= 0, got {t_end}")
@@ -333,6 +333,9 @@ def solve(f0: DensityField, p: ModelParams, t_end: float, *,
             n_steps, dt = 0, stable_dt(f0.grid, p)
     else:
         n_steps = int(round(t_end / dt))
+        if t_end > 0 and abs(n_steps * dt - t_end) > 1e-9 * t_end:
+            raise ValueError(f"dt={dt:.6g} does not divide t_end={t_end:.6g} "
+                             f"into whole steps")
 
     g = f0.grid
     t = f0.t

@@ -94,6 +94,10 @@ class SimConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
+        if not self.quantile_fractions or not all(
+                0.0 <= q <= 1.0 for q in self.quantile_fractions):
+            raise ValueError("quantile fractions must be a non-empty list in [0, 1], "
+                             f"got {self.quantile_fractions}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fhn_meanfield import cli, presets
 from fhn_meanfield.cli import main
 from fhn_meanfield.fokker_planck import load_snapshot
 
@@ -264,3 +266,135 @@ def test_scenario_rejects_unknown_preset():
     with pytest.raises(SystemExit) as info:
         run(["scenario", "fig9"])
     assert info.value.code == 2
+
+
+def _ini_from_config(config: dict) -> str:
+    """The INI sections of a summary's config block, unset (null) keys left out."""
+    lines = []
+    for section, values in config.items():
+        if not isinstance(values, dict):
+            continue
+        lines.append(f"[{section}]")
+        for key, value in values.items():
+            if isinstance(value, list):
+                value = ", ".join(repr(v) for v in value)
+            if value is not None:
+                lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("simulate-network", [*FAST_NET, "--adaptation-noise", "false",
+                          "--quantiles", "0.05,0.5,0.95", "--truncation", "6",
+                          "--init-kind", "point", "--init-mean-x", "0.25"]),
+    ("simulate-pde", [*PDE_SMALL, "--snapshot-stride", "7", "--b", "0.2"]),
+])
+def test_summary_config_round_trips_through_an_ini_file(tmp_path, command, argv):
+    out = tmp_path / "o"
+    assert run([command, "--out", str(out), "--label", "first", *argv]) == 0
+    config = json.loads((out / "first_summary.json").read_text())["config"]
+    ini = tmp_path / "again.ini"
+    ini.write_text(_ini_from_config(config))
+    (out / "first_summary.json").unlink()
+    assert run([command, "--config", str(ini)]) == 0
+    again = json.loads((out / "first_summary.json").read_text())["config"]
+    assert again == config
+
+
+# parser -> (text, the value the summary echoes)
+SAMPLE_VALUES = {float: ("0.5", 0.5), int: ("9", 9), cli._parse_bool: ("off", False),
+                 cli._parse_floats: ("0.2,0.8", [0.2, 0.8]), str: ("point", "point"),
+                 Path: ("elsewhere", "elsewhere")}
+
+
+@pytest.mark.parametrize("row", cli._KEYS, ids=lambda row: f"{row[0]}.{row[1]}")
+def test_every_key_is_accepted_as_flag_and_as_ini_key(tmp_path, row):
+    section, key, _, parse = row
+    text, expected = SAMPLE_VALUES[parse]
+    command, model = (("simulate-pde", "pde") if section == "grid"
+                      else ("simulate-network", "network"))
+    ini = tmp_path / "one.ini"
+    ini.write_text(f"[{section}]\n{key} = {text}\n")
+    _, flags = cli._flag(section, key)
+    parser = cli.build_parser()
+    for argv in ([command, flags[0], text], [command, "--config", str(ini)]):
+        cfg = cli.resolve_config(parser.parse_args(argv), model)
+        assert cfg.to_dict()[section][key] == expected, argv
+
+
+def test_removed_keys_exit_2(tmp_path, capsys):
+    for text in ("[model]\nkind = network\n", "[init]\noffset = 0.1\n"):
+        bad = tmp_path / "removed.ini"
+        bad.write_text(text)
+        assert run(["simulate-network", "--config", str(bad)]) == 2
+        assert "unknown" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        run(["simulate-network", "--init-offset", "0.1"])
+    assert info.value.code == 2
+
+
+def test_adaptation_noise_flag_takes_the_ini_words(tmp_path):
+    out = tmp_path / "o"
+    assert run(["simulate-network", "--out", str(out), "--label", "q",
+                "--adaptation-noise", "no", *FAST_NET]) == 0
+    summary = json.loads((out / "q_summary.json").read_text())
+    assert summary["config"]["params"]["adaptation_noise"] is False
+
+
+COMPARE_SMALL = ["compare", "--epsilon", "0.2", "--t-end", "0.01", "--n", "16",
+                 "--nv", "16", "--nx", "16"]
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_compare_rejects_seeds_below_one(tmp_path, capsys, seeds):
+    out = tmp_path / "o"
+    assert run([*COMPARE_SMALL, "--out", str(out), "--seeds", seeds]) == 2
+    assert "seeds must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_quantiles_are_configuration_errors(tmp_path, capsys):
+    out = tmp_path / "o"
+    for value in ("0.5,2", ""):
+        assert run(["simulate-network", "--out", str(out), *FAST_NET,
+                    "--quantiles", value]) == 2
+        assert "quantile fractions" in capsys.readouterr().err
+    ini = tmp_path / "q.ini"
+    ini.write_text("[sim]\nquantiles = 0.5, 2\n")
+    assert run(["simulate-network", "--out", str(out), "--config", str(ini)]) == 2
+    assert "quantile fractions" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [COMPARE_SMALL, ["simulate-pde", *PDE_SMALL]])
+def test_density_solver_needs_a_gaussian_cluster(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path / "o"), "--init-kind", "point"]) == 2
+    assert "gaussian initial cluster" in capsys.readouterr().err
+
+
+def test_simulate_pde_step_must_divide_the_horizon(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["simulate-pde", "--out", str(out), "--dt", "0.005", *PDE_SMALL]) == 2
+    assert "does not divide" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scenario_runs_several_presets_or_all(tmp_path, monkeypatch):
+    labels = []
+
+    def fake_run_network(cfg):
+        labels.append((cfg.preset, cfg.label, cfg.out_dir))
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        return {"classification": {"regime": "stub"}, "results": {}}
+
+    monkeypatch.setattr(cli, "run_network", fake_run_network)
+    assert run(["scenario", "fig1", "fig4", "--out", str(tmp_path / "a")]) == 0
+    assert sorted({p for p, _, _ in labels}) == ["fig1", "fig4"]
+    assert all(d == tmp_path / "a" / p for p, _, d in labels)
+    report = json.loads((tmp_path / "a" / "fig4" / "fig4_scenario.json").read_text())
+    assert [r["label"] for r in report["runs"]] == ["i5", "i5.4", "i5.7"]
+    labels.clear()
+    assert run(["scenario", "all", "--out", str(tmp_path / "b")]) == 0
+    assert sorted({p for p, _, _ in labels}) == list(presets.available())
+    assert all((tmp_path / "b" / p / f"{p}_scenario.json").exists()
+               for p in presets.available())

@@ -92,6 +92,14 @@ def test_negative_density_guard():
         fp_step(DensityField(grid, rho, 0.0), P01, dt=stable_dt(grid, P01))
 
 
+def test_nan_moment_trips_the_negativity_guard():
+    f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
+    with pytest.raises(SchemeError, match="nan"):
+        solve(f, P01, 0.01, jg_of_t=lambda t: float("nan"))
+    with pytest.raises(SchemeError, match="nan"):
+        fp_step(f, P01, 1e-4, jg=float("nan"))
+
+
 def test_solve_zero_horizon():
     f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.0), P01)
     sol = solve(f, P01, 0.0)
@@ -275,7 +283,7 @@ P_TRUNC = ModelParams(a=0.3, b=0.1, lam=4.0, i_ext=0.5, epsilon=0.1, truncation=
 
 SOLVE_CASES = {
     "default_dt": (P01, 0.3, dict(record_stride=7, snapshot_stride=11)),
-    "user_dt": (P01, 0.2, dict(dt=0.7 * stable_dt(small_grid(), P01),
+    "user_dt": (P01, 0.2, dict(dt=0.2 / np.ceil(0.2 / (0.7 * stable_dt(small_grid(), P01))),
                                record_stride=3, snapshot_stride=5)),
     "jg_of_t": (P01, 0.2, dict(jg_of_t=lambda t: 1.0 + np.sin(30.0 * t),
                                record_stride=4, snapshot_stride=9)),
@@ -320,6 +328,14 @@ def test_solve_rejects_bad_steps_and_strides(kw, what):
     f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
     with pytest.raises(ValueError, match=what):
         solve(f, P01, 0.01, **kw)
+
+
+def test_solve_rejects_a_step_that_does_not_divide_the_horizon():
+    f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
+    for t_end, dt in ((0.002, 0.005), (0.01, 3e-4)):
+        with pytest.raises(ValueError, match="does not divide"):
+            solve(f, P01, t_end, dt=dt)
+    assert solve(f, P01, 0.002, dt=1e-4).t[-1] == pytest.approx(0.002)
 
 
 def test_solve_too_large_dt_raises_the_cfl_limit_error():
