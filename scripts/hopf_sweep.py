@@ -11,8 +11,7 @@ import argparse
 
 import numpy as np
 
-from fhn_meanfield import (LimitState, ModelParams, classify,
-                           detect_limit_cycle, equilibria)
+from fhn_meanfield import LimitState, ModelParams, classify, detect_limit_cycle
 from fhn_meanfield.bifurcation import OSCILLATORY
 
 
@@ -33,8 +32,7 @@ def main() -> int:
         e = rep.equilibria[0]
         period = ""
         if rep.regime == OSCILLATORY:
-            (v, x), = equilibria(p)
-            cycle = detect_limit_cycle(p, LimitState(0.0, v + 0.5, x))
+            cycle = detect_limit_cycle(p, LimitState(0.0, e.v + 0.5, e.x))
             if cycle is not None:
                 period = f"{cycle.period:8.2f}"
         print(f"{i0:8.3f} {rep.regime:>18} {e.v:8.4f} {e.trace:9.4f} {period:>8}")

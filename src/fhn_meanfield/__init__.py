@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 
 from .bifurcation import (BifurcationReport, CycleDetectionError, LimitCycle,
                           classify, detect_limit_cycle, discriminant, trace_at)
-from .core import (BlowUpError, DriftSpec, EnsembleState, InitCondition,
-                   ModelParams, cubic, cubic_truncated, sample_initial,
-                   voltage_drift)
+from .core import (BlowUpError, EnsembleState, InitCondition, ModelParams,
+                   cubic, cubic_truncated, sample_initial, voltage_drift)
 from .diagnostics import (ProfileComparison, compare, log_density_profile,
                           theoretical_profile, viscosity_residual)
 from .fokker_planck import (DensityField, Grid, first_moment, fp_step,
@@ -26,9 +25,9 @@ from .particle import (Moments, NoiseStream, SimConfig, TrajectoryRecord,
 __all__ = [
     "__version__",
     "BifurcationReport", "BlowUpError", "CycleDetectionError", "DensityField",
-    "DriftSpec", "EnsembleState", "Grid", "InitCondition", "LimitCycle",
-    "LimitState", "LimitTrajectory", "ModelParams", "Moments",
-    "NoiseStream", "ProfileComparison", "SimConfig", "TrajectoryRecord",
+    "EnsembleState", "Grid", "InitCondition", "LimitCycle", "LimitState",
+    "LimitTrajectory", "ModelParams", "Moments", "NoiseStream",
+    "ProfileComparison", "SimConfig", "TrajectoryRecord",
     "classify", "compare", "coupling_mean", "cubic", "cubic_truncated",
     "detect_limit_cycle", "discriminant", "em_step", "empirical_moments",
     "equilibria", "first_moment", "fp_step", "gaussian_field", "hopf_cole",

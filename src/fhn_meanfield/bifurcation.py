@@ -33,6 +33,13 @@ DEGENERATE_HOPF = "DegenerateHopf"
 
 DEGENERACY_TOL = 1e-9  # about 1000x double-precision noise at these magnitudes
 
+# Poincare-section cycle detection
+CYCLE_DT = 0.01  # RK4 step
+CYCLE_TRANSIENT = 200.0  # time integrated before crossings are counted
+CYCLE_MIN_RETURNS = 5  # returns averaged into the period
+CYCLE_SPREAD_TOL = 0.01  # largest relative spread of those returns
+CYCLE_CONVERGENCE_TOL = 1e-8  # displacement over one time unit of a settled state
+
 
 class CycleDetectionError(RuntimeError):
     """Integration budget exhausted without convergence or periodicity."""
@@ -81,7 +88,7 @@ def trace_at(vstar: float, p: ModelParams) -> float:
 
 def determinant_at(vstar: float, p: ModelParams) -> float:
     """Jacobian determinant a*N0'(v*) + b at the equilibrium."""
-    return p.a * float(cubic_prime(vstar, p.drift_spec)) + p.b
+    return p.a * float(cubic_prime(vstar, p)) + p.b
 
 
 def _eigenvalues(trace: float, det: float) -> tuple[complex, complex]:
@@ -93,20 +100,20 @@ def _eigenvalues(trace: float, det: float) -> tuple[complex, complex]:
     return (complex(trace / 2.0, -s / 2.0), complex(trace / 2.0, s / 2.0))
 
 
-def _stability_label(eigs, tol: float) -> str:
+def _stability_label(eigs) -> str:
     top = max(e.real for e in eigs)
-    if top < -tol:
+    if top < -DEGENERACY_TOL:
         return "stable"
-    if top > tol:
+    if top > DEGENERACY_TOL:
         return "unstable"
     return "marginal"
 
 
-def classify(p: ModelParams, *, degeneracy_tol: float = DEGENERACY_TOL) -> BifurcationReport:
+def classify(p: ModelParams) -> BifurcationReport:
     """Regime classification with per-equilibrium eigenvalue labels.
 
-    Degenerate annotations appear when |Delta| or |T| falls below the
-    tolerance.  Raises RuntimeError if the discriminant sign and the root
+    Degenerate annotations appear when |Delta| or |T| falls below
+    DEGENERACY_TOL.  Raises RuntimeError if the discriminant sign and the root
     count disagree outside the degeneracy band (an internal inconsistency,
     not a user error).
     """
@@ -117,11 +124,11 @@ def classify(p: ModelParams, *, degeneracy_tol: float = DEGENERACY_TOL) -> Bifur
         det = determinant_at(v, p)
         eigs = _eigenvalues(tr, det)
         return EquilibriumInfo(v=v, x=x, trace=tr, det=det, eigenvalues=eigs,
-                               label=_stability_label(eigs, degeneracy_tol))
+                               label=_stability_label(eigs))
 
     infos = tuple(info_at(v, x) for v, x in equilibria(p))
 
-    if abs(delta) <= degeneracy_tol:
+    if abs(delta) <= DEGENERACY_TOL:
         if len(infos) == 3:
             # within the band the numerically split double root is one
             # equilibrium; present the merged pair next to the simple root
@@ -140,7 +147,7 @@ def classify(p: ModelParams, *, degeneracy_tol: float = DEGENERACY_TOL) -> Bifur
         raise RuntimeError(
             f"discriminant {delta} < 0 but {len(infos)} equilibria found")
     tr = infos[0].trace
-    if abs(tr) <= degeneracy_tol:
+    if abs(tr) <= DEGENERACY_TOL:
         regime = DEGENERATE_HOPF
     elif tr < 0.0:
         regime = MONOSTABLE_STABLE
@@ -150,35 +157,31 @@ def classify(p: ModelParams, *, degeneracy_tol: float = DEGENERACY_TOL) -> Bifur
 
 
 def detect_limit_cycle(p: ModelParams, s0: LimitState, *,
-                       transient: float = 200.0,
-                       max_time: float = 2000.0,
-                       dt: float = 0.01,
-                       min_returns: int = 5,
-                       spread_tol: float = 0.01,
-                       convergence_tol: float = 1e-8) -> LimitCycle | None:
+                       max_time: float = 2000.0) -> LimitCycle | None:
     """Poincare-section cycle detection on the limit system.
 
-    Integrates past the transient, then watches upward crossings of the
+    Integrates past CYCLE_TRANSIENT, then watches upward crossings of the
     section v = v* (the unique equilibrium; with several equilibria the
     running midline of the trajectory is used).  Returns the mean return
-    time over at least min_returns returns once their relative spread is
-    below spread_tol, or None if the state stops moving (displacement below
-    convergence_tol over one time unit).  Exhausting max_time without either
-    outcome raises CycleDetectionError.
+    time over the last CYCLE_MIN_RETURNS returns once their relative spread
+    is below CYCLE_SPREAD_TOL, or None if the state stops moving
+    (displacement below CYCLE_CONVERGENCE_TOL over one time unit).
+    Exhausting max_time without either outcome raises CycleDetectionError.
     """
+    dt = CYCLE_DT
     eqs = equilibria(p)
     section = eqs[0][0] if len(eqs) == 1 else None
 
     alpha, beta = s0.alpha, s0.beta
-    for _ in range(int(round(transient / dt))):
+    for _ in range(int(round(CYCLE_TRANSIENT / dt))):
         alpha, beta = rk4_step(alpha, beta, p, dt)
-    t = transient
+    t = CYCLE_TRANSIENT
 
     probe_steps = int(round(1.0 / dt))
     chunk_steps = int(round(25.0 / dt))
     crossings: list[float] = []
     v_lo, v_hi = alpha, alpha
-    while t < transient + max_time:
+    while t < CYCLE_TRANSIENT + max_time:
         # stationarity probe over one time unit
         ref_a, ref_b = alpha, beta
         moved = 0.0
@@ -186,7 +189,7 @@ def detect_limit_cycle(p: ModelParams, s0: LimitState, *,
             alpha, beta = rk4_step(alpha, beta, p, dt)
             moved = max(moved, math.hypot(alpha - ref_a, beta - ref_b))
         t += 1.0
-        if moved < convergence_tol:
+        if moved < CYCLE_CONVERGENCE_TOL:
             return None
 
         if section is None:
@@ -203,11 +206,11 @@ def detect_limit_cycle(p: ModelParams, s0: LimitState, *,
             prev = alpha
         t += chunk_steps * dt
 
-        if len(crossings) >= min_returns + 1:
-            recent = crossings[-(min_returns + 1):]
+        if len(crossings) >= CYCLE_MIN_RETURNS + 1:
+            recent = crossings[-(CYCLE_MIN_RETURNS + 1):]
             gaps = [b - a for a, b in zip(recent[:-1], recent[1:])]
             mean = sum(gaps) / len(gaps)
-            if mean > 0 and (max(gaps) - min(gaps)) / mean < spread_tol:
+            if mean > 0 and (max(gaps) - min(gaps)) / mean < CYCLE_SPREAD_TOL:
                 # one more lap for the amplitude bounds
                 lo, hi = alpha, alpha
                 for _ in range(int(round(mean / dt)) + 1):

@@ -37,6 +37,7 @@ from .presets import PresetRun
 ENV_OUT_DIR = "FHN_MEANFIELD_OUT"
 
 PDE_EPSILON_WARN = 0.02  # below this the stiff coupling dominates the CFL budget
+ODE_DT = 0.01  # default RK4 step of simulate-ode
 
 
 class ConfigError(ValueError):
@@ -291,12 +292,19 @@ def _finish(cfg: ExperimentConfig, t0: float, report, results: dict) -> dict:
     return summary
 
 
+def _sim_step(cfg: ExperimentConfig) -> float:
+    """The step of the run's ensemble (network, compare) or of its limit
+    system (ode): [sim] dt, or the model's default."""
+    if cfg.sim.dt is not None:
+        return cfg.sim.dt
+    return ODE_DT if cfg.model == "ode" else default_dt(cfg.params)
+
+
 def reference_trajectory(rec: TrajectoryRecord, cfg: ExperimentConfig):
     """Limit system integrated from the empirical initial means with the
     particle step and stride, so the recorded times line up exactly."""
-    dt = cfg.sim.dt if cfg.sim.dt is not None else default_dt(cfg.params)
     s0 = LimitState(t=0.0, alpha=float(rec.mean_v[0]), beta=float(rec.mean_x[0]))
-    return rk4_integrate(s0, cfg.params, dt, cfg.sim.t_end,
+    return rk4_integrate(s0, cfg.params, _sim_step(cfg), cfg.sim.t_end,
                          record_stride=cfg.sim.record_stride)
 
 
@@ -376,7 +384,7 @@ def run_pde(cfg: ExperimentConfig) -> dict:
 def run_ode(cfg: ExperimentConfig) -> dict:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    dt = cfg.sim.dt if cfg.sim.dt is not None else 0.01
+    dt = _sim_step(cfg)
     cfg = replace(cfg, sim=replace(cfg.sim, dt=dt))
     s0 = LimitState(t=0.0, alpha=cfg.init.mean_v, beta=cfg.init.mean_x)
     traj = rk4_integrate(s0, cfg.params, dt, cfg.sim.t_end,
@@ -436,7 +444,12 @@ def run_compare(cfg: ExperimentConfig) -> dict:
 def _cmd_run(args) -> int:
     runners = {"network": run_network, "pde": run_pde, "ode": run_ode,
                "compare": run_compare}
-    runners[args.model](resolve_config(args, args.model))
+    cfg = resolve_config(args, args.model)
+    dt = _sim_step(cfg)
+    # the density solver picks a step that fits; the other runs take round(t_end/dt)
+    if args.model != "pde" and cfg.sim.t_end > 0 and round(cfg.sim.t_end / dt) < 1:
+        raise ConfigError(f"t_end={cfg.sim.t_end:g} at dt={dt:g} rounds to zero steps")
+    runners[args.model](cfg)
     return 0
 
 
@@ -453,10 +466,17 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _start_is_given(args) -> bool:
+    """Whether a preset, the config file or a flag sets the initial cluster's centre."""
+    file_init = load_config_file(args.config).get("init", {}) if args.config else {}
+    return bool(args.preset) or any(getattr(args, f"init_{k}") is not None or k in file_init
+                                    for k in ("mean_v", "mean_x"))
+
+
 def _cmd_detect_cycle(args) -> int:
     cfg = resolve_config(args, "ode")
     report = classify(cfg.params)
-    if args.init_mean_v is not None or args.init_mean_x is not None:
+    if _start_is_given(args):
         s0 = LimitState(t=0.0, alpha=cfg.init.mean_v, beta=cfg.init.mean_x)
     else:
         e = report.equilibria[0]

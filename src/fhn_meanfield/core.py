@@ -34,19 +34,6 @@ class BlowUpError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DriftSpec:
-    """Cubic nonlinearity v(v - lam)(v - 1), optionally replaced outside
-    [-M, M] by its tangent lines (continuous with continuous derivative)."""
-
-    lam: float
-    truncation: float | None = None
-
-    def __post_init__(self):
-        if self.truncation is not None and not self.truncation > 0:
-            raise ValueError(f"truncation level must be > 0, got {self.truncation}")
-
-
-@dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of the coupled system.
 
@@ -79,22 +66,18 @@ class ModelParams:
         if self.truncation is not None and not self.truncation > 0:
             raise ValueError(f"truncation level must be > 0, got {self.truncation}")
 
-    @property
-    def drift_spec(self) -> DriftSpec:
-        return DriftSpec(lam=self.lam, truncation=self.truncation)
 
-
-def cubic(v, spec: DriftSpec):
+def cubic(v, p: ModelParams):
     """The cubic part of the drift, v(v - lam)(v - 1).  Roots at 0, 1, lam."""
-    return v * (v - spec.lam) * (v - 1.0)
+    return v * (v - p.lam) * (v - 1.0)
 
 
-def cubic_prime(v, spec: DriftSpec):
+def cubic_prime(v, p: ModelParams):
     """Derivative of the cubic: 3v^2 - 2(1 + lam)v + lam."""
-    return 3.0 * v * v - 2.0 * (1.0 + spec.lam) * v + spec.lam
+    return 3.0 * v * v - 2.0 * (1.0 + p.lam) * v + p.lam
 
 
-def cubic_truncated(v, M: float, spec: DriftSpec):
+def cubic_truncated(v, M: float, p: ModelParams):
     """Cubic on [-M, M], tangent-line continuation outside.
 
     Equals cubic(v) for |v| <= M and cubic(+-M) + cubic'(+-M)(v -+ M)
@@ -103,24 +86,24 @@ def cubic_truncated(v, M: float, spec: DriftSpec):
     if not M > 0:
         raise ValueError(f"truncation level must be > 0, got {M}")
     v = np.asarray(v, dtype=float)
-    inner = cubic(np.clip(v, -M, M), spec)
-    upper = cubic(M, spec) + cubic_prime(M, spec) * (v - M)
-    lower = cubic(-M, spec) + cubic_prime(-M, spec) * (v + M)
+    inner = cubic(np.clip(v, -M, M), p)
+    upper = cubic(M, p) + cubic_prime(M, p) * (v - M)
+    lower = cubic(-M, p) + cubic_prime(-M, p) * (v + M)
     out = np.where(v > M, upper, np.where(v < -M, lower, inner))
     return out if out.ndim else float(out)
 
 
-def nonlinearity(v, spec: DriftSpec):
-    """cubic(v), or its truncated form when spec.truncation is set."""
-    if spec.truncation is None:
-        return cubic(v, spec)
-    return cubic_truncated(v, spec.truncation, spec)
+def nonlinearity(v, p: ModelParams):
+    """N0(v): cubic(v), or its truncated form when p.truncation is set."""
+    if p.truncation is None:
+        return cubic(v, p)
+    return cubic_truncated(v, p.truncation, p)
 
 
 def voltage_drift(v, x, vbar, p: ModelParams):
     """Deterministic voltage drift: -N0(v) + i_ext - x + (vbar - v)/epsilon,
     with N0 the (possibly truncated) cubic."""
-    return -nonlinearity(v, p.drift_spec) + p.i_ext - x + (vbar - v) / p.epsilon
+    return -nonlinearity(v, p) + p.i_ext - x + (vbar - v) / p.epsilon
 
 
 @dataclass

@@ -57,14 +57,13 @@ class ResidualStats:
 
 
 def log_density_profile(samples: np.ndarray, epsilon: float, bins: int = 64,
-                        curvature: float = 1.0,
-                        min_count: int = MASK_MIN_COUNT) -> Profile:
+                        curvature: float = 1.0) -> Profile:
     """Shifted scaled log histogram: eps*log(mu_hat) + (eps/2)*log(2 pi eps / c).
 
     c is the curvature of the target quadratic (1 for voltage, a for
     adaptation); with that shift an exact Gaussian of variance eps/c maps
     onto -c (y - mean)^2 / 2.  Bins span the sample range padded by 10%;
-    bins with fewer than min_count samples are masked.
+    bins with fewer than MASK_MIN_COUNT samples are masked.
     """
     samples = np.asarray(samples)
     if samples.size < MIN_SAMPLES:
@@ -78,7 +77,7 @@ def log_density_profile(samples: np.ndarray, epsilon: float, bins: int = 64,
     counts, edges = np.histogram(samples, bins=bins, range=(lo - pad, hi + pad))
     width = edges[1] - edges[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
-    mask = counts < min_count
+    mask = counts < MASK_MIN_COUNT
     density = counts / (samples.size * width)
     shift = 0.5 * epsilon * np.log(2.0 * np.pi * epsilon / curvature)
     values = np.full(bins, np.nan)
@@ -108,10 +107,10 @@ def _nearest_index(t: float, times: np.ndarray, tol: float) -> int:
     return i
 
 
-def _sup_profile_error(samples, epsilon, center, bins, curvature) -> float:
+def _sup_profile_error(samples, epsilon, center, curvature) -> float:
     """Sup distance of the samples' profile from -curvature (y - center)^2 / 2
     over the resolvable, unmasked bins."""
-    prof = log_density_profile(samples, epsilon, bins=bins, curvature=curvature)
+    prof = log_density_profile(samples, epsilon, curvature=curvature)
     theo = -0.5 * curvature * (prof.centers - center) ** 2
     resolvable = theo >= -RESOLVABLE_DECADES * epsilon * np.log(10.0)
     use = resolvable & ~prof.mask
@@ -121,8 +120,7 @@ def _sup_profile_error(samples, epsilon, center, bins, curvature) -> float:
 
 
 def compare(data: TrajectoryRecord | Iterable[EnsembleState],
-            limit: LimitTrajectory, p: ModelParams,
-            bins: int = 64) -> list[ProfileComparison]:
+            limit: LimitTrajectory, p: ModelParams) -> list[ProfileComparison]:
     """Per-time comparison against the limit trajectory.
 
     Accepts either a TrajectoryRecord (moment statistics only; profile
@@ -152,8 +150,8 @@ def compare(data: TrajectoryRecord | Iterable[EnsembleState],
         alpha, beta = float(limit.alpha[i]), float(limit.beta[i])
         out.append(ProfileComparison(
             t=t,
-            sup_error_v=_sup_profile_error(state.v, p.epsilon, alpha, bins, 1.0),
-            sup_error_x=_sup_profile_error(state.x, p.epsilon, beta, bins, p.a),
+            sup_error_v=_sup_profile_error(state.v, p.epsilon, alpha, 1.0),
+            sup_error_x=_sup_profile_error(state.x, p.epsilon, beta, p.a),
             var_ratio_v=float(np.var(state.v)) / p.epsilon,
             var_ratio_x=float(np.var(state.x)) / (p.epsilon / p.a),
             mean_error=float(np.hypot(np.mean(state.v) - alpha,
@@ -161,11 +159,10 @@ def compare(data: TrajectoryRecord | Iterable[EnsembleState],
     return out
 
 
-def viscosity_residual(field: HopfColeField, jg: float,
-                       grid=None) -> ResidualStats:
+def viscosity_residual(field: HopfColeField, jg: float) -> ResidualStats:
     """Central-difference residual R = (v - jg) d_v psi + |d_v psi|^2 on
     cells whose full stencil is unmasked."""
-    g = field.grid if grid is None else grid
+    g = field.grid
     psi = field.psi
     dpsi = (psi[:, 2:] - psi[:, :-2]) / (2.0 * g.dv)
     ok = ~(field.mask[:, 2:] | field.mask[:, 1:-1] | field.mask[:, :-2])

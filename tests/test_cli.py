@@ -239,6 +239,41 @@ def test_detect_cycle_stable_returns_null(capsys):
     assert payload["cycle"] is None
 
 
+def test_detect_cycle_starts_from_any_init_source(tmp_path, capsys):
+    bistable = ["detect-cycle", "--a", "0.3", "--b", "0.1", "--i-ext", "0.0"]
+    ini = tmp_path / "init.ini"
+    ini.write_text("[init]\nmean_v = 3.5\nmean_x = 1.0\n")
+    fig4 = presets.load("fig4").runs[0]
+    sources = [
+        (["--config", str(ini)], (3.5, 1.0)),
+        (["--init-mean-v", "3.5", "--init-mean-x", "1.0"], (3.5, 1.0)),
+        (["--preset", f"fig4:{fig4.label}"], (fig4.init.mean_v, fig4.init.mean_x)),
+    ]
+    for argv, start in sources:
+        assert run([*bistable, *argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["start"]["alpha"], payload["start"]["beta"]) == start
+    # without an init source: the first equilibrium shifted by 0.5 in v
+    assert run(bistable) == 0
+    payload = json.loads(capsys.readouterr().out)
+    e = payload["equilibria"][0]
+    assert (payload["start"]["alpha"], payload["start"]["beta"]) == (e["v"] + 0.5, e["x"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-network", "--n", "100", "--dt", "0.005", "--t-end", "0.002"],
+    ["simulate-network", "--n", "100", "--epsilon", "0.05", "--t-end", "0.0004"],
+    ["simulate-ode", "--t-end", "0.004"],
+    ["compare", "--epsilon", "0.2", "--t-end", "0.0004", "--n", "16", "--nv", "16",
+     "--nx", "16"],
+])
+def test_runs_that_take_no_step_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert "rounds to zero steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_env_var_default_outdir(tmp_path, monkeypatch):
     monkeypatch.setenv("FHN_MEANFIELD_OUT", str(tmp_path / "envout"))
     monkeypatch.chdir(tmp_path)

@@ -3,56 +3,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhn_meanfield.core import (DriftSpec, InitCondition, ModelParams,
-                                cubic, cubic_prime, cubic_truncated,
-                                init_log_density, init_variance,
-                                sample_initial, voltage_drift)
+from fhn_meanfield.core import (InitCondition, ModelParams, cubic, cubic_prime,
+                                cubic_truncated, init_log_density,
+                                init_variance, sample_initial, voltage_drift)
 
-SPEC4 = DriftSpec(lam=4.0)
+P4 = ModelParams(lam=4.0)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 4.0, 7.3])
 @pytest.mark.parametrize("root", [0.0, 1.0, None])
 def test_cubic_roots(lam, root):
-    spec = DriftSpec(lam=lam)
+    p = ModelParams(lam=lam)
     v = lam if root is None else root
-    assert cubic(v, spec) == 0.0
+    assert cubic(v, p) == 0.0
 
 
 def test_cubic_hand_value():
     # 2*(2-4)*(2-1)
-    assert cubic(2.0, SPEC4) == -4.0
+    assert cubic(2.0, P4) == -4.0
 
 
 @given(st.floats(-10.0, 10.0))
 def test_truncated_identity_inside(v):
-    assert cubic_truncated(v, 10.0, SPEC4) == cubic(v, SPEC4)
+    assert cubic_truncated(v, 10.0, P4) == cubic(v, P4)
 
 
 def test_truncated_hand_value():
     # value 540 and slope 204 at v=10, extended one unit
-    assert cubic_truncated(11.0, 10.0, SPEC4) == pytest.approx(744.0, abs=1e-12)
+    assert cubic_truncated(11.0, 10.0, P4) == pytest.approx(744.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("edge", [-10.0, 10.0])
 def test_truncated_c1_at_edges(edge):
     h = 1e-4
-    f = lambda v: cubic_truncated(v, 10.0, SPEC4)
+    f = lambda v: cubic_truncated(v, 10.0, P4)
     # value continuity: one-sided increments shrink with the step
     assert abs(f(edge + h) - f(edge)) < 1e3 * h
     # derivative continuity: second-order one-sided differences agree to
     # their own truncation error
     d_below = (3 * f(edge) - 4 * f(edge - h) + f(edge - 2 * h)) / (2 * h)
     d_above = (-3 * f(edge) + 4 * f(edge + h) - f(edge + 2 * h)) / (2 * h)
-    assert d_below == pytest.approx(cubic_prime(edge, SPEC4), abs=1e-6)
+    assert d_below == pytest.approx(cubic_prime(edge, P4), abs=1e-6)
     assert abs(d_above - d_below) < 1e-6
 
 
 def test_truncated_rejects_bad_level():
     with pytest.raises(ValueError):
-        cubic_truncated(0.0, -1.0, SPEC4)
+        cubic_truncated(0.0, -1.0, P4)
     with pytest.raises(ValueError):
-        DriftSpec(lam=4.0, truncation=0.0)
+        ModelParams(lam=4.0, truncation=0.0)
 
 
 def test_voltage_drift_zero():
@@ -85,7 +84,7 @@ def test_voltage_drift_affine(v, x, vbar, h):
 
 def test_voltage_drift_uses_truncation():
     p = ModelParams(truncation=2.0)
-    expected = -cubic_truncated(5.0, 2.0, p.drift_spec) + p.i_ext - 0.0
+    expected = -cubic_truncated(5.0, 2.0, p) + p.i_ext - 0.0
     assert voltage_drift(5.0, 0.0, 5.0, p) == pytest.approx(expected)
 
 

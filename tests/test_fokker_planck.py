@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from fhn_meanfield.core import InitCondition, ModelParams
-from fhn_meanfield.fokker_planck import (NEGATIVITY_TOL, CflError, DensityField,
-                                         Grid, SchemeError, cfl_limit, first_moment,
-                                         fp_step, gaussian_field, hopf_cole,
-                                         load_snapshot, mass, save_snapshot,
-                                         solve, stable_dt, uniform_field,
+from fhn_meanfield.fokker_planck import (CFL_SAFETY, NEGATIVITY_TOL, CflError,
+                                         DensityField, Grid, SchemeError, cfl_limit,
+                                         first_moment, fp_step, gaussian_field,
+                                         hopf_cole, load_snapshot, mass,
+                                         save_snapshot, solve, stable_dt,
                                          write_series_csv)
 from fhn_meanfield.limit_ode import equilibria
 
@@ -56,12 +56,6 @@ def test_first_moment_single_cell():
     rho[ix, iv] = 1.0 / (grid.dv * grid.dx)
     got = first_moment(DensityField(grid, rho, 0.0))
     assert abs(got - grid.v_centers()[iv]) <= grid.dv / 2
-
-
-def test_uniform_density_stationary_under_pure_diffusion():
-    f = uniform_field(small_grid())
-    stepped = fp_step(f, P01, dt=1e-4, advection=False)
-    assert np.allclose(stepped.rho, f.rho, rtol=0, atol=1e-15)
 
 
 def test_mass_conserved_per_step():
@@ -212,7 +206,7 @@ def test_cfl_limit_matches_formula():
 # ---------------------------------------------------------------------------
 # solve against a plain loop of the original single-step formula
 
-def _reference_step(f, p, dt, jg=None, advection=True):
+def _reference_step(f, p, dt, jg=None):
     """The explicit update written out plainly, as fp_step was before solve
     got its preallocated kernel; solve must reproduce it bit for bit."""
     from fhn_meanfield.core import voltage_drift
@@ -223,7 +217,7 @@ def _reference_step(f, p, dt, jg=None, advection=True):
     if jg is None:
         jg = first_moment(f)
 
-    dt_max, cell = cfl_limit(f, p, jg, advection=advection)
+    dt_max, cell = cfl_limit(f, p, jg)
     if dt > dt_max:
         raise CflError(
             f"dt={dt:.3g} violates the stability bound {dt_max:.3g} "
@@ -233,16 +227,14 @@ def _reference_step(f, p, dt, jg=None, advection=True):
     # v-direction interface fluxes H = U g_up + d_v g, zero at the walls
     hv = np.zeros((g.nx, g.nv + 1))
     hv[:, 1:-1] = (rho[:, 1:] - rho[:, :-1]) / g.dv
-    if advection:
-        uvf = -voltage_drift(g.v_faces_interior()[None, :], g.x_centers()[:, None], jg, p)
-        hv[:, 1:-1] += np.where(uvf <= 0.0, uvf * rho[:, :-1], uvf * rho[:, 1:])
+    uvf = -voltage_drift(g.v_faces_interior()[None, :], g.x_centers()[:, None], jg, p)
+    hv[:, 1:-1] += np.where(uvf <= 0.0, uvf * rho[:, :-1], uvf * rho[:, 1:])
 
     # x-direction interface fluxes H = U g_up + eps d_x g
     hx = np.zeros((g.nx + 1, g.nv))
     hx[1:-1, :] = p.epsilon * (rho[1:, :] - rho[:-1, :]) / g.dx
-    if advection:
-        uxf = p.a * g.x_faces_interior()[:, None] - p.b * g.v_centers()[None, :]
-        hx[1:-1, :] += np.where(uxf <= 0.0, uxf * rho[:-1, :], uxf * rho[1:, :])
+    uxf = p.a * g.x_faces_interior()[:, None] - p.b * g.v_centers()[None, :]
+    hx[1:-1, :] += np.where(uxf <= 0.0, uxf * rho[:-1, :], uxf * rho[1:, :])
 
     rho_new = rho + dt * ((hv[:, 1:] - hv[:, :-1]) / g.dv
                           + (hx[1:, :] - hx[:-1, :]) / g.dx)
@@ -315,7 +307,7 @@ def test_fp_step_bit_identical_to_reference_step():
     f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P_TRUNC)
     f.t = 0.25
     dt = stable_dt(f.grid, P_TRUNC)
-    for kw in ({}, {"jg": 2.5}, {"advection": False}):
+    for kw in ({}, {"jg": 2.5}):
         got, want = fp_step(f, P_TRUNC, dt, **kw), _reference_step(f, P_TRUNC, dt, **kw)
         assert got.t == want.t
         assert np.array_equal(got.rho, want.rho)
@@ -379,3 +371,73 @@ def test_default_step_solve_skips_the_exact_cfl_check(monkeypatch):
     sol = solve(f, P01, 0.1, record_stride=10)
     assert small_grid().v_min < sol.jg.min() and sol.jg.max() < small_grid().v_max
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the CFL bounds against their formulas as they stood before they shared
+# one set of cell terms
+
+def _old_cfl_limit(f, p, jg):
+    from fhn_meanfield.core import voltage_drift
+    g = f.grid
+    vc = g.v_centers()[None, :]
+    xc = g.x_centers()[:, None]
+    denom = 2.0 * (1.0 / g.dv ** 2 + p.epsilon / g.dx ** 2)
+    denom = np.full((g.nx, g.nv), denom)
+    uv = np.abs(-voltage_drift(vc, xc, jg, p))
+    ux = np.abs(p.a * xc - p.b * vc)
+    denom = denom + uv / g.dv + ux / g.dx
+    worst = int(np.argmax(denom))
+    return CFL_SAFETY / float(denom.max()), (worst // g.nv, worst % g.nv)
+
+
+def _old_stable_dt(grid, p):
+    from fhn_meanfield.core import voltage_drift
+    vc = grid.v_centers()[None, :]
+    xc = grid.x_centers()[:, None]
+    base = np.abs(-voltage_drift(vc, xc, vc, p))
+    reach = np.maximum(vc - grid.v_min, grid.v_max - vc) / p.epsilon
+    uv = base + reach
+    ux = np.abs(p.a * xc - p.b * vc)
+    denom = uv / grid.dv + ux / grid.dx + 2.0 * (1.0 / grid.dv ** 2 + p.epsilon / grid.dx ** 2)
+    return CFL_SAFETY / float(denom.max())
+
+
+def _old_stable_moments(g, p, dt):
+    from fhn_meanfield.core import nonlinearity
+    k = 2.0 * (1.0 / g.dv ** 2 + p.epsilon / g.dx ** 2)
+    vc = g.v_centers()[None, :]
+    xc = g.x_centers()[:, None]
+    base = -nonlinearity(vc, p) + p.i_ext - xc
+    u_max = g.dv * (CFL_SAFETY / dt - k - np.abs(p.a * xc - p.b * vc) / g.dx)
+    lo = float(np.max(vc - p.epsilon * (u_max + base)))
+    hi = float(np.min(vc + p.epsilon * (u_max - base)))
+    tol = 1e-9 * (float(np.abs(vc).max())
+                  + p.epsilon * (g.dv * CFL_SAFETY / dt + float(np.abs(base).max())))
+    return lo + tol, hi - tol
+
+
+def test_cfl_bounds_bit_identical_to_their_old_formulas():
+    from fhn_meanfield.fokker_planck import _UpwindKernel
+    rng = np.random.default_rng(20181018)
+    above = below = 0
+    for case in range(300):
+        p = ModelParams(a=rng.uniform(0.01, 1.0), b=rng.uniform(0.0, 1.0),
+                        lam=rng.uniform(0.5, 6.0), i_ext=rng.uniform(-2.0, 6.0),
+                        epsilon=10.0 ** rng.uniform(-2.0, 0.0),
+                        truncation=None if case % 2 else rng.uniform(1.0, 8.0))
+        v_min, x_min = rng.uniform(-4.0, -0.5, size=2)
+        grid = Grid(v_min=v_min, v_max=v_min + rng.uniform(1.0, 10.0),
+                    x_min=x_min, x_max=x_min + rng.uniform(1.0, 8.0),
+                    nv=int(rng.integers(8, 65)), nx=int(rng.integers(8, 49)))
+        bound = stable_dt(grid, p)
+        assert bound == _old_stable_dt(grid, p)
+        dt = bound * 10.0 ** rng.uniform(-0.5, 0.5)
+        above += dt > bound
+        below += dt < bound
+        kernel = _UpwindKernel(grid, p, dt)
+        assert (kernel._lo, kernel._hi) == _old_stable_moments(grid, p, dt)
+        f = DensityField(grid, np.zeros((grid.nx, grid.nv)))
+        for jg in rng.uniform(grid.v_min - 2.0, grid.v_max + 2.0, size=3):
+            assert cfl_limit(f, p, jg) == _old_cfl_limit(f, p, jg)
+    assert above > 50 and below > 50
