@@ -24,14 +24,14 @@ import numpy as np
 from . import __version__
 from . import presets as presets_mod
 from .bifurcation import CycleDetectionError, classify, detect_limit_cycle, report_to_dict
-from .core import GAUSSIAN_CLUSTER, BlowUpError, InitCondition, ModelParams
+from .core import GAUSSIAN_CLUSTER, BlowUpError, InitCondition, ModelParams, time_steps
 from .diagnostics import (compare as diag_compare, log_density_profile,
                           theoretical_profile, write_comparison_csv,
                           write_profile_csv)
 from .fokker_planck import (CflError, Grid, SchemeError, gaussian_field,
                             save_snapshot, solve, write_series_csv)
 from .limit_ode import LimitState, rk4_integrate
-from .particle import SimConfig, TrajectoryRecord, default_dt, simulate
+from .particle import SimConfig, TrajectoryRecord, simulate
 from .presets import PresetRun
 
 ENV_OUT_DIR = "FHN_MEANFIELD_OUT"
@@ -180,8 +180,6 @@ class ExperimentConfig:
                 value = list(value)
             elif isinstance(value, Path):
                 value = str(value)
-            elif field == "dt" and value is None:
-                value = default_dt(self.params)  # the step the ensemble takes
             d.setdefault(section, {})[key] = value
         return d
 
@@ -275,9 +273,11 @@ def _write_summary(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _finish(cfg: ExperimentConfig, t0: float, report, results: dict) -> dict:
-    """Write <label>_summary.json: the resolved configuration, the runtime
-    since t0, the closed-form classification and the run's results."""
+def _finish(cfg: ExperimentConfig, t0: float, report, results: dict, dt: float) -> dict:
+    """Write <label>_summary.json: the resolved configuration with the step
+    dt the run took as [sim] dt, the runtime since t0, the closed-form
+    classification and the run's results."""
+    cfg = replace(cfg, sim=replace(cfg.sim, dt=dt))
     summary = {
         "version": __version__,
         "model": cfg.model,
@@ -292,19 +292,12 @@ def _finish(cfg: ExperimentConfig, t0: float, report, results: dict) -> dict:
     return summary
 
 
-def _sim_step(cfg: ExperimentConfig) -> float:
-    """The step of the run's ensemble (network, compare) or of its limit
-    system (ode): [sim] dt, or the model's default."""
-    if cfg.sim.dt is not None:
-        return cfg.sim.dt
-    return ODE_DT if cfg.model == "ode" else default_dt(cfg.params)
-
-
 def reference_trajectory(rec: TrajectoryRecord, cfg: ExperimentConfig):
     """Limit system integrated from the empirical initial means with the
-    particle step and stride, so the recorded times line up exactly."""
+    step the ensemble took and its stride, so it records the ensemble's
+    times exactly."""
     s0 = LimitState(t=0.0, alpha=float(rec.mean_v[0]), beta=float(rec.mean_x[0]))
-    return rk4_integrate(s0, cfg.params, _sim_step(cfg), cfg.sim.t_end,
+    return rk4_integrate(s0, cfg.params, rec.dt, cfg.sim.t_end,
                          record_stride=cfg.sim.record_stride)
 
 
@@ -351,18 +344,15 @@ def run_network(cfg: ExperimentConfig) -> dict:
         results["final_profile_sup_error_v"] = final_comp.sup_error_v
         results["final_profile_sup_error_x"] = final_comp.sup_error_x
 
-    return _finish(cfg, t0, report, results)
+    return _finish(cfg, t0, report, results, rec.dt)
 
 
 def run_pde(cfg: ExperimentConfig) -> dict:
     t0 = time.perf_counter()
     field0 = gaussian_field(cfg.grid, cfg.init, cfg.params)
-    try:
-        sol = solve(field0, cfg.params, cfg.sim.t_end, dt=cfg.sim.dt,
-                    record_stride=cfg.sim.record_stride,
-                    snapshot_stride=cfg.snapshot_stride)
-    except ValueError as err:  # a user step that does not divide t_end
-        raise ConfigError(str(err)) from err
+    sol = solve(field0, cfg.params, cfg.sim.t_end, dt=cfg.sim.dt,
+                record_stride=cfg.sim.record_stride,
+                snapshot_stride=cfg.snapshot_stride)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_series_csv(cfg.out_dir / f"{cfg.label}_pde.csv", sol)
     for k, snap in enumerate(sol.snapshots):
@@ -370,22 +360,19 @@ def run_pde(cfg: ExperimentConfig) -> dict:
                       snap, cfg.params)
 
     report = classify(cfg.params)
-    # without [sim] dt the solver takes its own CFL-bounded step; echo the step taken
-    cfg = replace(cfg, sim=replace(cfg.sim, dt=sol.dt))
     return _finish(cfg, t0, report, {
         "dt": sol.dt,
         "final_jg": float(sol.jg[-1]),
         "mass_drift": float(np.abs(sol.mass - sol.mass[0]).max()),
         "nearest_equilibrium_distance": float(min(
             abs(sol.jg[-1] - e.v) for e in report.equilibria)),
-    })
+    }, sol.dt)
 
 
 def run_ode(cfg: ExperimentConfig) -> dict:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    dt = _sim_step(cfg)
-    cfg = replace(cfg, sim=replace(cfg.sim, dt=dt))
+    _, dt = time_steps(cfg.sim.t_end, ODE_DT if cfg.sim.dt is None else cfg.sim.dt)
     s0 = LimitState(t=0.0, alpha=cfg.init.mean_v, beta=cfg.init.mean_x)
     traj = rk4_integrate(s0, cfg.params, dt, cfg.sim.t_end,
                          record_stride=cfg.sim.record_stride)
@@ -397,7 +384,7 @@ def run_ode(cfg: ExperimentConfig) -> dict:
     return _finish(cfg, t0, classify(cfg.params), {
         "final_alpha": float(traj.alpha[-1]),
         "final_beta": float(traj.beta[-1]),
-    })
+    }, dt)
 
 
 def run_compare(cfg: ExperimentConfig) -> dict:
@@ -416,8 +403,7 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     mean_x0 = float(np.mean([r.mean_x[0] for r in recs]))
     times = recs[0].t
 
-    ref = reference_trajectory(recs[0], cfg)
-    alpha = np.interp(times, ref.t, ref.alpha)
+    alpha = reference_trajectory(recs[0], cfg).alpha
 
     field0 = gaussian_field(cfg.grid, cfg.init, cfg.params)
     sol = solve(field0, cfg.params, cfg.sim.t_end, record_stride=1)
@@ -435,7 +421,7 @@ def run_compare(cfg: ExperimentConfig) -> dict:
         "sup_network_vs_limit": float(np.abs(mean_v - alpha).max()),
         "sup_pde_vs_limit": float(np.abs(jg - alpha).max()),
         "pde_mass_drift": float(np.abs(sol.mass - sol.mass[0]).max()),
-    })
+    }, recs[0].dt)
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +430,7 @@ def run_compare(cfg: ExperimentConfig) -> dict:
 def _cmd_run(args) -> int:
     runners = {"network": run_network, "pde": run_pde, "ode": run_ode,
                "compare": run_compare}
-    cfg = resolve_config(args, args.model)
-    dt = _sim_step(cfg)
-    # the density solver picks a step that fits; the other runs take round(t_end/dt)
-    if args.model != "pde" and cfg.sim.t_end > 0 and round(cfg.sim.t_end / dt) < 1:
-        raise ConfigError(f"t_end={cfg.sim.t_end:g} at dt={dt:g} rounds to zero steps")
-    runners[args.model](cfg)
+    runners[args.model](resolve_config(args, args.model))
     return 0
 
 

@@ -11,6 +11,7 @@ variable relaxes as dx = (-a*x + b*v) dt.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,6 +32,34 @@ class BlowUpError(RuntimeError):
         super().__init__(message)
         self.t = t
         self.index = index
+
+
+def require_finite(obj) -> None:
+    """Reject a dataclass instance with a float field that is nan or +-inf."""
+    for name in obj.__dataclass_fields__:
+        value = getattr(obj, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def time_steps(t_end: float, dt: float) -> tuple[int, float]:
+    """The number of steps and the step of a run over [0, t_end] whose step
+    is at most dt.
+
+    dt is kept bit for bit when it divides t_end to a relative 1e-9;
+    otherwise the step is t_end/ceil(t_end/dt).  A run with t_end > 0 takes
+    at least one step.  Step k ends at k*step, except the last, which ends
+    at t_end exactly.
+    """
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    n = round(t_end / dt)
+    if abs(n * dt - t_end) <= 1e-9 * t_end:
+        return n, dt
+    n = max(1, math.ceil(t_end / dt))
+    return n, t_end / n
 
 
 @dataclass(frozen=True)
@@ -55,6 +84,7 @@ class ModelParams:
     truncation: float | None = None
 
     def __post_init__(self):
+        require_finite(self)
         if not self.a > 0:
             raise ValueError(f"a must be > 0, got {self.a}")
         if self.b < 0:
@@ -131,20 +161,18 @@ class InitCondition:
 
     The gaussian kind is the canonical concentrated initial law: a product
     Gaussian with variance epsilon/concentration per coordinate, centered at
-    (mean_v, mean_x).  Its scaled log density is bounded above by
-    -(concentration/2)(v^2 + x^2) + offset when centered at the origin.
-    The point kind puts every neuron exactly at the center; custom delegates
-    to ``sampler(n, rng) -> (v, x)``.
+    (mean_v, mean_x).  The point kind puts every neuron exactly at the
+    center; custom delegates to ``sampler(n, rng) -> (v, x)``.
     """
 
     mean_v: float = 0.0
     mean_x: float = 0.0
     concentration: float = 0.3
-    offset: float = 0.1
     kind: str = GAUSSIAN_CLUSTER
     sampler: Callable | None = None
 
     def __post_init__(self):
+        require_finite(self)
         if not self.concentration > 0:
             raise ValueError(f"concentration must be > 0, got {self.concentration}")
         if self.kind not in INIT_KINDS:
@@ -156,13 +184,6 @@ class InitCondition:
 def init_variance(cond: InitCondition, p: ModelParams) -> float:
     """Per-coordinate variance epsilon/concentration of the gaussian kind."""
     return p.epsilon / cond.concentration
-
-
-def init_log_density(v, x, cond: InitCondition, p: ModelParams):
-    """epsilon*log of the closed-form gaussian initial density."""
-    A = cond.concentration
-    quad = -0.5 * A * ((np.asarray(v) - cond.mean_v) ** 2 + (np.asarray(x) - cond.mean_x) ** 2)
-    return quad + p.epsilon * np.log(A / (2.0 * np.pi * p.epsilon))
 
 
 def sample_initial(cond: InitCondition, n: int, p: ModelParams,

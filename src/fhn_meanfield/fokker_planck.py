@@ -34,7 +34,8 @@ import numpy as np
 
 # The benchmark's traced run (perfbench/layers.py) wraps voltage_drift on
 # this module; _cell_terms and the kernel follow it operation for operation.
-from .core import InitCondition, ModelParams, nonlinearity, voltage_drift  # noqa: F401
+from .core import (InitCondition, ModelParams, nonlinearity, require_finite,  # noqa: F401
+                   time_steps, voltage_drift)
 
 CFL_SAFETY = 0.9
 DENSITY_FLOOR = 1e-300
@@ -64,8 +65,10 @@ class Grid:
     nx: int
 
     def __post_init__(self):
-        if not (self.v_max > self.v_min and self.x_max > self.x_min):
-            raise ValueError("grid bounds must be ordered")
+        require_finite(self)
+        spans = (self.v_max - self.v_min, self.x_max - self.x_min)
+        if not all(0.0 < span < np.inf for span in spans):
+            raise ValueError("grid bounds must be ordered, with finite spans")
         if self.nv < 8 or self.nx < 8:
             raise ValueError(f"nv and nx must be >= 8, got {self.nv}, {self.nx}")
 
@@ -193,7 +196,7 @@ def fp_step(f: DensityField, p: ModelParams, dt: float,
     if jg is None:
         jg = first_moment(f)
     rho_new = np.empty((g.nx, g.nv))
-    _UpwindKernel(g, p, dt).step(f.rho, rho_new, jg, f.t)
+    _UpwindKernel(g, p, dt).step(f.rho, rho_new, jg, f.t + dt)
     return DensityField(grid=g, rho=rho_new, t=f.t + dt)
 
 
@@ -242,12 +245,13 @@ class _UpwindKernel:
                       + p.epsilon * (g.dv * CFL_SAFETY / dt + float(np.abs(drift).max())))
         return lo + tol, hi - tol
 
-    def step(self, src: np.ndarray, dst: np.ndarray, jg: float, t: float) -> None:
-        """Write the density one step after src (at time t) into dst."""
+    def step(self, src: np.ndarray, dst: np.ndarray, jg: float, t_new: float) -> None:
+        """Write the density one step after src into dst; t_new, the time
+        of dst, names the step in errors."""
         g, p, dt = self.grid, self.p, self.dt
         nx, nv = g.nx, g.nv
         if not self._lo <= jg <= self._hi:
-            dt_max, cell = cfl_limit(DensityField(g, src, t), p, jg)
+            dt_max, cell = cfl_limit(DensityField(g, src), p, jg)
             if dt > dt_max:
                 raise CflError(
                     f"dt={dt:.3g} violates the stability bound {dt_max:.3g} "
@@ -292,41 +296,29 @@ class _UpwindKernel:
 
         worst = float(dst.min())
         if not worst >= NEGATIVITY_TOL:  # also catches NaN
-            raise SchemeError(f"density fell to {worst:.3e} at t={t + dt:.6g}")
+            raise SchemeError(f"density fell to {worst:.3e} at t={t_new:.6g}")
 
 
 def solve(f0: DensityField, p: ModelParams, t_end: float, *,
           dt: float | None = None, record_stride: int = 1,
           jg_of_t=None, snapshot_stride: int | None = None) -> FpSolution:
-    """Repeated explicit steps with recorded (t, J[g], mass) diagnostics.
+    """Repeated explicit steps from f0.t to f0.t + t_end with recorded
+    (t, J[g], mass) diagnostics.
 
-    With dt=None a uniform step is chosen from the worst-case CFL bound so
-    recording times are reproducible; a given dt must divide t_end into
-    whole steps.  jg_of_t, when given, supplies the input current externally
-    instead of the self-consistent moment.  The steps alternate between two
-    buffers owned by this call; f0 is not written.
+    The step is core.time_steps of t_end and dt, which is an upper bound;
+    dt=None bounds it by the worst-case CFL bound stable_dt, so every step
+    is stable for any first moment on the grid.  jg_of_t, when given,
+    supplies the input current externally instead of the self-consistent
+    moment.  The steps alternate between two buffers owned by this call;
+    f0 is not written.
     """
-    if t_end < 0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
-    if dt is not None and not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
     if snapshot_stride is not None and snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
-    if dt is None:
-        if t_end > 0:
-            n_steps = max(1, int(np.ceil(t_end / stable_dt(f0.grid, p))))
-            dt = t_end / n_steps
-        else:
-            n_steps, dt = 0, stable_dt(f0.grid, p)
-    else:
-        n_steps = int(round(t_end / dt))
-        if t_end > 0 and abs(n_steps * dt - t_end) > 1e-9 * t_end:
-            raise ValueError(f"dt={dt:.6g} does not divide t_end={t_end:.6g} "
-                             f"into whole steps")
-
     g = f0.grid
+    n_steps, dt = time_steps(t_end, stable_dt(g, p) if dt is None else dt)
+
     t = f0.t
     times = [t]
     jgs = [first_moment(f0)]
@@ -339,7 +331,7 @@ def solve(f0: DensityField, p: ModelParams, t_end: float, *,
     buffers = [DensityField(g, np.empty((g.nx, g.nv))) for _ in range(2)]
     src = f0
     moment = jgs[0]  # J[g] of src, when known
-    for k in range(n_steps):
+    for k in range(1, n_steps + 1):
         dst = buffers[k % 2]
         if jg_of_t is not None:
             jg = float(jg_of_t(t))
@@ -347,16 +339,16 @@ def solve(f0: DensityField, p: ModelParams, t_end: float, *,
             jg = moment
         else:
             jg = first_moment(src)
+        last = k == n_steps
+        t = f0.t + (t_end if last else k * dt)
         kernel.step(src.rho, dst.rho, jg, t)
-        t = t + dt
         moment = None
-        last = k + 1 == n_steps
-        if (k + 1) % record_stride == 0 or last:
+        if k % record_stride == 0 or last:
             moment = first_moment(dst)
             times.append(t)
             jgs.append(moment)
             masses.append(mass(dst))
-        if snapshot_stride is not None and ((k + 1) % snapshot_stride == 0 or last):
+        if snapshot_stride is not None and (k % snapshot_stride == 0 or last):
             snaps.append(DensityField(g, dst.rho.copy(), t))
         src = dst
     return FpSolution(t=np.asarray(times), jg=np.asarray(jgs),

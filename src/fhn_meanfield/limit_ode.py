@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlowUpError, ModelParams, cubic, nonlinearity
-
-RESIDUAL_TOL = 1e-12
+from .core import BlowUpError, ModelParams, nonlinearity, time_steps
 
 
 @dataclass(frozen=True)
@@ -38,11 +36,6 @@ class LimitTrajectory:
 
     def __len__(self) -> int:
         return self.t.size
-
-    def interp(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """Linear interpolation of (alpha, beta) at the given times."""
-        times = np.asarray(times)
-        return np.interp(times, self.t, self.alpha), np.interp(times, self.t, self.beta)
 
 
 def limit_rhs(s: LimitState, p: ModelParams) -> tuple[float, float]:
@@ -70,24 +63,22 @@ def rk4_step(alpha: float, beta: float, p: ModelParams, dt: float) -> tuple[floa
 
 def rk4_integrate(s0: LimitState, p: ModelParams, dt: float, t_end: float,
                   record_stride: int = 1) -> LimitTrajectory:
-    """Classical fixed-step RK4 from s0.t to s0.t + t_end."""
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    """Classical fixed-step RK4 from s0.t to s0.t + t_end, with the step
+    core.time_steps takes from t_end and dt."""
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
-    n_steps = int(round(t_end / dt))
+    n_steps, dt = time_steps(t_end, dt)
     alpha, beta = s0.alpha, s0.beta
     times = [s0.t]
     alphas = [alpha]
     betas = [beta]
-    for k in range(n_steps):
+    for k in range(1, n_steps + 1):
         alpha, beta = rk4_step(alpha, beta, p, dt)
+        t = s0.t + (t_end if k == n_steps else k * dt)
         if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise BlowUpError(
-                f"limit trajectory non-finite at t={s0.t + (k + 1) * dt:.6g}",
-                t=s0.t + (k + 1) * dt)
-        if (k + 1) % record_stride == 0 or k + 1 == n_steps:
-            times.append(s0.t + (k + 1) * dt)
+            raise BlowUpError(f"limit trajectory non-finite at t={t:.6g}", t=t)
+        if k % record_stride == 0 or k == n_steps:
+            times.append(t)
             alphas.append(alpha)
             betas.append(beta)
     return LimitTrajectory(np.asarray(times), np.asarray(alphas), np.asarray(betas))
@@ -115,7 +106,8 @@ def real_cubic_roots(c2: float, c1: float, c0: float) -> list[float]:
 
     scale = max(1.0, abs(c2), abs(c1), abs(c0))
     if abs(pp) < 1e-14 * scale and abs(qq) < 1e-14 * scale:
-        ys = [0.0]  # triple root
+        # (near) triple root: y^3 + qq = 0, since Newton stalls where f' = 0
+        ys = [math.copysign(abs(qq) ** (1.0 / 3.0), -qq) if qq else 0.0]
     elif disc > 0.0:
         m = 2.0 * math.sqrt(-pp / 3.0)
         arg = 3.0 * qq / (pp * m)
@@ -164,21 +156,3 @@ def equilibria(p: ModelParams) -> list[tuple[float, float]]:
     """
     c2, c1, c0 = equilibrium_cubic_coeffs(p)
     return [(v, (p.b / p.a) * v) for v in real_cubic_roots(c2, c1, c0)]
-
-
-def brute_force_root_count(p: ModelParams, grid_points: int = 20001) -> int:
-    """Independent root counter: sign changes of the equilibrium cubic on a
-    fine grid over [-10 lam, 10 lam], plus endpoint-root handling."""
-    c2, c1, c0 = equilibrium_cubic_coeffs(p)
-    span = 10.0 * max(abs(p.lam), 1.0)
-    v = np.linspace(-span, span, grid_points)
-    f = ((v + c2) * v + c1) * v + c0
-    signs = np.sign(f)
-    zero_hits = int(np.count_nonzero(signs == 0))
-    flips = int(np.count_nonzero(signs[:-1] * signs[1:] < 0))
-    return flips + zero_hits
-
-
-def residual(v: float, p: ModelParams) -> float:
-    """Value of the equilibrium condition at v (zero at an equilibrium)."""
-    return float(cubic(v, p)) - p.i_ext + (p.b / p.a) * v

@@ -27,7 +27,8 @@ import numpy as np
 # sample_initial on this module; _Stepper.step follows voltage_drift
 # operation for operation.
 from .core import (BlowUpError, EnsembleState, InitCondition, ModelParams,  # noqa: F401
-                   nonlinearity, sample_initial, voltage_drift)
+                   nonlinearity, require_finite, sample_initial, time_steps,
+                   voltage_drift)
 
 DEFAULT_QUANTILES = (0.10, 0.25, 0.75, 0.90)
 
@@ -80,12 +81,13 @@ def default_dt(p: ModelParams) -> float:
 class SimConfig:
     n: int
     t_end: float
-    dt: float | None = None  # None resolves to default_dt(params)
+    dt: float | None = None  # upper bound of the step; None is default_dt(params)
     seed: int = 0
     record_stride: int = 1
     quantile_fractions: tuple[float, ...] = DEFAULT_QUANTILES
 
     def __post_init__(self):
+        require_finite(self)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.t_end < 0:
@@ -129,6 +131,7 @@ class TrajectoryRecord:
     quantiles_v: np.ndarray
     quantiles_x: np.ndarray
     quantile_fractions: tuple[float, ...]
+    dt: float  # the step taken
     final_state: EnsembleState | None = None
 
     def __len__(self) -> int:
@@ -308,10 +311,10 @@ def em_step(state: EnsembleState, p: ModelParams, cfg: SimConfig,
 
 def simulate(cfg: SimConfig, p: ModelParams, init: InitCondition) -> TrajectoryRecord:
     """Integrate to t_end, recording statistics every record_stride steps
-    (the initial and final states are always recorded).  The final ensemble
+    (the initial and final states are always recorded).  The step is
+    core.time_steps of t_end and cfg.dt (or default_dt).  The final ensemble
     is attached for warm restarts and sample-level diagnostics."""
-    dt = cfg.dt if cfg.dt is not None else default_dt(p)
-    n_steps = int(round(cfg.t_end / dt))
+    n_steps, dt = time_steps(cfg.t_end, cfg.dt if cfg.dt is not None else default_dt(p))
     stride = cfg.record_stride
     stream = NoiseStream(cfg.seed)
     state = sample_initial(init, cfg.n, p, stream.rekeyed(0))
@@ -339,13 +342,13 @@ def simulate(cfg: SimConfig, p: ModelParams, init: InitCondition) -> TrajectoryR
     t = 0.0
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_steps):
-                stream.rekeyed(k + 1).standard_normal(out=stepper.noise)
+            for k in range(1, n_steps + 1):
+                stream.rekeyed(k).standard_normal(out=stepper.noise)
                 stepper.step(s, sums[0] / n)
-                t += dt
+                t = cfg.t_end if k == n_steps else k * dt
                 sums = _finite_sums(s, t, dt, p)
-                if (k + 1) % stride == 0 or k + 1 == n_steps:
-                    times[row] = (k + 1) * dt
+                if k % stride == 0 or k == n_steps:
+                    times[row] = t
                     record(row, sums)
                     row += 1
     except BlowUpError as err:
@@ -357,5 +360,5 @@ def simulate(cfg: SimConfig, p: ModelParams, init: InitCondition) -> TrajectoryR
         t=times, mean_v=stats[0], mean_x=stats[1], var_v=stats[2],
         var_x=stats[3], m4_v=stats[4], m4_x=stats[5],
         quantiles_v=quants[0], quantiles_x=quants[1],
-        quantile_fractions=tuple(cfg.quantile_fractions),
+        quantile_fractions=tuple(cfg.quantile_fractions), dt=dt,
         final_state=EnsembleState(t=t, v=s[0], x=s[1]))

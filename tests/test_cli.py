@@ -6,7 +6,10 @@ import pytest
 
 from fhn_meanfield import cli, presets
 from fhn_meanfield.cli import main
+from fhn_meanfield.core import time_steps
 from fhn_meanfield.fokker_planck import load_snapshot
+from fhn_meanfield.limit_ode import LimitState, rk4_integrate
+from fhn_meanfield.particle import default_dt, simulate
 
 FAST_NET = ["--n", "64", "--t-end", "0.2", "--dt", "1e-3", "--epsilon", "0.05",
             "--seed", "3", "--record-stride", "20"]
@@ -260,18 +263,74 @@ def test_detect_cycle_starts_from_any_init_source(tmp_path, capsys):
     assert (payload["start"]["alpha"], payload["start"]["beta"]) == (e["v"] + 0.5, e["x"])
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate-network", "--n", "100", "--dt", "0.005", "--t-end", "0.002"],
-    ["simulate-network", "--n", "100", "--epsilon", "0.05", "--t-end", "0.0004"],
-    ["simulate-ode", "--t-end", "0.004"],
-    ["compare", "--epsilon", "0.2", "--t-end", "0.0004", "--n", "16", "--nv", "16",
-     "--nx", "16"],
+@pytest.mark.parametrize("argv, series", [
+    (["simulate-network", "--n", "100", "--dt", "0.005", "--t-end", "0.002"], "timeseries"),
+    (["simulate-network", "--n", "100", "--epsilon", "0.05", "--t-end", "0.0004"],
+     "timeseries"),
+    (["simulate-ode", "--t-end", "0.004"], "ode"),
+    (["compare", "--epsilon", "0.2", "--t-end", "0.0004", "--n", "16", "--nv", "16",
+      "--nx", "16"], "compare"),
 ])
-def test_runs_that_take_no_step_exit_2(tmp_path, capsys, argv):
+def test_runs_shorter_than_one_step_take_one_step(tmp_path, argv, series):
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out), "--label", "one"]) == 0
+    t_end = float(argv[argv.index("--t-end") + 1])
+    summary = json.loads((out / "one_summary.json").read_text())
+    assert summary["config"]["sim"]["dt"] == t_end
+    rows = (out / f"one_{series}.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, t_end]
+
+
+@pytest.mark.parametrize("t_end, dt, step", [
+    (0.25, 1 / 2250, 0.25 / 563),  # ensemble-wide's horizon and step
+    (0.002, 0.005, 0.002),
+    (0.07, 7e-4, 7e-4),  # 100 * 7e-4 != 0.07
+])
+def test_network_and_limit_system_record_the_same_times(t_end, dt, step):
+    stride = 7
+    args = cli.build_parser().parse_args([
+        "simulate-network", "--preset", "fig1:epsinv225", "--n", "50",
+        "--t-end", repr(t_end), "--dt", repr(dt), "--record-stride", str(stride)])
+    cfg = cli.resolve_config(args, "network")
+    rec = simulate(cfg.sim, cfg.params, cfg.init)
+    ref = cli.reference_trajectory(rec, cfg)
+    ode = rk4_integrate(LimitState(0.0, -1.0, 0.0), cfg.params, dt, t_end,
+                        record_stride=stride)
+    n_steps = round(t_end / step)
+    assert rec.dt == step
+    assert len(rec) == 1 + -(-n_steps // stride)
+    assert np.array_equal(rec.t, ref.t) and np.array_equal(rec.t, ode.t)
+    assert rec.t[-1] == t_end == rec.final_state.t
+
+
+def test_every_preset_run_keeps_its_step_count_and_step():
+    for name in presets.available():
+        for r in presets.load(name).runs:
+            dt = r.sim.dt if r.sim.dt is not None else default_dt(r.params)
+            assert time_steps(r.sim.t_end, dt) == (round(r.sim.t_end / dt), dt), r.label
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-network", "--t-end", "nan"],
+    ["simulate-network", "--t-end", "inf"],
+    ["simulate-ode", "--t-end", "nan"],
+    ["simulate-pde", "--t-end", "nan"],
+    ["simulate-network", "--dt", "nan"],
+    ["simulate-network", "--lambda", "nan"],
+    ["simulate-network", "--sigma", "nan"],
+    ["simulate-network", "--a", "inf"],
+    ["simulate-network", "--init-mean-v", "nan"],
+    ["simulate-network", "--truncation", "inf"],
+    ["simulate-pde", "--v-max", "inf"],
+    ["compare", "--epsilon=-inf"],
+    ["classify", "--lambda", "nan"],
+])
+def test_non_finite_input_exits_2_before_any_output(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert run([*argv, "--out", str(out)]) == 2
-    assert "rounds to zero steps" in capsys.readouterr().err
-    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_env_var_default_outdir(tmp_path, monkeypatch):
@@ -407,10 +466,11 @@ def test_density_solver_needs_a_gaussian_cluster(tmp_path, capsys, argv):
     assert "gaussian initial cluster" in capsys.readouterr().err
 
 
-def test_simulate_pde_step_must_divide_the_horizon(tmp_path, capsys):
+def test_simulate_pde_step_above_the_horizon_is_one_checked_step(tmp_path, capsys):
     out = tmp_path / "o"
-    assert run(["simulate-pde", "--out", str(out), "--dt", "0.005", *PDE_SMALL]) == 2
-    assert "does not divide" in capsys.readouterr().err
+    # one step of t_end = 0.002, above this grid's stability bound
+    assert run(["simulate-pde", "--out", str(out), "--dt", "0.005", *PDE_SMALL]) == 3
+    assert "stability bound" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -4,10 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhn_meanfield.core import (InitCondition, ModelParams, cubic, cubic_prime,
-                                cubic_truncated, init_log_density,
-                                init_variance, sample_initial, voltage_drift)
+                                cubic_truncated, init_variance, sample_initial,
+                                time_steps, voltage_drift)
 
 P4 = ModelParams(lam=4.0)
+
+
+def init_log_density(v, x, cond: InitCondition, p: ModelParams):
+    """epsilon*log of the closed-form gaussian initial density."""
+    A = cond.concentration
+    quad = -0.5 * A * ((np.asarray(v) - cond.mean_v) ** 2 + (np.asarray(x) - cond.mean_x) ** 2)
+    return quad + p.epsilon * np.log(A / (2.0 * np.pi * p.epsilon))
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 4.0, 7.3])
@@ -131,10 +138,11 @@ def test_gaussian_cluster_mean_within_standard_error():
 def test_centered_gaussian_satisfies_concentration_envelope():
     # scaled log density <= -(A/2)(v^2 + x^2) + B for the centered cluster
     p = ModelParams(a=0.5, epsilon=0.05)
-    cond = InitCondition(mean_v=0.0, mean_x=0.0, concentration=0.4, offset=0.1)
+    cond = InitCondition(mean_v=0.0, mean_x=0.0, concentration=0.4)
+    B = 0.1
     v, x = np.meshgrid(np.linspace(-5, 5, 41), np.linspace(-5, 5, 41))
     lhs = init_log_density(v, x, cond, p)
-    rhs = -0.5 * cond.concentration * (v ** 2 + x ** 2) + cond.offset
+    rhs = -0.5 * cond.concentration * (v ** 2 + x ** 2) + B
     assert np.all(lhs <= rhs + 1e-12)
 
 
@@ -156,3 +164,27 @@ def test_init_condition_validation():
         InitCondition(kind="weird")
     with pytest.raises(ValueError):
         InitCondition(kind="custom")
+
+
+@given(st.floats(1e-6, 1e3), st.floats(1e-6, 1e3), st.integers(1, 10 ** 6))
+@settings(max_examples=300)
+def test_time_steps_bound_the_step_and_end_at_the_horizon(t_end, dt, m):
+    n, step = time_steps(t_end, dt)
+    assert n >= 1 and step <= dt
+    assert abs(n * step - t_end) <= 1e-9 * t_end
+    if step != dt:  # shrunk: n equal steps that add up to t_end up to roundoff
+        assert n == np.ceil(t_end / dt)
+        assert abs(n * step - t_end) <= 4 * np.finfo(float).eps * t_end
+    assert time_steps(t_end, step) == (n, step)
+    assert time_steps(t_end, t_end / m) == (m, t_end / m)  # a dividing step is kept
+
+
+def test_time_steps_edge_cases():
+    assert time_steps(0.0, 0.01) == (0, 0.01)
+    assert time_steps(0.002, 0.005) == (1, 0.002)
+    assert time_steps(0.25, 1 / 2250) == (563, 0.25 / 563)
+    assert time_steps(1.0, 1e-3) == (1000, 1e-3)
+    for t_end, dt in ((-1.0, 0.1), (np.nan, 0.1), (np.inf, 0.1),
+                      (1.0, 0.0), (1.0, -0.1), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ValueError):
+            time_steps(t_end, dt)

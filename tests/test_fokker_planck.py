@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -247,14 +249,15 @@ def _reference_step(f, p, dt, jg=None):
 
 def _reference_solve(f0, p, t_end, *, dt=None, record_stride=1, jg_of_t=None,
                      snapshot_stride=None):
+    # dt (stable_dt when not given) bounds the step: it is kept when it
+    # divides t_end to a relative 1e-9, and shrinks to t_end/ceil(t_end/dt)
+    # otherwise
     if dt is None:
-        if t_end > 0:
-            n_steps = max(1, int(np.ceil(t_end / stable_dt(f0.grid, p))))
-            dt = t_end / n_steps
-        else:
-            n_steps, dt = 0, stable_dt(f0.grid, p)
-    else:
-        n_steps = int(round(t_end / dt))
+        dt = stable_dt(f0.grid, p)
+    n_steps = round(t_end / dt)
+    if t_end > 0 and not (n_steps >= 1 and abs(n_steps * dt - t_end) <= 1e-9 * t_end):
+        n_steps = math.ceil(t_end / dt)
+        dt = t_end / n_steps
     f = f0
     times, jgs, masses = [f.t], [first_moment(f)], [mass(f)]
     snaps = [] if snapshot_stride is None else [DensityField(f.grid, f.rho.copy(), f.t)]
@@ -262,6 +265,8 @@ def _reference_solve(f0, p, t_end, *, dt=None, record_stride=1, jg_of_t=None,
         jg = None if jg_of_t is None else float(jg_of_t(f.t))
         f = _reference_step(f, p, dt, jg=jg)
         last = k + 1 == n_steps
+        # step k ends at (k + 1) dt, the last one at t_end exactly
+        f.t = f0.t + (t_end if last else (k + 1) * dt)
         if (k + 1) % record_stride == 0 or last:
             times.append(f.t)
             jgs.append(first_moment(f))
@@ -281,6 +286,7 @@ SOLVE_CASES = {
                                record_stride=4, snapshot_stride=9)),
     "truncation": (P_TRUNC, 0.3, dict(record_stride=13, snapshot_stride=17)),
     "every_step": (P01, 0.02, dict(snapshot_stride=1)),
+    "shrunk_dt": (P01, 0.2, dict(dt=3e-4, record_stride=6, snapshot_stride=25)),
     "zero_horizon": (P01, 0.0, dict(snapshot_stride=1)),
 }
 
@@ -322,12 +328,15 @@ def test_solve_rejects_bad_steps_and_strides(kw, what):
         solve(f, P01, 0.01, **kw)
 
 
-def test_solve_rejects_a_step_that_does_not_divide_the_horizon():
+def test_solve_shrinks_a_step_that_does_not_divide_the_horizon():
     f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
-    for t_end, dt in ((0.002, 0.005), (0.01, 3e-4)):
-        with pytest.raises(ValueError, match="does not divide"):
-            solve(f, P01, t_end, dt=dt)
-    assert solve(f, P01, 0.002, dt=1e-4).t[-1] == pytest.approx(0.002)
+    for t_end, dt, n_steps in ((0.01, 3e-4, 34), (0.002, 3e-4, 7), (5e-4, 1e-3, 1)):
+        sol = solve(f, P01, t_end, dt=dt)
+        assert sol.dt == t_end / n_steps < dt
+        assert len(sol.t) == n_steps + 1 and sol.t[-1] == t_end
+    sol = solve(f, P01, 0.07, dt=7e-4)  # a step that divides is kept
+    assert sol.dt == 7e-4 and len(sol.t) == 101
+    assert sol.t[-1] == 0.07 != 100 * 7e-4
 
 
 def test_solve_too_large_dt_raises_the_cfl_limit_error():

@@ -268,14 +268,15 @@ def test_simulate_matches_plain_loop_bitwise(params, n, t_end, stride):
     stepped = state
     v, x, t = state.v, state.x, 0.0
     times, rows = [0.0], [_reference_row(v, x, cfg.quantile_fractions)]
-    n_steps = int(round(t_end / dt))
+    n_steps = round(t_end / dt)  # dt divides every t_end here, so it is kept
     for k in range(n_steps):
         v, x = _reference_step(v, x, p, dt, stream.block(k + 1))
         stepped = em_step(stepped, p, cfg, stream.block(k + 1))
         assert np.array_equal(stepped.v, v) and np.array_equal(stepped.x, x)
-        t = t + dt
+        # step k ends at (k + 1) dt, the last one at t_end exactly
+        t = t_end if k + 1 == n_steps else (k + 1) * dt
         if (k + 1) % stride == 0 or k + 1 == n_steps:
-            times.append((k + 1) * dt)
+            times.append(t)
             rows.append(_reference_row(v, x, cfg.quantile_fractions))
 
     moments = np.array([r[0] for r in rows]).T
@@ -287,7 +288,8 @@ def test_simulate_matches_plain_loop_bitwise(params, n, t_end, stride):
     assert np.array_equal(rec.quantiles_x, np.vstack([r[2] for r in rows]))
     assert np.array_equal(rec.final_state.v, v)
     assert np.array_equal(rec.final_state.x, x)
-    assert rec.final_state.t == t == stepped.t
+    assert rec.final_state.t == t == t_end
+    assert stepped.t == pytest.approx(t_end)  # em_step adds dt to its state's clock
 
 
 def test_rekeyed_generator_draws_equal_fresh_blocks():
@@ -330,12 +332,13 @@ def test_simulate_blowup_reports_plain_loop_time_and_index():
     rng = np.random.default_rng(3)
     v0, x0 = 0.1 * rng.standard_normal(6), np.zeros(6)
     init = InitCondition(kind="custom", sampler=lambda n, rng: (v0, x0))
-    v, x, t = v0, x0, 0.0
+    v, x, k = v0, x0, 0
     quiet = np.random.default_rng(0)  # sigma = 0: the draws do not matter
     with np.errstate(over="ignore", invalid="ignore"):
         while np.isfinite(v).all() and np.isfinite(x).all():
             v, x = _reference_step(v, x, p, dt, quiet)
-            t = t + dt
+            k += 1
+    t = k * dt  # the time step k ends at
     bad = int(np.argmin(np.isfinite(v) & np.isfinite(x)))
     assert t > 5 * dt
     with pytest.raises(BlowUpError) as info:
