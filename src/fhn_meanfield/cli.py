@@ -455,6 +455,8 @@ def _start_is_given(args) -> bool:
 
 
 def _cmd_detect_cycle(args) -> int:
+    if not 0.0 < args.max_time < float("inf"):
+        raise ConfigError(f"--max-time must be finite and > 0, got {args.max_time}")
     cfg = resolve_config(args, "ode")
     report = classify(cfg.params)
     if _start_is_given(args):

@@ -25,8 +25,9 @@ INIT_KINDS = (GAUSSIAN_CLUSTER, POINT_CLUSTER, CUSTOM_SAMPLER)
 
 
 class BlowUpError(RuntimeError):
-    """A trajectory or field became non-finite (time step too large for the
-    coupling stiffness, usually dt not small compared to epsilon)."""
+    """A network or limit-system trajectory became non-finite: the time step
+    is too large for a drift integrated explicitly (the network's non-stiff
+    drift, the limit system's vector field)."""
 
     def __init__(self, message: str, t: float = float("nan"), index: int = -1):
         super().__init__(message)
@@ -42,6 +43,11 @@ def require_finite(obj) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+# Most steps a run may take: a billion steps of the smallest ensemble
+# take hours, so a larger count is a mistake in (t_end, dt).
+MAX_STEPS = 10 ** 9
+
+
 def time_steps(t_end: float, dt: float) -> tuple[int, float]:
     """The number of steps and the step of a run over [0, t_end] whose step
     is at most dt.
@@ -49,12 +55,15 @@ def time_steps(t_end: float, dt: float) -> tuple[int, float]:
     dt is kept bit for bit when it divides t_end to a relative 1e-9;
     otherwise the step is t_end/ceil(t_end/dt).  A run with t_end > 0 takes
     at least one step.  Step k ends at k*step, except the last, which ends
-    at t_end exactly.
+    at t_end exactly.  More than MAX_STEPS steps raise ValueError.
     """
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if t_end / dt > MAX_STEPS:
+        raise ValueError(f"t_end={t_end:g} at dt={dt:g} takes more than "
+                         f"{MAX_STEPS:.0e} steps")
     n = round(t_end / dt)
     if abs(n * dt - t_end) <= 1e-9 * t_end:
         return n, dt
@@ -67,11 +76,11 @@ class ModelParams:
     """Physical parameters of the coupled system.
 
     epsilon is the inverse coupling strength (small epsilon = strong
-    electrical coupling).  sigma scales the voltage noise; the per-step
-    Euler-Maruyama amplitude is sigma*sqrt(2*dt), so sigma=1 matches the
-    unit-diffusion normalization of the density equation.  adaptation_noise
-    switches the sqrt(2*epsilon) diffusion on the recovery variable.
-    truncation, when set, activates the tangent-line drift outside [-M, M].
+    electrical coupling).  sigma scales the voltage noise, sigma*sqrt(2) dW,
+    so sigma=1 matches the unit-diffusion normalization of the density
+    equation.  adaptation_noise switches the sqrt(2*epsilon) diffusion on
+    the recovery variable.  truncation, when set, activates the
+    tangent-line drift outside [-M, M].
     """
 
     a: float = 0.3

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .core import GAUSSIAN_CLUSTER, POINT_CLUSTER, InitCondition, ModelParams
 from .limit_ode import equilibria
-from .particle import SimConfig
+from .particle import SimConfig, default_dt
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class Preset:
 
 
 def _stride_for(dt: float, spacing: float = 0.05) -> int:
+    """Steps between records that are spacing apart in time."""
     return max(1, int(round(spacing / dt)))
 
 
@@ -75,7 +76,7 @@ def _fig2(a: float = 0.3, i_ext: float = 0.0, name: str = "fig2",
                 label=f"epsinv{eps_inv}_v{v0:g}",
                 params=p,
                 sim=SimConfig(n=500, t_end=20.0, seed=2500 + eps_inv,
-                              record_stride=50),
+                              record_stride=_stride_for(default_dt(p))),
                 init=InitCondition(mean_v=v0, mean_x=1.0,
                                    concentration=min(a, 0.3),
                                    kind=GAUSSIAN_CLUSTER)))
@@ -85,7 +86,7 @@ def _fig2(a: float = 0.3, i_ext: float = 0.0, name: str = "fig2",
             "two clusters started at (1.2, 1) and (1.35, 1), on either side "
             "of the separatrix between the two stable equilibria",
             "lambda=4, b=0.1 and sigma=1 as in fig1; i_ext=%g" % i_ext,
-            "t_end=20 and the default dt=min(eps/10, 1e-3) are choices of "
+            "t_end=20, the default dt and records 0.05 apart are choices of "
             "this preset",
         ) + extra_notes,
         runs=tuple(runs))
@@ -113,7 +114,7 @@ def _fig4() -> Preset:
             label=f"i{i0:g}",
             params=p,
             sim=SimConfig(n=500, t_end=200.0, seed=int(4000 + 10 * i0),
-                          record_stride=100),
+                          record_stride=_stride_for(default_dt(p), 0.1)),
             init=InitCondition(mean_v=v0, mean_x=x0, kind=POINT_CLUSTER)))
     return Preset(
         name="fig4",
@@ -122,7 +123,8 @@ def _fig4() -> Preset:
             "lambda=4, a=0.01, b=0.1, eps=0.01, n=500",
             "each run starts as a point cluster at the unique equilibrium; "
             "relaxation spikes below threshold are noise induced",
-            "t_end=200 is a choice of this preset",
+            "t_end=200, the default dt and records 0.1 apart are choices of "
+            "this preset",
         ),
         runs=tuple(runs))
 
@@ -137,7 +139,7 @@ def _fig5() -> Preset:
             label=f"i{i0:g}",
             params=p,
             sim=SimConfig(n=5000, t_end=60.0, seed=5534,
-                          record_stride=100),
+                          record_stride=_stride_for(default_dt(p))),
             init=InitCondition(mean_v=v0, mean_x=x0, kind=POINT_CLUSTER)))
     return Preset(
         name="fig5",
@@ -146,8 +148,9 @@ def _fig5() -> Preset:
             "n=5000, eps^-1=220, sigma=0.5, lambda=4, a=0.005, b=0.05, "
             "i_ext in {5.534, 5.5349}",
             "each run starts as a point cluster at the unique equilibrium",
-            "t_end=60 is a choice of this preset; alternations of small and "
-            "large oscillations vary between realizations",
+            "t_end=60, the default dt and records 0.05 apart are choices of "
+            "this preset; alternations of small and large oscillations vary "
+            "between realizations",
         ),
         runs=tuple(runs))
 

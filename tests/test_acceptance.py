@@ -18,8 +18,8 @@ from fhn_meanfield.core import InitCondition, ModelParams
 from fhn_meanfield.diagnostics import compare, viscosity_residual
 from fhn_meanfield.fokker_planck import Grid, gaussian_field, hopf_cole, solve
 from fhn_meanfield.limit_ode import LimitState, equilibria, rk4_integrate
-from fhn_meanfield.particle import (SimConfig, coupling_mean, quantiles,
-                                    simulate)
+from fhn_meanfield.particle import (SimConfig, coupling_mean, default_dt,
+                                    quantiles, simulate)
 
 FIG1 = dict(a=0.3, b=0.1, lam=4.0, i_ext=0.0, sigma=1.0, adaptation_noise=True)
 
@@ -41,6 +41,57 @@ def _upward_crossings(t, y, level):
             frac = (level - y[i]) / (y[i + 1] - y[i])
             out.append(t[i] + frac * (t[i + 1] - t[i]))
     return np.asarray(out)
+
+
+# Scaled-down versions of every preset for criterion 8's moment checks.
+# The late half of each run is the window of the m4 trend test.  Recorded
+# m4 follows the slow recovery variable: the spread of x and the finite-n
+# mean of x decorrelate over 1/(2a) to 1/a.  The window must hold many
+# such times, or the slope's error, read off the window's own residuals,
+# rests on a few degrees of freedom and comes out too small (about half
+# its size over 12 time units at a = 0.3).  So the windows hold 30/a for
+# fig1 to fig3; fig4's starts past the limit cycle's build-up and spans two
+# periods; fig5 takes only the hard bound.
+_SCALED = {
+    "fig1": (ModelParams(epsilon=1 / 225, **FIG1),
+             InitCondition(mean_v=-1.0, mean_x=0.0, concentration=0.3), 200.0),
+    "fig2": (ModelParams(epsilon=0.01, **FIG1),
+             InitCondition(mean_v=1.35, mean_x=1.0, concentration=0.3), 200.0),
+    "fig3": (ModelParams(a=0.03, b=0.1, lam=4.0, i_ext=4.0, sigma=1.0,
+                         epsilon=0.01, adaptation_noise=True),
+             InitCondition(mean_v=3.0, mean_x=10.0, concentration=0.03), 2000.0),
+    "fig4": (ModelParams(a=0.01, b=0.1, lam=4.0, i_ext=5.7, sigma=1.0,
+                         epsilon=0.01, adaptation_noise=True),
+             InitCondition(mean_v=0.49, mean_x=4.9, kind="point"), 480.0),
+    # stationary-spread cluster (concentration = a): the slow filling of
+    # the adaptation variance (timescale 1/2a) is not the trend under test
+    "fig5": (ModelParams(a=0.005, b=0.05, lam=4.0, i_ext=5.534, sigma=0.5,
+                         epsilon=1 / 220, adaptation_noise=True),
+             InitCondition(mean_v=0.55, mean_x=5.5, concentration=0.005), 24.0),
+}
+
+
+def _scaled_run(p, init, t_end):
+    """n = 160 at the default step, with records 0.1 apart in time."""
+    cfg = SimConfig(n=160, t_end=t_end, seed=808,
+                    record_stride=round(0.1 / default_dt(p)))
+    return simulate(cfg, p, init)
+
+
+def _late_slope(t, series, start):
+    """Least-squares slope of series over t >= start and its standard
+    error, inflated by the AR(1) factor of the residuals' lag-one
+    correlation, since recorded statistics are serially correlated."""
+    late_t, late = t[t >= start], series[t >= start]
+    slope, intercept = np.polyfit(late_t, late, 1)
+    resid = late - (slope * late_t + intercept)
+    dof = max(late.size - 2, 1)
+    se = np.sqrt(resid @ resid / dof / np.sum((late_t - late_t.mean()) ** 2))
+    if resid.std() > 0:
+        r1 = float(np.corrcoef(resid[:-1], resid[1:])[0, 1])
+        r1 = min(max(r1, 0.0), 0.999)
+        se *= np.sqrt((1.0 + r1) / (1.0 - r1))
+    return slope, se
 
 
 def test_criterion_1_concentration_scaling():
@@ -82,13 +133,14 @@ def test_criterion_2_mean_tracks_limit_flow():
     # clusters on either side of the separatrix (which crosses x=1 near
     # v=1.27); placed clear of the stagnation zone where finite-n noise on
     # the ensemble mean is exponentially amplified before the transit
-    dt, stride = 1e-3, 100
+    # the default step, records 0.1 apart
+    stride = round(0.1 / default_dt(p))
     finals, sups = [], []
     for v0, seed in ((0.9, 21), (1.6, 22)):
-        cfg = SimConfig(n=5000, t_end=20.0, dt=dt, seed=seed, record_stride=stride)
+        cfg = SimConfig(n=5000, t_end=20.0, seed=seed, record_stride=stride)
         rec = simulate(cfg, p, InitCondition(mean_v=v0, mean_x=1.0,
                                              concentration=0.3))
-        ref = _reference(rec, p, dt, stride)
+        ref = _reference(rec, p, rec.dt, stride)
         sups.append(float(np.max(np.abs(rec.mean_v - ref.alpha))))
         finals.append(float(rec.mean_v[-1]))
     targets = [min(stable, key=lambda v: abs(v - f)) for f in finals]
@@ -151,7 +203,9 @@ def test_criterion_4_oscillation_reproduction():
 
     transient = 100.0
     horizon = transient + 6.5 * cycle.period
-    cfg = SimConfig(n=500, t_end=horizon, dt=1e-3, seed=4242, record_stride=20)
+    # the default step, records 0.02 apart
+    cfg = SimConfig(n=500, t_end=horizon, seed=4242,
+                    record_stride=round(0.02 / default_dt(p)))
     rec = simulate(cfg, p, InitCondition(mean_v=vstar, mean_x=xstar, kind="point"))
     sel = rec.t >= transient
     mv, tt = rec.mean_v[sel], rec.t[sel]
@@ -270,29 +324,9 @@ def test_criterion_8_invariant_suites(tmp_path):
     if quantiles(vals, [0.0])[0] != 1.0 or quantiles(vals, [1.0])[0] != 3.0:
         problems.append("quantile boundary example")
 
-    # moment boundedness on scaled-down versions of every preset; horizons
-    # sized so the late window sits past each preset's slowest transient
-    # (recovery relaxation 1/a, or the limit-cycle build-up for fig4)
-    scaled = {
-        "fig1": (ModelParams(epsilon=1 / 225, **FIG1),
-                 InitCondition(mean_v=-1.0, mean_x=0.0, concentration=0.3), 24.0),
-        "fig2": (ModelParams(epsilon=0.01, **FIG1),
-                 InitCondition(mean_v=1.35, mean_x=1.0, concentration=0.3), 24.0),
-        "fig3": (ModelParams(a=0.03, b=0.1, lam=4.0, i_ext=4.0, sigma=1.0,
-                             epsilon=0.01, adaptation_noise=True),
-                 InitCondition(mean_v=3.0, mean_x=10.0, concentration=0.03), 24.0),
-        "fig4": (ModelParams(a=0.01, b=0.1, lam=4.0, i_ext=5.7, sigma=1.0,
-                             epsilon=0.01, adaptation_noise=True),
-                 InitCondition(mean_v=0.49, mean_x=4.9, kind="point"), 480.0),
-        # stationary-spread cluster (concentration = a): the slow filling of
-        # the adaptation variance (timescale 1/2a) is not the trend under test
-        "fig5": (ModelParams(a=0.005, b=0.05, lam=4.0, i_ext=5.534, sigma=0.5,
-                             epsilon=1 / 220, adaptation_noise=True),
-                 InitCondition(mean_v=0.55, mean_x=5.5, concentration=0.005), 24.0),
-    }
-    for name, (p, init, t_end) in scaled.items():
-        cfg = SimConfig(n=160, t_end=t_end, seed=808, record_stride=20)
-        rec = simulate(cfg, p, init)
+    # moment boundedness on scaled-down versions of every preset
+    for name, (p, init, t_end) in _SCALED.items():
+        rec = _scaled_run(p, init, t_end)
         for series in (rec.m4_v, rec.m4_x):
             if np.max(series) > 1e5:
                 problems.append(f"{name} m4 bound {np.max(series):.1e}")
@@ -301,19 +335,7 @@ def test_criterion_8_invariant_suites(tmp_path):
                 # long-memory random walk; no finite window supports a trend
                 # test, only the hard bound above applies
                 continue
-            late_t = rec.t[rec.t >= 0.5 * t_end]
-            late = series[rec.t >= 0.5 * t_end]
-            slope, intercept = np.polyfit(late_t, late, 1)
-            resid = late - (slope * late_t + intercept)
-            dof = max(late.size - 2, 1)
-            se = np.sqrt(resid @ resid / dof / np.sum((late_t - late_t.mean()) ** 2))
-            # recorded statistics are serially correlated (recovery
-            # relaxation, cycle phase); inflate the slope error by the
-            # standard AR(1) factor before testing for a growth trend
-            if resid.std() > 0:
-                r1 = float(np.corrcoef(resid[:-1], resid[1:])[0, 1])
-                r1 = min(max(r1, 0.0), 0.999)
-                se *= np.sqrt((1.0 + r1) / (1.0 - r1))
+            slope, se = _late_slope(rec.t, series, 0.5 * t_end)
             if slope > 2.0 * se:
                 problems.append(f"{name} m4 slope {slope:.2e} (se {se:.2e})")
 
@@ -341,6 +363,19 @@ def test_criterion_8_invariant_suites(tmp_path):
     ok = not problems and runtime <= 60.0
     _report(8, ok, f"invariant suites clean ({runtime:.1f}s)"
             if ok else f"failures: {problems} ({runtime:.1f}s)")
+
+
+def test_criterion_8_trend_test_flags_a_growing_m4():
+    # negative control: recorded m4 plus a rise of half its level across the
+    # late window must fail criterion 8's trend test
+    for name in ("fig1", "fig2"):
+        p, init, t_end = _SCALED[name]
+        rec = _scaled_run(p, init, t_end)
+        late = rec.t >= 0.5 * t_end
+        for series in (rec.m4_v, rec.m4_x):
+            rate = 0.5 * float(np.mean(series[late])) / (0.5 * t_end)
+            slope, se = _late_slope(rec.t, series + rate * rec.t, 0.5 * t_end)
+            assert slope > 2.0 * se, (name, slope, se)
 
 
 @pytest.mark.parametrize("preset", ["fig4", "fig5"])

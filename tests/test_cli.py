@@ -333,6 +333,28 @@ def test_non_finite_input_exits_2_before_any_output(tmp_path, capsys, argv):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate-network", "--n", "16", "--t-end", "0.01", "--dt", "1e-300"],
+    ["simulate-network", "--n", "16", "--t-end", "1e300"],
+    ["simulate-ode", "--t-end", "1", "--dt", "1e-300"],
+    ["simulate-pde", "--t-end", "1", "--dt", "1e-300"],
+    ["compare", "--t-end", "1", "--dt", "1e-300"],
+])
+def test_huge_step_counts_exit_2_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "steps" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("max_time", ["nan", "-5", "0", "inf"])
+def test_detect_cycle_rejects_a_bad_max_time(capsys, max_time):
+    assert run(["detect-cycle", "--max-time", max_time]) == 2
+    captured = capsys.readouterr()
+    assert "--max-time" in captured.err and captured.out == ""
+
+
 def test_env_var_default_outdir(tmp_path, monkeypatch):
     monkeypatch.setenv("FHN_MEANFIELD_OUT", str(tmp_path / "envout"))
     monkeypatch.chdir(tmp_path)

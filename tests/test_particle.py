@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fhn_meanfield.core import (BlowUpError, EnsembleState, InitCondition,
-                                ModelParams, sample_initial, voltage_drift)
+                                ModelParams, nonlinearity, sample_initial)
 from fhn_meanfield.limit_ode import LimitState, equilibria, rk4_integrate
 from fhn_meanfield.particle import (NoiseStream, SimConfig, coupling_mean,
                                     default_dt, em_step, empirical_moments,
@@ -121,14 +121,16 @@ def test_em_step_reduces_to_explicit_euler_for_single_neuron():
 
 
 def test_em_step_blowup_reports_time_and_index():
+    # the cubic drift of neuron 1 overflows; the mean carries the overflow
+    # to every neuron within the step, and the error names where it began
     p = ModelParams(epsilon=1e-4, sigma=0.0, adaptation_noise=False)
-    cfg = SimConfig(n=4, t_end=1.0, dt=50.0)  # absurd step for the stiffness
+    cfg = SimConfig(n=4, t_end=1.0, dt=0.05)
     state = EnsembleState(0.0, np.array([0.0, 1e150, 0.0, 0.0]),
                           np.zeros(4))
     with pytest.raises(BlowUpError) as info:
         em_step(state, p, cfg, NoiseStream(0).block(1))
     assert info.value.index == 1
-    assert info.value.t == pytest.approx(50.0)
+    assert info.value.t == pytest.approx(0.05)
 
 
 def test_noiseless_ensemble_stays_near_stable_equilibrium():
@@ -187,9 +189,10 @@ def test_simulate_record_times_strictly_increase():
     assert rec.t[-1] == pytest.approx(0.05)
 
 
-def test_default_dt_tracks_stiffness():
-    assert default_dt(ModelParams(epsilon=0.004)) == pytest.approx(0.0004)
-    assert default_dt(ModelParams(epsilon=0.5)) == pytest.approx(1e-3)
+def test_default_dt_does_not_depend_on_epsilon():
+    assert default_dt(ModelParams(epsilon=0.004)) == 1e-2
+    assert default_dt(ModelParams(epsilon=0.5)) == 1e-2
+    assert default_dt(ModelParams(epsilon=1e-300)) == 1e-2
 
 
 def test_clamped_ensemble_tracks_limit_system():
@@ -232,20 +235,29 @@ def test_mean_adaptation_dynamics_with_noise():
 
 
 def _reference_step(v, x, p, dt, rng):
-    """The Euler-Maruyama step written out plainly, as the reference the
-    in-place update must match bit for bit."""
+    """The step written out plainly, as the reference the in-place update
+    must match bit for bit: the mean voltage takes the Euler-Maruyama step
+    of the non-stiff drift f, the deviations from it the exact
+    Ornstein-Uhlenbeck step.  Returns the new state and f."""
     vbar = float(np.mean(v))
     xi = rng.standard_normal(v.size)
-    v_new = v + voltage_drift(v, x, vbar, p) * dt + p.sigma * np.sqrt(2.0 * dt) * xi
+    f = -nonlinearity(v, p) + p.i_ext - x
+    ratio = dt / p.epsilon
+    e, damped = np.exp(-ratio), -np.expm1(-ratio)
+    phi = p.epsilon * damped
+    ou = p.sigma * np.sqrt(-p.epsilon * np.expm1(-2.0 * ratio))
+    em = p.sigma * np.sqrt(2.0 * dt)
+    shift = damped * vbar + (dt - phi) * np.mean(f) + (em - ou) * np.mean(xi)
+    v_new = e * v + phi * f + ou * xi + shift
     x_new = x + (-p.a * x + p.b * v) * dt
     if p.adaptation_noise:
         x_new = x_new + np.sqrt(2.0 * p.epsilon * dt) * rng.standard_normal(v.size)
-    return v_new, x_new
+    return v_new, x_new, f
 
 
 def _reference_row(v, x, qs):
     return ([np.mean(v), np.mean(x), np.var(v), np.var(x),
-             np.mean(v ** 4), np.mean(x ** 4)],
+             np.mean((v * v) ** 2), np.mean((x * x) ** 2)],
             np.quantile(v, qs), np.quantile(x, qs))
 
 
@@ -270,7 +282,7 @@ def test_simulate_matches_plain_loop_bitwise(params, n, t_end, stride):
     times, rows = [0.0], [_reference_row(v, x, cfg.quantile_fractions)]
     n_steps = round(t_end / dt)  # dt divides every t_end here, so it is kept
     for k in range(n_steps):
-        v, x = _reference_step(v, x, p, dt, stream.block(k + 1))
+        v, x, _ = _reference_step(v, x, p, dt, stream.block(k + 1))
         stepped = em_step(stepped, p, cfg, stream.block(k + 1))
         assert np.array_equal(stepped.v, v) and np.array_equal(stepped.x, x)
         # step k ends at (k + 1) dt, the last one at t_end exactly
@@ -325,24 +337,107 @@ def test_quantiles_propagate_nan_and_reject_nan_fractions():
 
 
 def test_simulate_blowup_reports_plain_loop_time_and_index():
-    # dt far above epsilon: the coupling term amplifies the spread by about
-    # dt/epsilon per step until some neuron overflows
-    p = ModelParams(epsilon=1e-3, sigma=0.0, adaptation_noise=False)
-    dt = 0.05
+    # dt too large for the explicit cubic drift: the outlying neuron 37
+    # overshoots further every step until its drift overflows
+    p = ModelParams(epsilon=0.3, sigma=0.0, adaptation_noise=False)
+    dt, n = 0.2, 200
     rng = np.random.default_rng(3)
-    v0, x0 = 0.1 * rng.standard_normal(6), np.zeros(6)
+    v0, x0 = 0.1 * rng.standard_normal(n), np.zeros(n)
+    v0[37] = 6.0
     init = InitCondition(kind="custom", sampler=lambda n, rng: (v0, x0))
     v, x, k = v0, x0, 0
     quiet = np.random.default_rng(0)  # sigma = 0: the draws do not matter
     with np.errstate(over="ignore", invalid="ignore"):
         while np.isfinite(v).all() and np.isfinite(x).all():
-            v, x = _reference_step(v, x, p, dt, quiet)
+            v, x, f = _reference_step(v, x, p, dt, quiet)
             k += 1
     t = k * dt  # the time step k ends at
-    bad = int(np.argmin(np.isfinite(v) & np.isfinite(x)))
-    assert t > 5 * dt
+    # the first neuron whose drift, else whose state, is not finite
+    finite = np.isfinite(f) if not np.isfinite(f).all() else np.isfinite(v) & np.isfinite(x)
+    bad = int(np.argmin(finite))
+    assert t > 5 * dt and bad == 37
     with pytest.raises(BlowUpError) as info:
-        simulate(SimConfig(n=6, t_end=100.0, dt=dt, seed=1), p, init)
+        simulate(SimConfig(n=n, t_end=100.0, dt=dt, seed=1), p, init)
     assert info.value.t == t and info.value.index == bad
     assert f"neuron {bad}" in str(info.value)
-    assert "[n=6, seed=1, t_end=100.0]" in str(info.value)
+    assert f"[n={n}, seed=1, t_end=100.0]" in str(info.value)
+
+
+def test_fourth_moment_matches_numpy_power():
+    rng = np.random.default_rng(17)
+    for n in (1, 7, 300, 20_000):
+        v = rng.normal(1.5, 2.0, n) * 10.0 ** rng.integers(-3, 4)
+        x = rng.standard_normal(n)
+        m = empirical_moments(EnsembleState(0.0, v, x))
+        assert m.m4_v == pytest.approx(np.mean(v ** 4), rel=1e-15, abs=0)
+        assert m.m4_x == pytest.approx(np.mean(x ** 4), rel=1e-15, abs=0)
+
+
+def _log_log_slope(hs, errs):
+    return float(np.polyfit(np.log(hs), np.log(np.abs(errs)), 1)[0])
+
+
+def test_weak_first_order_convergence_of_mean_and_variance():
+    # a spread cluster leaving the middle branch, where the cubic drift
+    # moves both the mean and the spread
+    init = InitCondition(mean_v=2.0, mean_x=1.0, concentration=0.3)
+
+    def final_stats(p, n, dt, seed):
+        rec = simulate(SimConfig(n=n, t_end=1.0, dt=dt, seed=seed,
+                                 record_stride=10 ** 9), p, init)
+        return np.array([rec.mean_v[-1], rec.var_v[-1], rec.mean_x[-1], rec.var_x[-1]])
+
+    # without noise the ensemble is a deterministic function of its initial
+    # draw (block 0 of the seed), so every statistic converges at order one
+    hs = (0.02, 0.01, 0.005)
+    quiet = ModelParams(epsilon=0.05, sigma=0.0, adaptation_noise=False)
+    ref = final_stats(quiet, 2000, 1e-4, 3)
+    errs = np.array([final_stats(quiet, 2000, h, 3) - ref for h in hs])
+    for j, name in enumerate(("mean_v", "var_v", "mean_x", "var_x")):
+        assert 0.8 <= _log_log_slope(hs, errs[:, j]) <= 1.2, name
+
+    # with noise, var_v at n = 20 000 carries a Monte Carlo error near 5e-4
+    # against a discretisation error of 4e-3 at h = 0.02; the mean's
+    # finite-n random walk, sqrt(2 t / n) = 0.01, hides its error instead;
+    # h runs from 0.4 to 1.6 epsilon
+    hs = (0.08, 0.04, 0.02)
+    noisy = ModelParams(epsilon=0.05)
+    ref = final_stats(noisy, 20_000, 1e-3, 100)
+    errs = np.array([final_stats(noisy, 20_000, h, 0) - ref for h in hs])
+    assert 0.8 <= _log_log_slope(hs, errs[:, 1]) <= 1.4
+    assert abs(errs[-1, 1]) < 0.15 * noisy.epsilon
+
+
+def test_stationary_voltage_variance_has_no_step_bias():
+    # at rest (0, 0) the deviations are an Ornstein-Uhlenbeck process of
+    # rate 1/eps + lambda, so var_v/eps = 1/(1 + eps lambda) = 0.982; at
+    # h = eps/10 Euler-Maruyama reads it 1/(1 - h (1/eps + lambda)/2) too high
+    p = ModelParams(a=0.3, b=0.1, lam=4.0, i_ext=0.0, epsilon=1 / 225)
+    dt, n, t_end = p.epsilon / 10, 1000, 6.0
+    init = InitCondition(concentration=0.3)
+    rec = simulate(SimConfig(n=n, t_end=t_end, dt=dt, seed=5, record_stride=10),
+                   p, init)
+    late = rec.t >= 1.0
+    ratio = float(np.mean(rec.var_v[late])) / p.epsilon
+    exact = 1.0 / (1.0 + p.epsilon * p.lam)
+
+    # Euler-Maruyama, written out, on the same initial ensemble
+    stream = NoiseStream(5)
+    state = sample_initial(init, n, p, stream.block(0))
+    v, x = state.v, state.x
+    steps = round(t_end / dt)
+    em_vars = []
+    for k in range(steps):
+        rng = stream.block(k + 1)
+        drift = -nonlinearity(v, p) + p.i_ext - x + (np.mean(v) - v) / p.epsilon
+        v, x = (v + drift * dt + p.sigma * np.sqrt(2 * dt) * rng.standard_normal(n),
+                x + (-p.a * x + p.b * v) * dt
+                + np.sqrt(2 * p.epsilon * dt) * rng.standard_normal(n))
+        if (k + 1) * dt >= 1.0 and (k + 1) % 10 == 0:
+            em_vars.append(np.var(v))
+    em_ratio = float(np.mean(em_vars)) / p.epsilon
+    em_bias = exact / (1.0 - dt * (1.0 / p.epsilon + p.lam) / 2.0)
+
+    assert ratio == pytest.approx(exact, abs=0.01)
+    assert em_ratio == pytest.approx(em_bias, abs=0.01)
+    assert abs(ratio - 1.0) < abs(em_ratio - 1.0)
