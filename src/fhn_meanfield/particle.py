@@ -5,22 +5,25 @@ unchanged.  So each step moves vbar by an Euler-Maruyama step of the
 non-stiff drift -N0(v) + i_ext - x, and each deviation from vbar by the
 exact Ornstein-Uhlenbeck step of rate 1/epsilon; the step is not tied to
 epsilon.  x takes an Euler-Maruyama step.  vbar is reduced from the
-pre-step state, so the result does not depend on update order.  Noise
-comes from counter-based streams keyed by (seed, step), which makes
-trajectories bitwise reproducible for a fixed configuration regardless of
-thread count or scheduling.
+pre-step state, so the result does not depend on update order.
 
-simulate builds one Philox generator per run and re-keys it before every
-step to the counter of that step's block, so its draws are identical to
-those of NoiseStream.block(k + 1) without building a generator per step.
-The ensemble lives in one preallocated (2, n) array, voltages in row 0 and
-adaptation values in row 1, which every step updates in place; em_step runs
-the same update on a copy of a single state.
+A run's noise is one SFC64 stream per block of NoiseStream(seed): block 0
+draws the initial ensemble and block 1 every step's draws in order.
+simulate hands the block-1 generator to a producer thread, which fills
+chunks of whole steps, up to CHUNK_DRAWS normals, one chunk ahead of the
+stepping loop while the main thread steps through the chunk filled before.  Only the producer
+draws from that generator, in step order, so trajectories are bitwise
+reproducible for a fixed configuration and seed whatever the thread
+scheduling.  The ensemble lives in one preallocated (2, n) array, voltages
+in row 0 and adaptation values in row 1, which every step updates in
+place; em_step runs the same update on a copy of a single state.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,43 +42,30 @@ DEFAULT_QUANTILES = (0.10, 0.25, 0.75, 0.90)
 # and the benchmark workloads all hold.
 DEFAULT_DT = 1e-2
 
-_U64 = (1 << 64) - 1
+# Normals in one chunk of step noise that simulate's producer thread fills
+# ahead of the stepping loop.  A chunk holds whole steps, at least one.
+CHUNK_DRAWS = 1 << 16
 
 
 class NoiseStream:
-    """Counter-based (Philox) noise streams.
+    """The noise streams of one run, keyed by its seed.
 
-    block(i) returns a fresh generator keyed by (seed, i); block i always
-    yields the same draws for a given seed, independent of how many other
-    blocks were consumed.  Block 0 is reserved for initial sampling and
-    block k+1 drives step k.  rekeyed(i) gives the same draws as block(i)
-    from one generator the stream keeps, at a fraction of the cost.
+    block(i) returns a fresh SFC64 generator keyed by (seed, i); block i
+    always yields the same draws for a given seed, independent of how many
+    other blocks were consumed.  Block 0 draws the initial ensemble and
+    block 1 the noise of every step, in order: step, then row (voltage, then
+    adaptation when adaptation noise is on), then neuron.  SFC64 makes each
+    double from whole 64-bit words and standard normals keep no state
+    outside the generator, so drawing a block in chunks of any size gives
+    the same draws as drawing it at once.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & ((1 << 128) - 1)
-        self._rng: np.random.Generator | None = None
-        self._state: dict | None = None
 
     def block(self, index: int) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.Philox(key=self.seed, counter=int(index) << 128))
-
-    def rekeyed(self, index: int) -> np.random.Generator:
-        """The stream's own generator, set to the start of block(index).
-
-        The counter becomes the one block(index) starts from and the output
-        buffer is emptied, so the draws are identical.  Every call re-keys
-        the same generator, which invalidates what an earlier call returned.
-        """
-        if self._rng is None:
-            bit_generator = np.random.Philox(key=self.seed)
-            self._rng = np.random.Generator(bit_generator)
-            self._state = bit_generator.state
-        index = int(index)
-        self._state["state"]["counter"][2:] = (index & _U64, index >> 64)
-        self._rng.bit_generator.state = self._state
-        return self._rng
+        return np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(self.seed, spawn_key=(int(index),))))
 
 
 def default_dt(p: ModelParams) -> float:
@@ -233,14 +223,17 @@ class _Stepper:
     step() is the only arithmetic path of a step, shared by em_step and
     simulate.
 
-    noise receives the step's standard normal draws before each step: the
+    Each step takes its standard normal draws as a (rows, n) array: the
     voltage row, then the adaptation row when adaptation noise is on.
+    simulate passes views of a chunk its producer thread filled, em_step
+    one array drawn from its generator.  incr and last hold the scaled
+    increments of the current and the previous step; each step swaps them,
+    so the previous drifts stay for finite_sums at no cost.
     """
 
     def __init__(self, p: ModelParams, dt: float, n: int):
         self.p, self.dt = p, dt
-        rows = 2 if p.adaptation_noise else 1
-        self.noise = np.empty((rows, n))
+        self.rows = rows = 2 if p.adaptation_noise else 1
         ratio = dt / p.epsilon
         self.decay = math.exp(-ratio)  # e
         self.damped = -math.expm1(-ratio)  # 1 - e
@@ -250,12 +243,14 @@ class _Stepper:
                                      [math.sqrt(2.0 * p.epsilon * dt)]])[:rows]
         self.mean_drift = dt - p.epsilon * self.damped  # h - phi
         self.mean_noise = p.sigma * math.sqrt(2.0 * dt) - ou_noise  # B - A
-        self.incr = np.empty((2, n))
+        self.incr = np.zeros((2, n))
+        self.last = np.zeros((2, n))
         self.work = np.empty(n)
 
-    def step(self, s: np.ndarray, vbar: float) -> None:
+    def step(self, s: np.ndarray, vbar: float, noise: np.ndarray) -> None:
         """Advance s = (v, x) by one step in place, with vbar the mean of
-        the pre-step voltages.
+        the pre-step voltages and noise the step's draws, which are scaled
+        in place.
 
         With h the step, e = exp(-h/eps), phi = eps (1 - e), f the non-stiff
         drift -N0(v) + i_ext - x, xi the voltage draws, A and B the noise
@@ -269,7 +264,8 @@ class _Stepper:
         the exact Ornstein-Uhlenbeck step.  The drift's operations are those
         of core.voltage_drift without its coupling term.
         """
-        p, work, noise = self.p, self.work, self.noise
+        self.incr, self.last = self.last, self.incr
+        p, work = self.p, self.work
         v, x = s
         drift, relax = self.incr
         if p.truncation is None:
@@ -299,9 +295,11 @@ class _Stepper:
 
         Any non-finite entry raises BlowUpError naming t and the first
         neuron whose drift, else whose state, is not finite: the mean
-        carries a non-finite drift to every neuron within the step.  Finite
-        sums imply finite entries, so the entry-wise test only runs when a
-        sum is not finite.
+        carries a non-finite drift to every neuron within the step.  When
+        every drift is non-finite, the mean carried one neuron's large drift
+        to all of them a step earlier, and the neuron named is the one with
+        the largest previous drift.  Finite sums imply finite entries, so
+        the entry-wise test only runs when a sum is not finite.
         """
         sums = np.add.reduce(s, axis=1)
         if math.isfinite(sums[0]) and math.isfinite(sums[1]):
@@ -309,7 +307,10 @@ class _Stepper:
         finite = np.isfinite(s).all(axis=0)
         if not finite.all():
             drift_finite = np.isfinite(self.incr[0])
-            bad = int(np.argmin(finite if drift_finite.all() else drift_finite))
+            if drift_finite.any():
+                bad = int(np.argmin(finite if drift_finite.all() else drift_finite))
+            else:
+                bad = int(np.argmax(np.abs(self.last[0])))
             raise BlowUpError(
                 f"non-finite state at t={t:.6g}, neuron {bad} "
                 f"(dt={self.dt:.3g}; reduce dt)", t=t, index=bad)
@@ -326,10 +327,9 @@ def em_step(state: EnsembleState, p: ModelParams, cfg: SimConfig,
     dt = cfg.dt if cfg.dt is not None else default_dt(p)
     s = np.stack((state.v, state.x))
     stepper = _Stepper(p, dt, state.n)
-    for draws in stepper.noise:
-        draws[...] = rng.standard_normal(state.n)
+    noise = np.array([rng.standard_normal(state.n) for _ in range(stepper.rows)])
     with np.errstate(over="ignore", invalid="ignore"):
-        stepper.step(s, coupling_mean(state.v))
+        stepper.step(s, coupling_mean(state.v), noise)
         t_new = state.t + dt
         stepper.finite_sums(s, t_new)
     return EnsembleState(t=t_new, v=s[0], x=s[1])
@@ -339,11 +339,17 @@ def simulate(cfg: SimConfig, p: ModelParams, init: InitCondition) -> TrajectoryR
     """Integrate to t_end, recording statistics every record_stride steps
     (the initial and final states are always recorded).  The step is
     core.time_steps of t_end and cfg.dt (or default_dt).  The final ensemble
-    is attached for warm restarts and sample-level diagnostics."""
+    is attached for warm restarts and sample-level diagnostics.
+
+    A producer thread draws block 1 of the seed's NoiseStream into two
+    preallocated chunk buffers in turn, one chunk ahead of the steps; it
+    only ever calls that block's generator.  The thread is joined on every
+    exit, and an error it raises is raised here.
+    """
     n_steps, dt = time_steps(cfg.t_end, cfg.dt if cfg.dt is not None else default_dt(p))
     stride = cfg.record_stride
     stream = NoiseStream(cfg.seed)
-    state = sample_initial(init, cfg.n, p, stream.rekeyed(0))
+    state = sample_initial(init, cfg.n, p, stream.block(0))
 
     s = np.stack((state.v, state.x))
     n = s.shape[1]
@@ -362,25 +368,58 @@ def simulate(cfg: SimConfig, p: ModelParams, init: InitCondition) -> TrajectoryR
         ordered.sort(axis=1)
         quants[:, row] = _interpolate(ordered, plan)
 
+    rng = stream.block(1)
+    per_chunk = max(1, CHUNK_DRAWS // (stepper.rows * n))  # steps
+    n_chunks = -(-n_steps // per_chunk)
+    buffers = [np.empty((min(per_chunk, n_steps), stepper.rows, n)) for _ in range(2)]
+    requests, filled = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def produce() -> None:
+        """Fill each requested chunk in turn, until a request of None."""
+        while (chunk := requests.get()) is not None:
+            try:
+                filled.put(rng.standard_normal(out=chunk))
+            except BaseException as err:  # simulate raises it again
+                filled.put(err)
+                return
+
+    def request(i: int) -> None:
+        """Ask for the draws of chunk i, into the buffer chunk i - 2 used."""
+        requests.put(buffers[i % 2][:min(per_chunk, n_steps - i * per_chunk)])
+
+    producer = threading.Thread(target=produce, name="noise-producer")
     sums = np.add.reduce(s, axis=1)
     record(0, sums)
     row = 1
     t = 0.0
     try:
+        if n_chunks:
+            producer.start()
+        for i in range(min(2, n_chunks)):
+            request(i)
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, n_steps + 1):
-                stream.rekeyed(k).standard_normal(out=stepper.noise)
-                stepper.step(s, sums[0] / n)
-                t = cfg.t_end if k == n_steps else k * dt
-                sums = stepper.finite_sums(s, t)
-                if k % stride == 0 or k == n_steps:
-                    times[row] = t
-                    record(row, sums)
-                    row += 1
+            for i in range(n_chunks):
+                noise = filled.get()
+                if isinstance(noise, BaseException):
+                    raise noise
+                for k, draws in enumerate(noise, start=i * per_chunk + 1):
+                    stepper.step(s, sums[0] / n, draws)
+                    t = cfg.t_end if k == n_steps else k * dt
+                    sums = stepper.finite_sums(s, t)
+                    if k % stride == 0 or k == n_steps:
+                        times[row] = t
+                        record(row, sums)
+                        row += 1
+                if i + 2 < n_chunks:
+                    request(i + 2)
     except BlowUpError as err:
         raise BlowUpError(
             f"{err} [n={cfg.n}, seed={cfg.seed}, t_end={cfg.t_end}]",
             t=err.t, index=err.index) from None
+    finally:
+        if producer.is_alive():
+            requests.put(None)
+            producer.join()
 
     return TrajectoryRecord(
         t=times, mean_v=stats[0], mean_x=stats[1], var_v=stats[2],

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from fhn_meanfield.core import (BlowUpError, EnsembleState, InitCondition,
                                 ModelParams, nonlinearity, sample_initial)
 from fhn_meanfield.limit_ode import LimitState, equilibria, rk4_integrate
+from fhn_meanfield import particle
 from fhn_meanfield.particle import (NoiseStream, SimConfig, coupling_mean,
                                     default_dt, em_step, empirical_moments,
                                     quantiles, simulate)
@@ -261,17 +265,12 @@ def _reference_row(v, x, qs):
             np.quantile(v, qs), np.quantile(x, qs))
 
 
-@pytest.mark.parametrize("params, n, t_end, stride", [
-    (dict(epsilon=0.05), 64, 0.05, 7),
-    (dict(epsilon=0.05, adaptation_noise=False), 33, 0.03, 4),
-    (dict(epsilon=0.05, truncation=1.5), 40, 0.032, 5),
-    (dict(epsilon=0.02), 1, 0.02, 3),
-    (dict(a=0.3, b=3.0, i_ext=10.0, epsilon=0.01), 300, 0.05, 10),
-])
-def test_simulate_matches_plain_loop_bitwise(params, n, t_end, stride):
+def _check_against_plain_loop(params, n, t_end, stride, seed):
+    """simulate against the plain loop and against em_step, each driven by
+    its own block(1) generator of the seed, draw for draw in step order."""
     p = ModelParams(**params)
     dt = 1e-3
-    cfg = SimConfig(n=n, t_end=t_end, dt=dt, seed=21, record_stride=stride)
+    cfg = SimConfig(n=n, t_end=t_end, dt=dt, seed=seed, record_stride=stride)
     init = InitCondition(mean_v=1.2, mean_x=0.4, concentration=0.3)
     rec = simulate(cfg, p, init)
 
@@ -279,11 +278,12 @@ def test_simulate_matches_plain_loop_bitwise(params, n, t_end, stride):
     state = sample_initial(init, n, p, stream.block(0))
     stepped = state
     v, x, t = state.v, state.x, 0.0
+    loop_rng, em_rng = stream.block(1), stream.block(1)
     times, rows = [0.0], [_reference_row(v, x, cfg.quantile_fractions)]
     n_steps = round(t_end / dt)  # dt divides every t_end here, so it is kept
     for k in range(n_steps):
-        v, x, _ = _reference_step(v, x, p, dt, stream.block(k + 1))
-        stepped = em_step(stepped, p, cfg, stream.block(k + 1))
+        v, x, _ = _reference_step(v, x, p, dt, loop_rng)
+        stepped = em_step(stepped, p, cfg, em_rng)
         assert np.array_equal(stepped.v, v) and np.array_equal(stepped.x, x)
         # step k ends at (k + 1) dt, the last one at t_end exactly
         t = t_end if k + 1 == n_steps else (k + 1) * dt
@@ -304,18 +304,40 @@ def test_simulate_matches_plain_loop_bitwise(params, n, t_end, stride):
     assert stepped.t == pytest.approx(t_end)  # em_step adds dt to its state's clock
 
 
-def test_rekeyed_generator_draws_equal_fresh_blocks():
-    stream = NoiseStream(2 ** 70 + 5)
-    for k in (0, 1, 2, 17, 6500, 2 ** 40, 2 ** 64 + 3):
-        rng = stream.rekeyed(k)
-        got = (rng.standard_normal(301), rng.integers(0, 2 ** 32, 3, dtype=np.uint32),
-               rng.standard_normal(7))
-        fresh = stream.block(k)
-        want = (fresh.standard_normal(301), fresh.integers(0, 2 ** 32, 3, dtype=np.uint32),
-                fresh.standard_normal(7))
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-    assert stream.rekeyed(3) is stream.rekeyed(4)
+@pytest.mark.parametrize("params, n, t_end, stride", [
+    (dict(epsilon=0.05), 64, 0.05, 7),
+    (dict(epsilon=0.05, adaptation_noise=False), 33, 0.03, 4),
+    (dict(epsilon=0.05, truncation=1.5), 40, 0.032, 5),
+    (dict(epsilon=0.02), 1, 0.02, 3),
+    # 50 steps of 600 draws, less than one chunk of CHUNK_DRAWS = 2**16
+    (dict(a=0.3, b=3.0, i_ext=10.0, epsilon=0.01), 300, 0.05, 10),
+    # 16 steps of 4000 draws a chunk: three full chunks and a part
+    (dict(epsilon=0.05), 2000, 0.05, 9),
+    # a step of 66 000 draws is more than CHUNK_DRAWS: one step a chunk
+    (dict(epsilon=0.05), 33_000, 0.005, 2),
+])
+def test_simulate_matches_plain_loop_bitwise(params, n, t_end, stride):
+    _check_against_plain_loop(params, n, t_end, stride, seed=21)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 70 + 5])
+def test_simulate_matches_plain_loop_bitwise_for_any_cli_seed(seed):
+    # the CLI takes any integer seed; the stream keys on its low 128 bits
+    _check_against_plain_loop(dict(epsilon=0.05), 64, 0.05, 7, seed)
+
+
+def test_noise_block_draws_do_not_depend_on_chunk_size():
+    for seed in (2 ** 70 + 5, -1):
+        stream = NoiseStream(seed)
+        for k in (0, 1, 2, 2 ** 64 + 3):
+            whole = stream.block(k).standard_normal(1000)
+            rng = stream.block(k)
+            chunked = np.empty((1000,))
+            for lo, hi in ((0, 1), (1, 8), (8, 308), (308, 1000)):
+                rng.standard_normal(out=chunked[lo:hi])
+            assert np.array_equal(chunked, whole)
+            rows = stream.block(k).standard_normal((10, 2, 50))
+            assert np.array_equal(rows.ravel(), whole)
 
 
 def test_recorded_quantiles_equal_numpy_quantile():
@@ -361,6 +383,111 @@ def test_simulate_blowup_reports_plain_loop_time_and_index():
     assert info.value.t == t and info.value.index == bad
     assert f"neuron {bad}" in str(info.value)
     assert f"[n={n}, seed=1, t_end=100.0]" in str(info.value)
+
+
+def test_blowup_building_over_several_steps_names_the_outlier():
+    # the mean carries the outlier's growing drift to every neuron, so all
+    # drifts overflow in the same step; the culprit had the largest drift
+    # one step before
+    n = 64
+    v0 = 0.1 * np.random.default_rng(3).standard_normal(n)
+    named = []
+    for v_out in (5.0, 8.0):
+        v0[37] = v_out
+        init = InitCondition(kind="custom", sampler=lambda n, rng: (v0, np.zeros(n)))
+        for eps in (1.0, 0.1, 0.01):
+            p = ModelParams(epsilon=eps, sigma=0.0, adaptation_noise=False)
+            for dt in (0.1, 0.2, 0.3, 0.5):
+                try:
+                    simulate(SimConfig(n=n, t_end=10.0, dt=dt, seed=1), p, init)
+                except BlowUpError as err:
+                    named.append(err.index)
+    assert named == [37] * 10
+
+
+def test_simulate_joins_the_producer_on_blowup_and_interrupt(monkeypatch):
+    # both runs stop while the producer has chunks in hand: 32 steps of
+    # 2000 draws a chunk without adaptation noise, 16 with it
+    before = threading.active_count()
+    p = ModelParams(epsilon=0.3, sigma=0.0, adaptation_noise=False)
+    v0 = np.zeros(2000)
+    v0[37] = 6.0  # blows up within 10 steps
+    init = InitCondition(kind="custom", sampler=lambda n, rng: (v0, np.zeros(n)))
+    with pytest.raises(BlowUpError):
+        simulate(SimConfig(n=2000, t_end=100.0, dt=0.2, seed=1), p, init)
+    assert threading.active_count() == before
+
+    finite_sums = particle._Stepper.finite_sums
+    calls = []
+
+    def interrupted(self, s, t):
+        calls.append(t)
+        if len(calls) == 20:
+            raise KeyboardInterrupt
+        return finite_sums(self, s, t)
+
+    monkeypatch.setattr(particle._Stepper, "finite_sums", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        simulate(SimConfig(n=2000, t_end=1.0, dt=0.01, seed=3), ModelParams(), InitCondition())
+    assert threading.active_count() == before
+
+
+class _FailingDraws:
+    """Generator stand-in whose second fill raises."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.fills = 0
+
+    def standard_normal(self, out):
+        self.fills += 1
+        if self.fills == 2:
+            raise RuntimeError("noise source failed")
+        return self.rng.standard_normal(out=out)
+
+
+def test_producer_error_surfaces_from_simulate(monkeypatch):
+    block = NoiseStream.block
+    monkeypatch.setattr(NoiseStream, "block", lambda self, index: (
+        block(self, index) if index == 0 else _FailingDraws(block(self, index))))
+    raised = []
+
+    def run():
+        try:
+            simulate(SimConfig(n=2000, t_end=1.0, dt=0.01, seed=3), ModelParams(),
+                     InitCondition())
+        except RuntimeError as err:
+            raised.append(err)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [str(err) for err in raised] == ["noise source failed"]
+
+
+def test_simulate_is_bitwise_deterministic_under_thread_contention():
+    # three runs at once, each with its producer, on a short switch interval:
+    # every run equals a run made alone, whatever the scheduling
+    cfg = SimConfig(n=2000, t_end=1.0, dt=0.01, seed=11, record_stride=10)
+    p, init = ModelParams(epsilon=0.05), InitCondition()
+    alone = simulate(cfg, p, init)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [threading.Thread(target=lambda: results.append(simulate(cfg, p, init)))
+                for _ in range(3)]
+        for run in runs:
+            run.start()
+        for run in runs:
+            run.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(run.is_alive() for run in runs) and len(results) == 3
+    for rec in results:
+        assert np.array_equal(rec.final_state.v, alone.final_state.v)
+        assert np.array_equal(rec.var_x, alone.var_x)
 
 
 def test_fourth_moment_matches_numpy_power():
