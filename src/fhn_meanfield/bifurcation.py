@@ -35,9 +35,8 @@ DEGENERACY_TOL = 1e-9  # about 1000x double-precision noise at these magnitudes
 
 # Poincare-section cycle detection
 CYCLE_DT = 0.01  # RK4 step
-CYCLE_TRANSIENT = 200.0  # time integrated before crossings are counted
-CYCLE_MIN_RETURNS = 5  # returns averaged into the period
-CYCLE_SPREAD_TOL = 0.01  # largest relative spread of those returns
+CYCLE_MIN_RETURNS = 5  # laps whose return times are averaged into the period
+CYCLE_SPREAD_TOL = 0.01  # largest relative spread of their return times and v-ranges
 CYCLE_CONVERGENCE_TOL = 1e-8  # displacement over one time unit of a settled state
 
 
@@ -160,68 +159,80 @@ def detect_limit_cycle(p: ModelParams, s0: LimitState, *,
                        max_time: float = 2000.0) -> LimitCycle | None:
     """Poincare-section cycle detection on the limit system.
 
-    Integrates past CYCLE_TRANSIENT, then watches upward crossings of the
-    section v = v* (the unique equilibrium; with several equilibria the
-    running midline of the trajectory is used).  Returns the mean return
-    time over the last CYCLE_MIN_RETURNS returns once their relative spread
-    is below CYCLE_SPREAD_TOL, or None if the state stops moving
-    (displacement below CYCLE_CONVERGENCE_TOL over one time unit).
-    Exhausting max_time without either outcome raises CycleDetectionError.
+    Integrates from s0 by RK4 at CYCLE_DT and watches upward crossings of
+    the section v = v* (the unique equilibrium).  With several equilibria
+    the section is the running midline instead, the middle of the v-range
+    since s0; it moves only when that middle has drifted by more than
+    CYCLE_SPREAD_TOL of the range, and the laps counted so far are then
+    dropped.  Each lap between two crossings has a return time and a
+    v-range v_max - v_min.  Once the last CYCLE_MIN_RETURNS laps agree in
+    both, each to a relative spread below CYCLE_SPREAD_TOL, returns their
+    mean return time and the v_min and v_max of the last lap.  Agreeing
+    ranges rule out a weakly damped focus, whose return times agree while
+    its laps shrink.  Returns None if the state stops moving (displacement
+    below CYCLE_CONVERGENCE_TOL over one time unit, probed every 26 units).
+    Raises CycleDetectionError if neither happens within max_time time
+    units of s0; no step goes past max_time.
     """
     dt = CYCLE_DT
     eqs = equilibria(p)
-    section = eqs[0][0] if len(eqs) == 1 else None
+    midline = len(eqs) > 1
+    n_steps = int(max_time / dt + 1e-9)  # whole steps within max_time
+    probe_steps = int(round(1.0 / dt))
+    chunk_steps = int(round(26.0 / dt))  # a stationarity probe opens every chunk
 
     alpha, beta = s0.alpha, s0.beta
-    for _ in range(int(round(CYCLE_TRANSIENT / dt))):
-        alpha, beta = rk4_step(alpha, beta, p, dt)
-    t = CYCLE_TRANSIENT
-
-    probe_steps = int(round(1.0 / dt))
-    chunk_steps = int(round(25.0 / dt))
-    crossings: list[float] = []
-    v_lo, v_hi = alpha, alpha
-    while t < CYCLE_TRANSIENT + max_time:
-        # stationarity probe over one time unit
+    section = alpha if midline else eqs[0][0]
+    lo = hi = alpha  # v-range of the lap in progress
+    v_lo = v_hi = alpha  # v-range since s0, up to the last crossing
+    returns: list[float] = []  # return time of each lap
+    ranges: list[float] = []  # v-range of each lap
+    last_cross = None
+    for start in range(0, n_steps, chunk_steps):
+        if midline:
+            v_lo, v_hi = min(v_lo, lo), max(v_hi, hi)
+            mid = 0.5 * (v_lo + v_hi)
+            if abs(mid - section) > CYCLE_SPREAD_TOL * (v_hi - v_lo):
+                section, last_cross = mid, None
+                returns.clear()
+                ranges.clear()
         ref_a, ref_b = alpha, beta
+        probe_end = start + probe_steps
         moved = 0.0
-        for _ in range(probe_steps):
-            alpha, beta = rk4_step(alpha, beta, p, dt)
-            moved = max(moved, math.hypot(alpha - ref_a, beta - ref_b))
-        t += 1.0
-        if moved < CYCLE_CONVERGENCE_TOL:
-            return None
-
-        if section is None:
-            section = 0.5 * (v_lo + v_hi) if crossings else alpha
-
         prev = alpha
-        for k in range(chunk_steps):
+        for k in range(start, min(start + chunk_steps, n_steps)):
             alpha, beta = rk4_step(alpha, beta, p, dt)
-            v_lo = min(v_lo, alpha)
-            v_hi = max(v_hi, alpha)
+            if k < probe_end:
+                moved = max(moved, math.hypot(alpha - ref_a, beta - ref_b))
+                if k == probe_end - 1 and moved < CYCLE_CONVERGENCE_TOL:
+                    return None
+            if alpha < lo:
+                lo = alpha
+            elif alpha > hi:
+                hi = alpha
             if prev < section <= alpha:
-                frac = (section - prev) / (alpha - prev)
-                crossings.append(t + (k + frac) * dt)
+                cross = (k + (section - prev) / (alpha - prev)) * dt
+                if last_cross is not None:
+                    returns.append(cross - last_cross)
+                    ranges.append(hi - lo)
+                    recent = returns[-CYCLE_MIN_RETURNS:]
+                    if (len(recent) == CYCLE_MIN_RETURNS and _agree(recent)
+                            and _agree(ranges[-CYCLE_MIN_RETURNS:])):
+                        return LimitCycle(period=sum(recent) / CYCLE_MIN_RETURNS,
+                                          v_min=lo, v_max=hi)
+                last_cross = cross
+                v_lo, v_hi = min(v_lo, lo), max(v_hi, hi)
+                lo = hi = alpha
             prev = alpha
-        t += chunk_steps * dt
-
-        if len(crossings) >= CYCLE_MIN_RETURNS + 1:
-            recent = crossings[-(CYCLE_MIN_RETURNS + 1):]
-            gaps = [b - a for a, b in zip(recent[:-1], recent[1:])]
-            mean = sum(gaps) / len(gaps)
-            if mean > 0 and (max(gaps) - min(gaps)) / mean < CYCLE_SPREAD_TOL:
-                # one more lap for the amplitude bounds
-                lo, hi = alpha, alpha
-                for _ in range(int(round(mean / dt)) + 1):
-                    alpha, beta = rk4_step(alpha, beta, p, dt)
-                    lo = min(lo, alpha)
-                    hi = max(hi, alpha)
-                return LimitCycle(period=mean, v_min=lo, v_max=hi)
 
     raise CycleDetectionError(
         f"no convergence and no settled cycle within {max_time} time units "
-        f"(crossings seen: {len(crossings)})")
+        f"(laps seen: {len(returns)})")
+
+
+def _agree(values: list[float]) -> bool:
+    """Whether positive values spread by less than CYCLE_SPREAD_TOL of their mean."""
+    return max(values) - min(values) < CYCLE_SPREAD_TOL * sum(values) / len(values)
 
 
 def report_to_dict(report: BifurcationReport) -> dict:

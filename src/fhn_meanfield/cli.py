@@ -547,7 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("detect-cycle", help="Poincare-section cycle detection")
     _add_config_flags(sp, _RUN_SECTIONS)
-    sp.add_argument("--max-time", dest="max_time", type=float, default=2000.0)
+    sp.add_argument("--max-time", dest="max_time", type=float, default=2000.0,
+                    help="time units integrated from the start point before giving "
+                         "up with exit code 4; finite and > 0 (default 2000)")
     sp.set_defaults(func=_cmd_detect_cycle)
 
     sp = sub.add_parser("compare", help="network vs density solver vs limit system")

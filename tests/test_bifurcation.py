@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhn_meanfield.bifurcation import (BISTABLE, DEGENERATE_SADDLE_NODE,
+from fhn_meanfield import bifurcation
+from fhn_meanfield.bifurcation import (BISTABLE, CYCLE_DT, DEGENERATE_SADDLE_NODE,
                                        MONOSTABLE_STABLE, OSCILLATORY,
-                                       classify, detect_limit_cycle,
-                                       discriminant, trace_at)
+                                       CycleDetectionError, classify,
+                                       detect_limit_cycle, discriminant, trace_at)
 from fhn_meanfield.core import ModelParams
-from fhn_meanfield.limit_ode import LimitState, equilibria, limit_rhs
+from fhn_meanfield.limit_ode import (LimitState, equilibria, limit_rhs, rk4_integrate,
+                                     rk4_step)
 
 params_strategy = st.builds(
     ModelParams,
@@ -188,16 +190,76 @@ def test_detect_cycle_converges_to_none_in_stable_regimes():
     assert out2 is None
 
 
-def test_detect_cycle_period_reproducible_across_starts():
-    p = ModelParams(a=0.01, b=0.1, lam=4.0, i_ext=6.0)
+def _reference_lap(p, s0, t_end, section):
+    """Return time and v-range of the last whole lap between upward
+    crossings of v = section by RK4 at a quarter of CYCLE_DT."""
+    tr = rk4_integrate(s0, p, CYCLE_DT / 4, t_end)
+    up = np.flatnonzero((tr.alpha[:-1] < section) & (tr.alpha[1:] >= section))
+    frac = (section - tr.alpha[up]) / (tr.alpha[up + 1] - tr.alpha[up])
+    cross = tr.t[up] + frac * (tr.t[up + 1] - tr.t[up])
+    lap = tr.alpha[up[-2] + 1:up[-1] + 1]
+    return cross[-1] - cross[-2], lap.min(), lap.max()
+
+
+@pytest.mark.parametrize("a, b, lam, i_ext, t_end", [
+    (0.2, 2.0, 4.0, 8.0, 150.0),     # period about 7
+    (0.1, 1.0, 4.0, 10.0, 250.0),    # about 11.5
+    (0.01, 0.1, 4.0, 6.0, 1000.0),   # about 112
+])
+def test_detect_cycle_matches_a_finer_rk4_lap(a, b, lam, i_ext, t_end):
+    p = ModelParams(a=a, b=b, lam=lam, i_ext=i_ext)
     assert classify(p).regime == OSCILLATORY
     (v, x), = equilibria(p)
-    c1 = detect_limit_cycle(p, LimitState(0.0, v + 0.5, x))
+    s0 = LimitState(0.0, v + 0.5, x)
+    period, v_min, v_max = _reference_lap(p, s0, t_end, v)
+    c1 = detect_limit_cycle(p, s0)
     c2 = detect_limit_cycle(p, LimitState(0.0, 0.0, 0.0))
-    assert c1 is not None and c2 is not None
-    assert c1.period > 0
-    assert c1.period == pytest.approx(c2.period, rel=1e-3)
+    assert c1.period == pytest.approx(period, rel=1e-6)
+    assert c2.period == pytest.approx(c1.period, rel=1e-6)
     assert c1.v_min < v < c1.v_max
+    assert c1.v_min == pytest.approx(v_min, abs=1e-3)
+    assert c1.v_max == pytest.approx(v_max, abs=1e-3)
+
+
+@pytest.mark.parametrize("i_ext", [5.4, 5.5])
+def test_detect_cycle_finds_no_cycle_at_a_weakly_damped_focus(i_ext):
+    # return times of a slowly shrinking spiral agree long before it settles
+    p = ModelParams(a=0.01, b=0.1, lam=4.0, i_ext=i_ext)
+    rep = classify(p)
+    assert rep.regime == MONOSTABLE_STABLE and -0.11 < rep.equilibria[0].trace < 0
+    e = rep.equilibria[0]
+    assert detect_limit_cycle(p, LimitState(0.0, e.v + 0.5, e.x)) is None
+
+
+def test_detect_cycle_around_three_equilibria_from_each_of_them():
+    # the section is the running midline; any level the cycle crosses
+    # gives the same return time
+    p = ModelParams(a=0.03, b=0.09, lam=4.0, i_ext=2.5)
+    eqs = equilibria(p)
+    assert len(eqs) == 3
+    period, v_min, v_max = _reference_lap(
+        p, LimitState(0.0, eqs[0][0] + 0.5, eqs[0][1]), 900.0, eqs[1][0])
+    for v, x in eqs:
+        cycle = detect_limit_cycle(p, LimitState(0.0, v + 0.5, x))
+        assert cycle.period == pytest.approx(period, rel=1e-6)
+        assert cycle.v_min == pytest.approx(v_min, abs=1e-3)
+        assert cycle.v_max == pytest.approx(v_max, abs=1e-3)
+
+
+def test_detect_cycle_never_steps_past_max_time(monkeypatch):
+    # the period-112 cycle cannot settle in 30 time units
+    p = ModelParams(a=0.01, b=0.1, lam=4.0, i_ext=6.0)
+    (v, x), = equilibria(p)
+    steps = []
+
+    def counted(*args):
+        steps.append(None)
+        return rk4_step(*args)
+
+    monkeypatch.setattr(bifurcation, "rk4_step", counted)
+    with pytest.raises(CycleDetectionError):
+        detect_limit_cycle(p, LimitState(0.0, v + 0.5, x), max_time=30.0)
+    assert 0 < len(steps) <= round(30.0 / CYCLE_DT)
 
 
 def test_discriminant_requires_positive_a():

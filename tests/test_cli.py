@@ -242,6 +242,16 @@ def test_detect_cycle_stable_returns_null(capsys):
     assert payload["cycle"] is None
 
 
+@pytest.mark.parametrize("i_ext", ["5.4", "5.5"])
+def test_detect_cycle_reports_no_cycle_at_a_weakly_damped_focus(capsys, i_ext):
+    code = run(["detect-cycle", "--a", "0.01", "--b", "0.1", "--lambda", "4",
+                "--i-ext", i_ext])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["regime"] == "MonostableStable"
+    assert payload["cycle"] is None
+
+
 def test_detect_cycle_starts_from_any_init_source(tmp_path, capsys):
     bistable = ["detect-cycle", "--a", "0.3", "--b", "0.1", "--i-ext", "0.0"]
     ini = tmp_path / "init.ini"
