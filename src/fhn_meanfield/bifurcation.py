@@ -10,9 +10,13 @@ its stability:
 
     T(v*) = -3 v*^2 + 2 (1+lam) v* - lam - a.
 
-Delta > 0 gives two stable and one unstable equilibrium; Delta < 0 a single
+Delta > 0 gives three equilibria, the regime Bistable; Delta < 0 a single
 equilibrium, stable for T < 0 and surrounded by an attracting cycle for
-T > 0.  A saddle-node sits at Delta = 0 and a Hopf point at T = 0.  Note the
+T > 0.  A saddle-node sits at Delta = 0 and a Hopf point at T = 0.  The
+regime goes by the discriminant's sign alone, so Bistable counts equilibria
+and does not promise that two of them are stable: at (a, b, lam, I) =
+(0.03, 0.09, 4, 2.5) all three are unstable inside a cycle of period 136.5.
+Each equilibrium's label carries its own stability.  Note the
 -a in T: it is the trace of [[-N0'(v*), -1], [b, -a]], the linearization of
 the limit system with relaxing adaptation.
 """

@@ -24,12 +24,13 @@ import numpy as np
 from . import __version__
 from . import presets as presets_mod
 from .bifurcation import CycleDetectionError, classify, detect_limit_cycle, report_to_dict
-from .core import GAUSSIAN_CLUSTER, BlowUpError, InitCondition, ModelParams, time_steps
+from .core import (GAUSSIAN_CLUSTER, BlowUpError, InitCondition, ModelParams,
+                   check_concentration, time_steps)
 from .diagnostics import (compare as diag_compare, log_density_profile,
                           theoretical_profile, write_comparison_csv,
                           write_profile_csv)
-from .fokker_planck import (CflError, Grid, SchemeError, gaussian_field,
-                            save_snapshot, solve, write_series_csv)
+from .fokker_planck import (CflError, Grid, SchemeError, check_density_params,
+                            gaussian_field, save_snapshot, solve, write_series_csv)
 from .limit_ode import LimitState, rk4_integrate
 from .particle import SimConfig, TrajectoryRecord, simulate
 from .presets import PresetRun
@@ -64,39 +65,48 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise ConfigError(f"expected a list of numbers, got {text!r}") from err
 
 
-# Every configuration key, as (INI section, INI key, field, parser).  The
-# field is an attribute of the section's dataclass (ModelParams, SimConfig,
-# Grid, InitCondition), or of ExperimentConfig for the keys it holds itself:
-# [output] and [grid] snapshot_stride.  INI values and flag values go through
-# the same parser.
+# The model of each subcommand: network, pde, ode, classify, cycle
+# (detect-cycle) and compare.  The particle network runs in network and
+# compare, the density solver in pde and compare.
+_ALL = ("network", "pde", "ode", "classify", "cycle", "compare")
+_RUNS = ("network", "pde", "ode", "compare")
+_ENSEMBLE = ("network", "compare")
+_DENSITY = ("pde", "compare")
+
+# Every configuration key, as (INI section, INI key, field, parser, models
+# that read it).  The field is an attribute of the section's dataclass
+# (ModelParams, SimConfig, Grid, InitCondition), or of ExperimentConfig for
+# the keys it holds itself: [output] and [grid] snapshot_stride.  INI values
+# and flag values go through the same parser.  A subcommand has a flag for,
+# and its summary echoes, exactly the keys its model reads.
 _KEYS = (
-    ("params", "a", "a", float),
-    ("params", "b", "b", float),
-    ("params", "lambda", "lam", float),
-    ("params", "i_ext", "i_ext", float),
-    ("params", "sigma", "sigma", float),
-    ("params", "epsilon", "epsilon", float),
-    ("params", "adaptation_noise", "adaptation_noise", _parse_bool),
-    ("params", "truncation", "truncation", float),
-    ("sim", "n", "n", int),
-    ("sim", "dt", "dt", float),
-    ("sim", "t_end", "t_end", float),
-    ("sim", "seed", "seed", int),
-    ("sim", "record_stride", "record_stride", int),
-    ("sim", "quantiles", "quantile_fractions", _parse_floats),
-    ("grid", "v_min", "v_min", float),
-    ("grid", "v_max", "v_max", float),
-    ("grid", "x_min", "x_min", float),
-    ("grid", "x_max", "x_max", float),
-    ("grid", "nv", "nv", int),
-    ("grid", "nx", "nx", int),
-    ("grid", "snapshot_stride", "snapshot_stride", int),
-    ("init", "kind", "kind", str),
-    ("init", "mean_v", "mean_v", float),
-    ("init", "mean_x", "mean_x", float),
-    ("init", "concentration", "concentration", float),
-    ("output", "directory", "out_dir", Path),
-    ("output", "label", "label", str),
+    ("params", "a", "a", float, _ALL),
+    ("params", "b", "b", float, _ALL),
+    ("params", "lambda", "lam", float, _ALL),
+    ("params", "i_ext", "i_ext", float, _ALL),
+    ("params", "sigma", "sigma", float, ("network",)),
+    ("params", "epsilon", "epsilon", float, ("network", *_DENSITY)),
+    ("params", "adaptation_noise", "adaptation_noise", _parse_bool, ("network",)),
+    ("params", "truncation", "truncation", float, (*_RUNS, "cycle")),
+    ("sim", "n", "n", int, _ENSEMBLE),
+    ("sim", "dt", "dt", float, _RUNS),
+    ("sim", "t_end", "t_end", float, _RUNS),
+    ("sim", "seed", "seed", int, _ENSEMBLE),
+    ("sim", "record_stride", "record_stride", int, _RUNS),
+    ("sim", "quantiles", "quantile_fractions", _parse_floats, ("network",)),
+    ("grid", "v_min", "v_min", float, _DENSITY),
+    ("grid", "v_max", "v_max", float, _DENSITY),
+    ("grid", "x_min", "x_min", float, _DENSITY),
+    ("grid", "x_max", "x_max", float, _DENSITY),
+    ("grid", "nv", "nv", int, _DENSITY),
+    ("grid", "nx", "nx", int, _DENSITY),
+    ("grid", "snapshot_stride", "snapshot_stride", int, ("pde",)),
+    ("init", "kind", "kind", str, ("network",)),
+    ("init", "mean_v", "mean_v", float, (*_RUNS, "cycle")),
+    ("init", "mean_x", "mean_x", float, (*_RUNS, "cycle")),
+    ("init", "concentration", "concentration", float, ("network", *_DENSITY)),
+    ("output", "directory", "out_dir", Path, _RUNS),
+    ("output", "label", "label", str, _RUNS),
 )
 
 # section -> title of its flag group
@@ -129,7 +139,7 @@ def load_config_file(path: str) -> dict:
     except configparser.Error as err:
         raise ConfigError(f"malformed config file {path}: {err}") from err
 
-    rows = {(section, key): (field, parse) for section, key, field, parse in _KEYS}
+    rows = {(section, key): (field, parse) for section, key, field, parse, _ in _KEYS}
     settings: dict = {}
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -168,11 +178,10 @@ class ExperimentConfig:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
 
     def to_dict(self) -> dict:
-        """The resolved configuration by INI section and key; [grid] only
-        for runs that have a grid."""
+        """The resolved keys that the model reads, by INI section and key."""
         d: dict = {"model": self.model, "preset": self.preset}
-        for section, key, field, _ in _KEYS:
-            if section == "grid" and self.grid is None:
+        for section, key, field, _, models in _KEYS:
+            if self.model not in models:
                 continue
             part = getattr(self, section, None)
             value = getattr(part if hasattr(part, field) else self, field)
@@ -206,8 +215,14 @@ def _select_preset(spec: str) -> tuple[str, PresetRun, tuple[str, ...]]:
 
 def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
     """The run's configuration: the preset's run (or the dataclass defaults),
-    then the INI config file, then flags.  A flag that args lacks or holds
-    as None is not set."""
+    then the INI config file, then flags.  The preset and the file may set
+    any key; flags are taken only for keys the model reads, and one that
+    args lacks or holds as None is not set.
+
+    The density solver (pde, compare) needs sigma = 1, adaptation noise on
+    and a gaussian cluster, and a sampled cluster (network, compare) a
+    concentration within sample_initial's bound, whichever of preset, file
+    or flag sets them; a ConfigError says otherwise before any output."""
     preset_name, notes = None, ()
     run = PresetRun(label="run", params=ModelParams(), init=InitCondition(),
                     sim=SimConfig(n=1000, t_end=10.0, record_stride=10))
@@ -217,9 +232,9 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
     if getattr(args, "config", None):
         for section, values in load_config_file(args.config).items():
             given[section].update(values)
-    for section, key, field, _ in _KEYS:
+    for section, key, field, _, models in _KEYS:
         value = getattr(args, _flag(section, key)[0], None)
-        if value is not None:
+        if value is not None and model in models:
             given[section][field] = value
     seeds = getattr(args, "seeds", None)
 
@@ -227,7 +242,7 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
         params = replace(run.params, **given["params"])
         init = replace(run.init, **given["init"])
         grid = snapshot_stride = None
-        if model in ("pde", "compare"):
+        if model in _DENSITY:
             snapshot_stride = given["grid"].pop("snapshot_stride", None)
             span = 3.0 * params.lam
             grid = Grid(**{"v_min": -span, "v_max": span, "x_min": -span,
@@ -239,10 +254,14 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
             label=given["output"].get("label", run.label), preset=preset_name,
             notes=notes, profile_diagnostics=run.profile_diagnostics,
             seeds=1 if seeds is None else seeds, snapshot_stride=snapshot_stride)
+        if model in _DENSITY:
+            check_density_params(params)
+            if init.kind != GAUSSIAN_CLUSTER:
+                raise ValueError("the density solver needs a gaussian initial cluster")
+        if model in _ENSEMBLE:
+            check_concentration(init, params)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    if grid is not None and init.kind != GAUSSIAN_CLUSTER:
-        raise ConfigError("the density solver needs a gaussian initial cluster")
     return cfg
 
 
@@ -275,19 +294,21 @@ def _write_summary(path, payload: dict) -> None:
 
 def _finish(cfg: ExperimentConfig, t0: float, report, results: dict, dt: float) -> dict:
     """Write <label>_summary.json: the resolved configuration with the step
-    dt the run took as [sim] dt, the runtime since t0, the closed-form
-    classification and the run's results."""
+    dt the run took as [sim] dt, the seed if the run reads one, the runtime
+    since t0, the closed-form classification and the run's results."""
     cfg = replace(cfg, sim=replace(cfg.sim, dt=dt))
+    config = cfg.to_dict()
     summary = {
         "version": __version__,
         "model": cfg.model,
-        "config": cfg.to_dict(),
-        "seed": cfg.sim.seed,
+        "config": config,
         "runtime_sec": time.perf_counter() - t0,
         "notes": list(cfg.notes),
         "classification": report_to_dict(report),
         "results": results,
     }
+    if "seed" in config["sim"]:
+        summary["seed"] = cfg.sim.seed
     _write_summary(cfg.out_dir / f"{cfg.label}_summary.json", summary)
     return summary
 
@@ -435,9 +456,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    cfg = resolve_config(args, "ode")
+    cfg = resolve_config(args, args.model)
     report = classify(cfg.params)
-    payload = {"version": __version__, "config": cfg.to_dict()["params"]}
+    payload = {"version": __version__, "config": cfg.to_dict()}
     payload.update(report_to_dict(report))
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
@@ -457,7 +478,7 @@ def _start_is_given(args) -> bool:
 def _cmd_detect_cycle(args) -> int:
     if not 0.0 < args.max_time < float("inf"):
         raise ConfigError(f"--max-time must be finite and > 0, got {args.max_time}")
-    cfg = resolve_config(args, "ode")
+    cfg = resolve_config(args, args.model)
     report = classify(cfg.params)
     if _start_is_given(args):
         s0 = LimitState(t=0.0, alpha=cfg.init.mean_v, beta=cfg.init.mean_x)
@@ -465,7 +486,7 @@ def _cmd_detect_cycle(args) -> int:
         e = report.equilibria[0]
         s0 = LimitState(t=0.0, alpha=e.v + 0.5, beta=e.x)
     cycle = detect_limit_cycle(cfg.params, s0, max_time=args.max_time)
-    payload = {"version": __version__, "config": cfg.to_dict()["params"]}
+    payload = {"version": __version__, "config": cfg.to_dict()}
     payload.update(report_to_dict(report))
     payload["cycle"] = None if cycle is None else {
         "period": cycle.period, "v_min": cycle.v_min, "v_max": cycle.v_max}
@@ -500,24 +521,27 @@ def _cmd_scenario(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-_RUN_SECTIONS = ("params", "sim", "init", "output")
-_GRID_SECTIONS = _RUN_SECTIONS + ("grid",)
-
-
-def _add_config_flags(sp, sections: tuple[str, ...]) -> None:
-    """--config, --preset and one flag per key of the given sections."""
+def _add_command(sub, name: str, model: str, func, text: str):
+    """Subcommand name with --config, --preset and one flag per key the
+    model reads."""
+    sp = sub.add_parser(name, help=text)
+    sp.set_defaults(func=func, model=model)
     sp.add_argument("--config", help="INI config file")
     sp.add_argument("--preset", help="preset name, or name:label for one run")
-    groups = {section: sp.add_argument_group(title)
-              for section, title in _SECTIONS.items() if section in sections}
-    groups["output"].description = (
-        f"files <label>_* go to --out (default ${ENV_OUT_DIR} or ./out)")
-    for section, key, _, parse in _KEYS:
-        if section in groups:
-            dest, names = _flag(section, key)
-            groups[section].add_argument(*names, dest=dest, type=parse,
-                                         metavar=_METAVARS.get(parse),
-                                         help=f"[{section}] {key}")
+    groups: dict = {}
+    for section, key, _, parse, models in _KEYS:
+        if model not in models:
+            continue
+        if section not in groups:
+            groups[section] = sp.add_argument_group(_SECTIONS[section])
+        dest, names = _flag(section, key)
+        groups[section].add_argument(*names, dest=dest, type=parse,
+                                     metavar=_METAVARS.get(parse),
+                                     help=f"[{section}] {key}")
+    if "output" in groups:
+        groups["output"].description = (
+            f"files <label>_* go to --out (default ${ENV_OUT_DIR} or ./out)")
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,35 +552,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("simulate-network", help="integrate the n-neuron ensemble")
-    _add_config_flags(sp, _RUN_SECTIONS)
-    sp.set_defaults(func=_cmd_run, model="network")
-
-    sp = sub.add_parser("simulate-pde", help="integrate the density equation")
-    _add_config_flags(sp, _GRID_SECTIONS)
-    sp.set_defaults(func=_cmd_run, model="pde")
-
-    sp = sub.add_parser("simulate-ode", help="integrate the limit system")
-    _add_config_flags(sp, _RUN_SECTIONS)
-    sp.set_defaults(func=_cmd_run, model="ode")
-
-    sp = sub.add_parser("classify", help="closed-form regime classification")
-    _add_config_flags(sp, ("params", "sim", "output"))
+    _add_command(sub, "simulate-network", "network", _cmd_run,
+                 "integrate the n-neuron ensemble")
+    _add_command(sub, "simulate-pde", "pde", _cmd_run, "integrate the density equation")
+    _add_command(sub, "simulate-ode", "ode", _cmd_run, "integrate the limit system")
+    sp = _add_command(sub, "classify", "classify", _cmd_classify,
+                      "closed-form regime classification")
     sp.add_argument("--json-out", help="also write the JSON report here")
-    sp.set_defaults(func=_cmd_classify)
-
-    sp = sub.add_parser("detect-cycle", help="Poincare-section cycle detection")
-    _add_config_flags(sp, _RUN_SECTIONS)
+    sp = _add_command(sub, "detect-cycle", "cycle", _cmd_detect_cycle,
+                      "Poincare-section cycle detection")
     sp.add_argument("--max-time", dest="max_time", type=float, default=2000.0,
                     help="time units integrated from the start point before giving "
                          "up with exit code 4; finite and > 0 (default 2000)")
-    sp.set_defaults(func=_cmd_detect_cycle)
-
-    sp = sub.add_parser("compare", help="network vs density solver vs limit system")
-    _add_config_flags(sp, _GRID_SECTIONS)
+    sp = _add_command(sub, "compare", "compare", _cmd_run,
+                      "network vs density solver vs limit system")
     sp.add_argument("--seeds", type=int, default=1,
                     help="average the network over this many seeds")
-    sp.set_defaults(func=_cmd_run, model="compare")
 
     sp = sub.add_parser("scenario", help="run full figure presets")
     sp.add_argument("names", nargs="+", metavar="name",

@@ -195,20 +195,27 @@ def init_variance(cond: InitCondition, p: ModelParams) -> float:
     return p.epsilon / cond.concentration
 
 
+def check_concentration(cond: InitCondition, p: ModelParams) -> None:
+    """Reject a gaussian cluster with concentration above min(a, 1), wider
+    than the hypothesis allows."""
+    if cond.kind == GAUSSIAN_CLUSTER and cond.concentration > min(p.a, 1.0) + 1e-12:
+        raise ValueError(
+            f"concentration {cond.concentration} exceeds min(a, 1) = {min(p.a, 1.0)}")
+
+
 def sample_initial(cond: InitCondition, n: int, p: ModelParams,
                    rng: np.random.Generator) -> EnsembleState:
     """Draw n i.i.d. initial states at t=0.
 
     For the gaussian kind the per-coordinate standard deviation is
-    sqrt(epsilon/concentration); voltages are drawn before adaptation values
-    so the draw order is fixed for a given stream.
+    sqrt(epsilon/concentration), with the concentration checked by
+    check_concentration; voltages are drawn before adaptation values so the
+    draw order is fixed for a given stream.
     """
     if n < 1:
         raise ValueError(f"ensemble size must be >= 1, got {n}")
+    check_concentration(cond, p)
     if cond.kind == GAUSSIAN_CLUSTER:
-        if cond.concentration > min(p.a, 1.0) + 1e-12:
-            raise ValueError(
-                f"concentration {cond.concentration} exceeds min(a, 1) = {min(p.a, 1.0)}")
         std = np.sqrt(init_variance(cond, p))
         v = cond.mean_v + std * rng.standard_normal(n)
         x = cond.mean_x + std * rng.standard_normal(n)

@@ -4,9 +4,11 @@ equation on a truncated (x, v) rectangle.
     d_t g = d_x((a x - b v) g + eps d_x g)
           + d_v((N0(v) - i_ext + x + (v - J[g])/eps) g + d_v g)
 
-with J[g] the first moment of g in v, frozen from the pre-step field.  The
-scheme is explicit first-order upwind for both advection terms plus centered
-second differences for the diffusion (coefficient 1 in v, eps in x), with
+with J[g] the first moment of g in v, frozen from the pre-step field.  This
+is the network's density equation for unit voltage noise (sigma = 1) with
+adaptation noise on; the solver rejects other parameters.  The scheme is
+explicit first-order upwind for both advection terms plus centered second
+differences for the diffusion (coefficient 1 in v, eps in x), with
 zero-flux boundaries.  Interface fluxes telescope, so the discrete mass is
 conserved to roundoff, and under the CFL bound every update coefficient is
 nonnegative, which keeps the density nonnegative.
@@ -183,20 +185,25 @@ def stable_dt(grid: Grid, p: ModelParams) -> float:
     return CFL_SAFETY / float(denom.max())
 
 
-def fp_step(f: DensityField, p: ModelParams, dt: float,
-            jg: float | None = None) -> DensityField:
+def check_density_params(p: ModelParams) -> None:
+    """Reject parameters the density equation does not model: its
+    v-diffusion is 1 (sigma = 1) and its x-diffusion eps (adaptation noise
+    on)."""
+    if p.sigma != 1.0 or not p.adaptation_noise:
+        raise ValueError(
+            "the density solver needs sigma = 1 and adaptation noise on, got "
+            f"sigma = {p.sigma:g}, adaptation_noise = {p.adaptation_noise}")
+
+
+def fp_step(f: DensityField, p: ModelParams, dt: float) -> DensityField:
     """One explicit conservative update with the first moment frozen from
-    the pre-step field (or supplied externally, e.g. a prerecorded input
-    current for truncated-drift experiments).  Runs one step of the kernel
-    that solve uses.
+    the pre-step field.  Runs one step of the kernel that solve uses.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     g = f.grid
-    if jg is None:
-        jg = first_moment(f)
     rho_new = np.empty((g.nx, g.nv))
-    _UpwindKernel(g, p, dt).step(f.rho, rho_new, jg, f.t + dt)
+    _UpwindKernel(g, p, dt).step(f.rho, rho_new, first_moment(f), f.t + dt)
     return DensityField(grid=g, rho=rho_new, t=f.t + dt)
 
 
@@ -211,6 +218,7 @@ class _UpwindKernel:
     """
 
     def __init__(self, grid: Grid, p: ModelParams, dt: float):
+        check_density_params(p)
         g = self.grid = grid
         self.p, self.dt = p, dt
         nx, nv = g.nx, g.nv
@@ -301,16 +309,14 @@ class _UpwindKernel:
 
 def solve(f0: DensityField, p: ModelParams, t_end: float, *,
           dt: float | None = None, record_stride: int = 1,
-          jg_of_t=None, snapshot_stride: int | None = None) -> FpSolution:
+          snapshot_stride: int | None = None) -> FpSolution:
     """Repeated explicit steps from f0.t to f0.t + t_end with recorded
     (t, J[g], mass) diagnostics.
 
     The step is core.time_steps of t_end and dt, which is an upper bound;
     dt=None bounds it by the worst-case CFL bound stable_dt, so every step
-    is stable for any first moment on the grid.  jg_of_t, when given,
-    supplies the input current externally instead of the self-consistent
-    moment.  The steps alternate between two buffers owned by this call;
-    f0 is not written.
+    is stable for any first moment on the grid.  The steps alternate between
+    two buffers owned by this call; f0 is not written.
     """
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
@@ -318,27 +324,21 @@ def solve(f0: DensityField, p: ModelParams, t_end: float, *,
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     g = f0.grid
     n_steps, dt = time_steps(t_end, stable_dt(g, p) if dt is None else dt)
+    kernel = _UpwindKernel(g, p, dt)
 
-    t = f0.t
-    times = [t]
+    times = [f0.t]
     jgs = [first_moment(f0)]
     masses = [mass(f0)]
     snaps: list[DensityField] = []
     if snapshot_stride is not None:
-        snaps.append(DensityField(g, f0.rho.copy(), t))
+        snaps.append(DensityField(g, f0.rho.copy(), f0.t))
 
-    kernel = _UpwindKernel(g, p, dt)
     buffers = [DensityField(g, np.empty((g.nx, g.nv))) for _ in range(2)]
     src = f0
     moment = jgs[0]  # J[g] of src, when known
     for k in range(1, n_steps + 1):
         dst = buffers[k % 2]
-        if jg_of_t is not None:
-            jg = float(jg_of_t(t))
-        elif moment is not None:
-            jg = moment
-        else:
-            jg = first_moment(src)
+        jg = first_moment(src) if moment is None else moment
         last = k == n_steps
         t = f0.t + (t_end if last else k * dt)
         kernel.step(src.rho, dst.rho, jg, t)

@@ -212,7 +212,7 @@ def test_simulate_ode_summary_reports_integrator_step(tmp_path):
 def test_compare_smoke(tmp_path):
     out = tmp_path / "o"
     code = run(["compare", "--out", str(out), "--label", "cmp",
-                "--epsilon", "0.2", "--sigma", "0.3", "--t-end", "0.5",
+                "--epsilon", "0.2", "--t-end", "0.5",
                 "--n", "400", "--dt", "1e-3", "--record-stride", "50",
                 "--v-min", "-2", "--v-max", "4", "--x-min", "-2", "--x-max", "3",
                 "--nv", "48", "--nx", "24",
@@ -337,7 +337,8 @@ def test_every_preset_run_keeps_its_step_count_and_step():
 ])
 def test_non_finite_input_exits_2_before_any_output(tmp_path, capsys, argv):
     out = tmp_path / "o"
-    assert run([*argv, "--out", str(out)]) == 2
+    out_flag = [] if argv[0] == "classify" else ["--out", str(out)]
+    assert run([*argv, *out_flag]) == 2
     captured = capsys.readouterr()
     assert "must be finite" in captured.err
     assert captured.out == "" and not out.exists()
@@ -431,12 +432,14 @@ def test_summary_config_round_trips_through_an_ini_file(tmp_path, command, argv)
 SAMPLE_VALUES = {float: ("0.5", 0.5), int: ("9", 9), cli._parse_bool: ("off", False),
                  cli._parse_floats: ("0.2,0.8", [0.2, 0.8]), str: ("point", "point"),
                  Path: ("elsewhere", "elsewhere")}
+# a network run rejects a cluster wider than min(a, 1) = 0.3 at the default a
+SAMPLE_CONCENTRATION = ("0.2", 0.2)
 
 
 @pytest.mark.parametrize("row", cli._KEYS, ids=lambda row: f"{row[0]}.{row[1]}")
 def test_every_key_is_accepted_as_flag_and_as_ini_key(tmp_path, row):
-    section, key, _, parse = row
-    text, expected = SAMPLE_VALUES[parse]
+    section, key, _, parse, _ = row
+    text, expected = SAMPLE_CONCENTRATION if key == "concentration" else SAMPLE_VALUES[parse]
     command, model = (("simulate-pde", "pde") if section == "grid"
                       else ("simulate-network", "network"))
     ini = tmp_path / "one.ini"
@@ -494,8 +497,13 @@ def test_bad_quantiles_are_configuration_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [COMPARE_SMALL, ["simulate-pde", *PDE_SMALL]])
 def test_density_solver_needs_a_gaussian_cluster(tmp_path, capsys, argv):
-    assert run([*argv, "--out", str(tmp_path / "o"), "--init-kind", "point"]) == 2
-    assert "gaussian initial cluster" in capsys.readouterr().err
+    ini = tmp_path / "point.ini"
+    ini.write_text("[init]\nkind = point\n")
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out), "--config", str(ini)]) == 2
+    captured = capsys.readouterr()
+    assert "gaussian initial cluster" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_simulate_pde_step_above_the_horizon_is_one_checked_step(tmp_path, capsys):
@@ -525,3 +533,176 @@ def test_scenario_runs_several_presets_or_all(tmp_path, monkeypatch):
     assert sorted({p for p, _, _ in labels}) == list(presets.available())
     assert all((tmp_path / "b" / p / f"{p}_scenario.json").exists()
                for p in presets.available())
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-network", "--n", "16", "--t-end", "0.1", "--init-concentration", "0.9"],
+    ["simulate-network", "--n", "16", "--t-end", "0.1", "--a", "0.1",
+     "--init-concentration", "0.2"],
+    [*COMPARE_SMALL, "--init-concentration", "0.9"],
+])
+def test_too_wide_initial_cluster_exits_2_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "exceeds min(a, 1)" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate-pde", *PDE_SMALL], COMPARE_SMALL],
+                         ids=["simulate-pde", "compare"])
+@pytest.mark.parametrize("source", ["sigma = 0.5", "sigma = 0", "adaptation_noise = off",
+                                    "fig5:i5.534"])
+def test_density_runs_reject_noise_the_solver_does_not_model(tmp_path, capsys, argv,
+                                                             source):
+    if source.startswith("fig5"):
+        given = ["--preset", source]  # sigma 0.5
+    else:
+        ini = tmp_path / "noise.ini"
+        ini.write_text(f"[params]\n{source}\n")
+        given = ["--config", str(ini)]
+    out = tmp_path / "o"
+    assert run([*argv, *given, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "sigma = 1 and adaptation noise on" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_a_config_file_serves_every_command(tmp_path, capsys):
+    # one file describes one experiment; a command ignores the keys it does
+    # not read and echoes only those it reads
+    ini = tmp_path / "all.ini"
+    ini.write_text("[params]\nsigma = 0.5\nepsilon = 0.05\ntruncation = 9\n"
+                   "[sim]\nn = 16\nt_end = 0.05\nseed = 4\nquantiles = 0.5\n"
+                   "[init]\nkind = point\nmean_v = 1.0\nconcentration = 0.2\n")
+    out = tmp_path / "o"
+    assert run(["simulate-ode", "--config", str(ini), "--out", str(out), "--label", "x"]) == 0
+    summary = json.loads((out / "x_summary.json").read_text())
+    assert "seed" not in summary
+    assert summary["config"]["params"] == {"a": 0.3, "b": 0.1, "lambda": 4.0, "i_ext": 0.0,
+                                           "truncation": 9.0}
+    assert summary["config"]["sim"] == {"dt": 0.01, "t_end": 0.05, "record_stride": 10}
+    assert summary["config"]["init"] == {"mean_v": 1.0, "mean_x": 0.0}
+    assert run(["classify", "--config", str(ini)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"] == {"model": "classify", "preset": None, "params": {
+        "a": 0.3, "b": 0.1, "lambda": 4.0, "i_ext": 0.0}}
+    assert run(["simulate-network", "--config", str(ini), "--out", str(out),
+                "--label", "n"]) == 0
+    summary = json.loads((out / "n_summary.json").read_text())
+    assert summary["seed"] == summary["config"]["sim"]["seed"] == 4
+    assert summary["config"]["params"]["sigma"] == 0.5
+
+
+REMOVED_FLAGS = {
+    "simulate-pde": ["--sigma", "--adaptation-noise", "--n", "--seed", "--quantiles",
+                     "--init-kind"],
+    "simulate-ode": ["--sigma", "--epsilon", "--adaptation-noise", "--n", "--seed",
+                     "--quantiles", "--init-kind", "--init-concentration"],
+    "classify": ["--n", "--dt", "--t-end", "--seed", "--record-stride", "--quantiles",
+                 "--out", "--label", "--sigma", "--epsilon", "--adaptation-noise",
+                 "--truncation"],
+    "detect-cycle": ["--n", "--dt", "--t-end", "--seed", "--record-stride", "--quantiles",
+                     "--out", "--label", "--sigma", "--epsilon", "--adaptation-noise",
+                     "--init-kind", "--init-concentration"],
+    "compare": ["--snapshot-stride", "--quantiles", "--init-kind", "--sigma",
+                "--adaptation-noise"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in REMOVED_FLAGS.items()
+                                           for f in flags])
+def test_flags_of_keys_a_command_does_not_read_exit_2(tmp_path, monkeypatch, capsys,
+                                                     command, flag):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FHN_MEANFIELD_OUT", raising=False)
+    value = {"--adaptation-noise": "off", "--init-kind": "point",
+             "--quantiles": "0.5"}.get(flag, "1")
+    with pytest.raises(SystemExit) as info:
+        run([command, flag, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    # --n is also a prefix of simulate-pde's --nv and --nx
+    assert ("unrecognized arguments" in captured.err
+            or "ambiguous option: --n " in captured.err)
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# no flag is ignored: each one, set away from its value in a small base run,
+# changes the run's files or printed JSON beyond the config echo
+
+GUARD_BASE = {
+    "simulate-network": ["--n", "16", "--t-end", "0.05", "--dt", "0.01",
+                         "--record-stride", "1", "--init-mean-v", "1.0"],
+    "simulate-pde": ["--epsilon", "0.2", "--t-end", "0.02", "--nv", "16", "--nx", "16",
+                     "--v-min", "-2", "--v-max", "4", "--x-min", "-2", "--x-max", "3",
+                     "--record-stride", "1", "--init-mean-v", "1.0",
+                     "--init-mean-x", "0.5"],
+    "simulate-ode": ["--t-end", "0.5", "--record-stride", "1", "--init-mean-v", "1.0"],
+    "classify": [],
+    "detect-cycle": ["--a", "0.2", "--b", "2", "--i-ext", "8"],  # a cycle of period 7
+    "compare": ["--epsilon", "0.2", "--t-end", "0.01", "--n", "16", "--dt", "1e-3",
+                "--nv", "16", "--nx", "16", "--v-min", "-2", "--v-max", "4",
+                "--x-min", "-2", "--x-max", "3", "--record-stride", "1",
+                "--init-mean-v", "1.0", "--init-mean-x", "0.5"],
+}
+
+# flag -> its value in the varied run; every value differs from the base run's
+GUARD_VALUES = {
+    "--preset": "fig3:epsinv10_v1.2", "--a": "0.5", "--b": "0.2", "--lambda": "3.5",
+    "--i-ext": "0.5", "--sigma": "0.5", "--epsilon": "0.05", "--adaptation-noise": "off",
+    "--truncation": "0.5", "--n": "20", "--dt": "5e-4", "--t-end": "0.03", "--seed": "5",
+    "--record-stride": "2", "--quantiles": "0.5", "--v-min": "-3", "--v-max": "5",
+    "--x-min": "-3", "--x-max": "4", "--nv": "24", "--nx": "24", "--snapshot-stride": "1",
+    "--init-kind": "point", "--init-mean-v": "1.5", "--init-mean-x": "0.25",
+    "--init-concentration": "0.2", "--out": "elsewhere", "--label": "other",
+    "--json-out": "report.json", "--max-time": "5", "--seeds": "2",
+}
+
+
+def _registered_flags():
+    sub = next(a for a in cli.build_parser()._actions if a.choices)
+    return [(command, action.option_strings[0])
+            for command, parser in sub.choices.items() if command != "scenario"
+            for action in parser._actions
+            if action.option_strings and action.dest != "help"]
+
+
+def _without_echo(payload: dict) -> dict:
+    return {k: v for k, v in payload.items() if k not in ("config", "runtime_sec")}
+
+
+def _outcome(root: Path, argv, monkeypatch, capsys):
+    """Exit code, printed JSON and files (JSON without the config echo and
+    the runtime) of one run in a fresh directory root."""
+    root.mkdir()
+    monkeypatch.chdir(root)
+    code = run(argv)
+    printed = capsys.readouterr().out
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.suffix == ".json":
+                data = _without_echo(json.loads(data))
+            files[str(path.relative_to(root))] = data
+    return code, _without_echo(json.loads(printed)) if printed else None, files
+
+
+@pytest.mark.parametrize("command, flag", _registered_flags(),
+                         ids=lambda v: v)
+def test_no_flag_is_ignored(tmp_path, monkeypatch, capsys, command, flag):
+    monkeypatch.setenv("FHN_MEANFIELD_OUT", "out")
+    base = [command, *GUARD_BASE[command]]
+    if flag == "--config":
+        value = str(tmp_path / "b.ini")
+        Path(value).write_text("[params]\nlambda = 3.5\n")
+    else:
+        value = GUARD_VALUES[flag]
+    default = _outcome(tmp_path / "base", base, monkeypatch, capsys)
+    varied = _outcome(tmp_path / "varied", [*base, flag, value], monkeypatch, capsys)
+    assert default[0] == 0
+    assert varied[0] == (4 if flag == "--max-time" else 0)  # 4: budget exhausted
+    assert varied != default

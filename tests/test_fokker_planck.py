@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -90,10 +91,23 @@ def test_negative_density_guard():
 
 def test_nan_moment_trips_the_negativity_guard():
     f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
+    f.rho[5, 5] = np.nan
     with pytest.raises(SchemeError, match="nan"):
-        solve(f, P01, 0.01, jg_of_t=lambda t: float("nan"))
+        solve(f, P01, 0.01)
     with pytest.raises(SchemeError, match="nan"):
-        fp_step(f, P01, 1e-4, jg=float("nan"))
+        fp_step(f, P01, 1e-4)
+
+
+@pytest.mark.parametrize("changes", [dict(sigma=0.5), dict(sigma=0.0),
+                                     dict(adaptation_noise=False)])
+def test_density_solver_rejects_noise_it_does_not_model(changes):
+    # the density equation has unit v-diffusion and eps x-diffusion
+    p = ModelParams(a=0.3, b=0.1, lam=4.0, i_ext=0.0, epsilon=0.1, **changes)
+    f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), p)
+    for call in (lambda: solve(f, p, 0.01), lambda: solve(f, p, 0.0),
+                 lambda: fp_step(f, p, 1e-4)):
+        with pytest.raises(ValueError, match="sigma = 1 and adaptation noise on"):
+            call()
 
 
 def test_solve_zero_horizon():
@@ -180,16 +194,6 @@ def test_series_csv(tmp_path):
     assert len(lines) == len(sol.t) + 1
 
 
-def test_external_current_with_truncated_drift():
-    # prerecorded input current instead of the self-consistent moment
-    p = ModelParams(a=0.3, b=0.1, lam=4.0, epsilon=0.1, truncation=10.0)
-    grid = small_grid()
-    f = gaussian_field(grid, InitCondition(mean_v=1.0, mean_x=0.5), p)
-    sol = solve(f, p, t_end=0.05, jg_of_t=lambda t: 1.0 + 0.1 * t,
-                record_stride=10)
-    assert np.abs(sol.mass - 1.0).max() < 1e-12
-
-
 def test_cfl_limit_matches_formula():
     f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
     jg = first_moment(f)
@@ -208,7 +212,7 @@ def test_cfl_limit_matches_formula():
 # ---------------------------------------------------------------------------
 # solve against a plain loop of the original single-step formula
 
-def _reference_step(f, p, dt, jg=None):
+def _reference_step(f, p, dt):
     """The explicit update written out plainly, as fp_step was before solve
     got its preallocated kernel; solve must reproduce it bit for bit."""
     from fhn_meanfield.core import voltage_drift
@@ -216,8 +220,7 @@ def _reference_step(f, p, dt, jg=None):
         raise ValueError(f"dt must be > 0, got {dt}")
     g = f.grid
     rho = f.rho
-    if jg is None:
-        jg = first_moment(f)
+    jg = first_moment(f)
 
     dt_max, cell = cfl_limit(f, p, jg)
     if dt > dt_max:
@@ -247,8 +250,7 @@ def _reference_step(f, p, dt, jg=None):
     return DensityField(grid=g, rho=rho_new, t=f.t + dt)
 
 
-def _reference_solve(f0, p, t_end, *, dt=None, record_stride=1, jg_of_t=None,
-                     snapshot_stride=None):
+def _reference_solve(f0, p, t_end, *, dt=None, record_stride=1, snapshot_stride=None):
     # dt (stable_dt when not given) bounds the step: it is kept when it
     # divides t_end to a relative 1e-9, and shrinks to t_end/ceil(t_end/dt)
     # otherwise
@@ -262,8 +264,7 @@ def _reference_solve(f0, p, t_end, *, dt=None, record_stride=1, jg_of_t=None,
     times, jgs, masses = [f.t], [first_moment(f)], [mass(f)]
     snaps = [] if snapshot_stride is None else [DensityField(f.grid, f.rho.copy(), f.t)]
     for k in range(n_steps):
-        jg = None if jg_of_t is None else float(jg_of_t(f.t))
-        f = _reference_step(f, p, dt, jg=jg)
+        f = _reference_step(f, p, dt)
         last = k + 1 == n_steps
         # step k ends at (k + 1) dt, the last one at t_end exactly
         f.t = f0.t + (t_end if last else (k + 1) * dt)
@@ -282,8 +283,6 @@ SOLVE_CASES = {
     "default_dt": (P01, 0.3, dict(record_stride=7, snapshot_stride=11)),
     "user_dt": (P01, 0.2, dict(dt=0.2 / np.ceil(0.2 / (0.7 * stable_dt(small_grid(), P01))),
                                record_stride=3, snapshot_stride=5)),
-    "jg_of_t": (P01, 0.2, dict(jg_of_t=lambda t: 1.0 + np.sin(30.0 * t),
-                               record_stride=4, snapshot_stride=9)),
     "truncation": (P_TRUNC, 0.3, dict(record_stride=13, snapshot_stride=17)),
     "every_step": (P01, 0.02, dict(snapshot_stride=1)),
     "shrunk_dt": (P01, 0.2, dict(dt=3e-4, record_stride=6, snapshot_stride=25)),
@@ -313,10 +312,9 @@ def test_fp_step_bit_identical_to_reference_step():
     f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P_TRUNC)
     f.t = 0.25
     dt = stable_dt(f.grid, P_TRUNC)
-    for kw in ({}, {"jg": 2.5}):
-        got, want = fp_step(f, P_TRUNC, dt, **kw), _reference_step(f, P_TRUNC, dt, **kw)
-        assert got.t == want.t
-        assert np.array_equal(got.rho, want.rho)
+    got, want = fp_step(f, P_TRUNC, dt), _reference_step(f, P_TRUNC, dt)
+    assert got.t == want.t
+    assert np.array_equal(got.rho, want.rho)
 
 
 @pytest.mark.parametrize("kw, what", [
@@ -348,22 +346,32 @@ def test_solve_too_large_dt_raises_the_cfl_limit_error():
     assert info.value.cell == cell
 
 
-def test_moment_jump_outside_domain_fails_at_the_reference_step():
+def test_moment_jump_outside_domain_fails_at_the_reference_step(monkeypatch):
+    # dt is stable for the initial moment 1.0, whose bound is 1.2266e-3, but
+    # not once the moment, relaxing towards rest, leaves the kernel's stable
+    # interval (lower end 0.929): solve then runs the exact check and must
+    # fail where the reference loop, which checks every step, fails
+    from fhn_meanfield import fokker_planck
     f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
+    dt = 0.5 / 410
+    assert cfl_limit(f, P01, first_moment(f))[0] > dt
+    exact = fokker_planck.cfl_limit
     errors = []
-    for run in (solve, _reference_solve):
+    for owner, run in ((fokker_planck, solve), (sys.modules[__name__], _reference_solve)):
         asked = []
 
-        def jg_of_t(t):
-            asked.append(t)
-            return 1.0 if t < 0.05 else 1e3
+        def recording(field, p, jg, asked=asked):
+            asked.append(jg)
+            return exact(field, p, jg)
 
+        monkeypatch.setattr(owner, "cfl_limit", recording)
         with pytest.raises(CflError) as info:
-            run(f, P01, 0.2, jg_of_t=jg_of_t)
-        errors.append((asked[-1], len(asked), str(info.value),
-                       info.value.required_dt, info.value.cell))
-    assert errors[0] == errors[1]
-    assert errors[0][0] >= 0.05
+            run(f, P01, 0.5, dt=dt)
+        errors.append((asked[-1], str(info.value), info.value.required_dt,
+                       info.value.cell, len(asked)))
+    (jg_fast, *err_fast, checks_fast), (jg_ref, *err_ref, steps_ref) = errors
+    assert (jg_fast, err_fast) == (jg_ref, err_ref)
+    assert jg_ref < 0.93 and checks_fast == 1 and steps_ref > 50
 
 
 def test_default_step_solve_skips_the_exact_cfl_check(monkeypatch):
