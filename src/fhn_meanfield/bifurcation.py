@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ModelParams, cubic_prime
-from .limit_ode import LimitState, equilibria, rk4_step
+from .core import BlowUpError, ModelParams, cubic_prime
+from .limit_ode import LimitState, equilibria, limit_rhs, rk4_step
 
 BISTABLE = "Bistable"
 MONOSTABLE_STABLE = "MonostableStable"
@@ -38,7 +38,7 @@ DEGENERATE_HOPF = "DegenerateHopf"
 DEGENERACY_TOL = 1e-9  # about 1000x double-precision noise at these magnitudes
 
 # Poincare-section cycle detection
-CYCLE_DT = 0.01  # RK4 step
+CYCLE_DT = 0.025  # RK4 step
 CYCLE_MIN_RETURNS = 5  # laps whose return times are averaged into the period
 CYCLE_SPREAD_TOL = 0.01  # largest relative spread of their return times and v-ranges
 CYCLE_CONVERGENCE_TOL = 1e-8  # displacement over one time unit of a settled state
@@ -164,7 +164,8 @@ def detect_limit_cycle(p: ModelParams, s0: LimitState, *,
     """Poincare-section cycle detection on the limit system.
 
     Integrates from s0 by RK4 at CYCLE_DT and watches upward crossings of
-    the section v = v* (the unique equilibrium).  With several equilibria
+    the section v = v* (the unique equilibrium), each placed within its
+    step by a cubic Hermite interpolant.  With several equilibria
     the section is the running midline instead, the middle of the v-range
     since s0; it moves only when that middle has drifted by more than
     CYCLE_SPREAD_TOL of the range, and the laps counted so far are then
@@ -176,7 +177,8 @@ def detect_limit_cycle(p: ModelParams, s0: LimitState, *,
     its laps shrink.  Returns None if the state stops moving (displacement
     below CYCLE_CONVERGENCE_TOL over one time unit, probed every 26 units).
     Raises CycleDetectionError if neither happens within max_time time
-    units of s0; no step goes past max_time.
+    units of s0; no step goes past max_time.  Raises BlowUpError if the
+    state is non-finite when a probe finds it still or the budget runs out.
     """
     dt = CYCLE_DT
     eqs = equilibria(p)
@@ -203,19 +205,21 @@ def detect_limit_cycle(p: ModelParams, s0: LimitState, *,
         ref_a, ref_b = alpha, beta
         probe_end = start + probe_steps
         moved = 0.0
-        prev = alpha
         for k in range(start, min(start + chunk_steps, n_steps)):
+            prev, prev_b = alpha, beta
             alpha, beta = rk4_step(alpha, beta, p, dt)
             if k < probe_end:
                 moved = max(moved, math.hypot(alpha - ref_a, beta - ref_b))
                 if k == probe_end - 1 and moved < CYCLE_CONVERGENCE_TOL:
+                    # a nan state never moves: max(moved, nan) is moved
+                    _require_finite(alpha, beta, s0.t + (k + 1) * dt)
                     return None
             if alpha < lo:
                 lo = alpha
             elif alpha > hi:
                 hi = alpha
             if prev < section <= alpha:
-                cross = (k + (section - prev) / (alpha - prev)) * dt
+                cross = (k + _crossing(p, dt, section, prev, prev_b, alpha, beta)) * dt
                 if last_cross is not None:
                     returns.append(cross - last_cross)
                     ranges.append(hi - lo)
@@ -227,11 +231,39 @@ def detect_limit_cycle(p: ModelParams, s0: LimitState, *,
                 last_cross = cross
                 v_lo, v_hi = min(v_lo, lo), max(v_hi, hi)
                 lo = hi = alpha
-            prev = alpha
 
+    _require_finite(alpha, beta, s0.t + n_steps * dt)
     raise CycleDetectionError(
         f"no convergence and no settled cycle within {max_time} time units "
         f"(laps seen: {len(returns)})")
+
+
+def _require_finite(alpha: float, beta: float, t: float) -> None:
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise BlowUpError(f"limit trajectory non-finite by t={t:.6g}", t=t)
+
+
+def _crossing(p: ModelParams, dt: float, section: float,
+              v0: float, x0: float, v1: float, x1: float) -> float:
+    """Where, as a fraction of the step from (v0, x0) to (v1, x1), the cubic
+    Hermite interpolant of v meets the section, for v0 < section <= v1.
+
+    The interpolant takes the step's end values and v-slopes, so its error
+    is fourth order in dt like RK4's own; a linear one would be second
+    order and would bound the step instead.  Newton from the linear guess.
+    """
+    m0 = dt * limit_rhs(LimitState(0.0, v0, x0), p)[0]
+    m1 = dt * limit_rhs(LimitState(0.0, v1, x1), p)[0]
+    d = v1 - v0
+    # v(s) - section = c0 + s (m0 + s (c2 + s c3)) on s in [0, 1]
+    c0, c2, c3 = v0 - section, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d
+    s = -c0 / d
+    for _ in range(3):
+        slope = m0 + s * (2.0 * c2 + 3.0 * s * c3)
+        if slope <= 0.0:
+            break
+        s = min(1.0, max(0.0, s - (c0 + s * (m0 + s * (c2 + s * c3))) / slope))
+    return s
 
 
 def _agree(values: list[float]) -> bool:

@@ -39,26 +39,40 @@ class LimitTrajectory:
 
 
 def limit_rhs(s: LimitState, p: ModelParams) -> tuple[float, float]:
-    return _rhs(s.alpha, s.beta, p)
-
-
-def _rhs(alpha: float, beta: float, p: ModelParams) -> tuple[float, float]:
-    # The untruncated cubic is core.cubic written out on floats, in its
-    # operation order, which skips two function calls per RK4 stage.
-    if p.truncation is None:
-        n0 = alpha * (alpha - p.lam) * (alpha - 1.0)
-    else:
-        n0 = float(nonlinearity(alpha, p))
-    return (-n0 + p.i_ext - beta, -p.a * beta + p.b * alpha)
+    n0 = float(nonlinearity(s.alpha, p))
+    return (-n0 + p.i_ext - s.beta, -p.a * s.beta + p.b * s.alpha)
 
 
 def rk4_step(alpha: float, beta: float, p: ModelParams, dt: float) -> tuple[float, float]:
-    k1 = _rhs(alpha, beta, p)
-    k2 = _rhs(alpha + 0.5 * dt * k1[0], beta + 0.5 * dt * k1[1], p)
-    k3 = _rhs(alpha + 0.5 * dt * k2[0], beta + 0.5 * dt * k2[1], p)
-    k4 = _rhs(alpha + dt * k3[0], beta + dt * k3[1], p)
-    return (alpha + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-            beta + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+    # The four stages of limit_rhs in one body: the parameters are read
+    # once, and on the untruncated path the cubic is core.cubic written out
+    # on floats, in its operation order.  Each stage keeps limit_rhs's
+    # operation order, so a step gives the same bits as one made of four
+    # limit_rhs calls.
+    lam, i_ext, a, b = p.lam, p.i_ext, p.a, p.b
+    cubic = p.truncation is None
+    h = 0.5 * dt
+    n0 = alpha * (alpha - lam) * (alpha - 1.0) if cubic else float(nonlinearity(alpha, p))
+    k1v = -n0 + i_ext - beta
+    k1x = -a * beta + b * alpha
+    v = alpha + h * k1v
+    x = beta + h * k1x
+    n0 = v * (v - lam) * (v - 1.0) if cubic else float(nonlinearity(v, p))
+    k2v = -n0 + i_ext - x
+    k2x = -a * x + b * v
+    v = alpha + h * k2v
+    x = beta + h * k2x
+    n0 = v * (v - lam) * (v - 1.0) if cubic else float(nonlinearity(v, p))
+    k3v = -n0 + i_ext - x
+    k3x = -a * x + b * v
+    v = alpha + dt * k3v
+    x = beta + dt * k3x
+    n0 = v * (v - lam) * (v - 1.0) if cubic else float(nonlinearity(v, p))
+    k4v = -n0 + i_ext - x
+    k4x = -a * x + b * v
+    w = dt / 6.0
+    return (alpha + w * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+            beta + w * (k1x + 2.0 * k2x + 2.0 * k3x + k4x))
 
 
 def rk4_integrate(s0: LimitState, p: ModelParams, dt: float, t_end: float,

@@ -8,7 +8,7 @@ from fhn_meanfield.bifurcation import (BISTABLE, CYCLE_DT, DEGENERATE_SADDLE_NOD
                                        MONOSTABLE_STABLE, OSCILLATORY,
                                        CycleDetectionError, classify,
                                        detect_limit_cycle, discriminant, trace_at)
-from fhn_meanfield.core import ModelParams
+from fhn_meanfield.core import BlowUpError, ModelParams
 from fhn_meanfield.limit_ode import (LimitState, equilibria, limit_rhs, rk4_integrate,
                                      rk4_step)
 
@@ -192,8 +192,8 @@ def test_detect_cycle_converges_to_none_in_stable_regimes():
 
 def _reference_lap(p, s0, t_end, section):
     """Return time and v-range of the last whole lap between upward
-    crossings of v = section by RK4 at a quarter of CYCLE_DT."""
-    tr = rk4_integrate(s0, p, CYCLE_DT / 4, t_end)
+    crossings of v = section by RK4 at dt = 0.0025, with linear crossings."""
+    tr = rk4_integrate(s0, p, 0.0025, t_end)
     up = np.flatnonzero((tr.alpha[:-1] < section) & (tr.alpha[1:] >= section))
     frac = (section - tr.alpha[up]) / (tr.alpha[up + 1] - tr.alpha[up])
     cross = tr.t[up] + frac * (tr.t[up + 1] - tr.t[up])
@@ -204,6 +204,7 @@ def _reference_lap(p, s0, t_end, section):
 @pytest.mark.parametrize("a, b, lam, i_ext, t_end", [
     (0.2, 2.0, 4.0, 8.0, 150.0),     # period about 7
     (0.1, 1.0, 4.0, 10.0, 250.0),    # about 11.5
+    (0.1, 1.0, 4.0, 6.0, 250.0),     # about 15
     (0.01, 0.1, 4.0, 6.0, 1000.0),   # about 112
 ])
 def test_detect_cycle_matches_a_finer_rk4_lap(a, b, lam, i_ext, t_end):
@@ -260,6 +261,37 @@ def test_detect_cycle_never_steps_past_max_time(monkeypatch):
     with pytest.raises(CycleDetectionError):
         detect_limit_cycle(p, LimitState(0.0, v + 0.5, x), max_time=30.0)
     assert 0 < len(steps) <= round(30.0 / CYCLE_DT)
+
+
+@pytest.mark.parametrize("max_time", [2000.0, 10.0])
+def test_detect_cycle_raises_on_a_non_finite_trajectory(max_time):
+    # RK4 at CYCLE_DT blows up from v = 20 within a few steps; the nan state
+    # never moves, so it must not pass for a settled one, nor a too-short
+    # budget for an inconclusive search
+    p = ModelParams(a=0.1, b=1.0, lam=4.0, i_ext=6.0)
+    with pytest.raises(BlowUpError) as err:
+        detect_limit_cycle(p, LimitState(0.0, 20.0, 0.0), max_time=max_time)
+    assert 0.0 < err.value.t <= max_time
+
+
+def test_hermite_crossing_is_fourth_order():
+    # one RK4 step of h straddles the section mid-step; the crossing time is
+    # placed to O(h^4), where a linear interpolant is off by O(h^2)
+    p = ModelParams(a=0.1, b=1.0, lam=4.0, i_ext=10.0)
+    (v, x), = equilibria(p)
+    fine = 1e-4
+    tr = rk4_integrate(LimitState(0.0, v + 0.5, x), p, fine, 60.0)
+    k = np.flatnonzero((tr.alpha[:-1] < v) & (tr.alpha[1:] >= v))[-1]
+    t_cross = tr.t[k] + fine * (v - tr.alpha[k]) / (tr.alpha[k + 1] - tr.alpha[k])
+    errs = []
+    for h in (0.05, 0.025):
+        j = int(round((t_cross - h / 2) / fine))
+        a0, b0 = tr.alpha[j], tr.beta[j]
+        a1, b1 = rk4_step(a0, b0, p, h)
+        frac = bifurcation._crossing(p, h, v, a0, b0, a1, b1)
+        errs.append(abs(tr.t[j] + frac * h - t_cross))
+    assert errs[1] < 1e-6
+    assert errs[0] / errs[1] > 10.0
 
 
 def test_discriminant_requires_positive_a():

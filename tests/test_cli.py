@@ -252,6 +252,16 @@ def test_detect_cycle_reports_no_cycle_at_a_weakly_damped_focus(capsys, i_ext):
     assert payload["cycle"] is None
 
 
+def test_detect_cycle_exits_3_on_a_non_finite_trajectory(capsys):
+    # an oscillatory point started where RK4 at the cycle step blows up
+    code = run(["detect-cycle", "--a", "0.1", "--b", "1", "--i-ext", "6",
+                "--init-mean-v", "20"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: limit trajectory non-finite" in captured.err
+
+
 def test_detect_cycle_starts_from_any_init_source(tmp_path, capsys):
     bistable = ["detect-cycle", "--a", "0.3", "--b", "0.1", "--i-ext", "0.0"]
     ini = tmp_path / "init.ini"

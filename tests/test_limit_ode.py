@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fhn_meanfield.core import ModelParams, cubic
+from fhn_meanfield.core import ModelParams, cubic, nonlinearity, time_steps
 from fhn_meanfield.limit_ode import (LimitState, equilibria,
                                      equilibrium_cubic_coeffs, limit_rhs,
                                      real_cubic_roots, rk4_integrate)
@@ -125,6 +125,53 @@ def test_rk4_fourth_order_by_step_halving():
         errs.append(abs(traj.alpha[-1] - ref.alpha[-1]))
     ratio = errs[0] / errs[1]
     assert 12.0 < ratio < 20.0  # observed order >= 3.8
+
+
+def _reference_rhs(alpha, beta, p):
+    if p.truncation is None:
+        n0 = alpha * (alpha - p.lam) * (alpha - 1.0)
+    else:
+        n0 = float(nonlinearity(alpha, p))
+    return (-n0 + p.i_ext - beta, -p.a * beta + p.b * alpha)
+
+
+def _reference_integrate(s0, p, dt, t_end, record_stride):
+    """RK4 as four calls of a plain vector field per step, the way
+    rk4_step was written before its stages were inlined; rk4_integrate
+    must reproduce it bit for bit."""
+    n_steps, dt = time_steps(t_end, dt)
+    alpha, beta = s0.alpha, s0.beta
+    ts, alphas, betas = [s0.t], [alpha], [beta]
+    for k in range(1, n_steps + 1):
+        k1 = _reference_rhs(alpha, beta, p)
+        k2 = _reference_rhs(alpha + 0.5 * dt * k1[0], beta + 0.5 * dt * k1[1], p)
+        k3 = _reference_rhs(alpha + 0.5 * dt * k2[0], beta + 0.5 * dt * k2[1], p)
+        k4 = _reference_rhs(alpha + dt * k3[0], beta + dt * k3[1], p)
+        alpha, beta = (alpha + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+                       beta + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+        if k % record_stride == 0 or k == n_steps:
+            ts.append(s0.t + (t_end if k == n_steps else k * dt))
+            alphas.append(alpha)
+            betas.append(beta)
+    return np.asarray(ts), np.asarray(alphas), np.asarray(betas)
+
+
+@pytest.mark.parametrize("truncation", [None, 3.0])
+@pytest.mark.parametrize("s0, record_stride", [
+    (LimitState(0.0, 2.0, 0.5), 1),
+    (LimitState(1.5, -1.3, 2.0), 7),
+])
+def test_rk4_integrate_bit_identical_to_reference_loop(truncation, s0, record_stride):
+    # an oscillatory point, 3000 steps over several laps of its cycle;
+    # truncation 3 cuts the cubic on every lap
+    p = ModelParams(a=0.1, b=1.0, lam=4.0, i_ext=6.0, truncation=truncation)
+    traj = rk4_integrate(s0, p, 0.01, 30.0, record_stride=record_stride)
+    t, alpha, beta = _reference_integrate(s0, p, 0.01, 30.0, record_stride)
+    assert np.array_equal(traj.t, t)
+    assert np.array_equal(traj.alpha, alpha)
+    assert np.array_equal(traj.beta, beta)
+    if truncation is not None:
+        assert np.abs(alpha).max() > truncation
 
 
 def test_rk4_validation():
