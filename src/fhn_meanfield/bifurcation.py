@@ -70,7 +70,6 @@ class BifurcationReport:
     delta: float
     equilibria: tuple[EquilibriumInfo, ...]
     regime: str
-    cycle: LimitCycle | None = None
 
 
 def discriminant(p: ModelParams) -> float:
@@ -281,8 +280,4 @@ def report_to_dict(report: BifurcationReport) -> dict:
              "eigenvalues": [[z.real, z.imag] for z in e.eigenvalues],
              "label": e.label}
             for e in report.equilibria],
-        "cycle": None if report.cycle is None else {
-            "period": report.cycle.period,
-            "v_min": report.cycle.v_min,
-            "v_max": report.cycle.v_max},
     }

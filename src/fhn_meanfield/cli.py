@@ -176,6 +176,9 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be >= 1, got {self.seeds}")
         if self.snapshot_stride is not None and self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
+        if self.label in (".", "..") or any(
+                sep and sep in self.label for sep in (os.sep, os.altsep)):
+            raise ValueError(f"label must be a file name, not a path, got {self.label!r}")
 
     def to_dict(self) -> dict:
         """The resolved keys that the model reads, by INI section and key."""

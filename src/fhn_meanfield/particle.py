@@ -8,22 +8,17 @@ epsilon.  x takes an Euler-Maruyama step.  vbar is reduced from the
 pre-step state, so the result does not depend on update order.
 
 A run's noise is one SFC64 stream per block of NoiseStream(seed): block 0
-draws the initial ensemble and block 1 every step's draws in order.
-simulate hands the block-1 generator to a producer thread, which fills
-chunks of whole steps, up to CHUNK_DRAWS normals, one chunk ahead of the
-stepping loop while the main thread steps through the chunk filled before.  Only the producer
-draws from that generator, in step order, so trajectories are bitwise
-reproducible for a fixed configuration and seed whatever the thread
-scheduling.  The ensemble lives in one preallocated (2, n) array, voltages
-in row 0 and adaptation values in row 1, which every step updates in
-place; em_step runs the same update on a copy of a single state.
+draws the initial ensemble and block 1 every step's draws in order, each
+step drawing its own just before it is taken.  So trajectories are bitwise
+reproducible for a fixed configuration and seed.  The ensemble lives in
+one preallocated (2, n) array, voltages in row 0 and adaptation values in
+row 1, which every step updates in place; em_step runs the same update on
+a copy of a single state.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,10 +37,6 @@ DEFAULT_QUANTILES = (0.10, 0.25, 0.75, 0.90)
 # and the benchmark workloads all hold.
 DEFAULT_DT = 1e-2
 
-# Normals in one chunk of step noise that simulate's producer thread fills
-# ahead of the stepping loop.  A chunk holds whole steps, at least one.
-CHUNK_DRAWS = 1 << 16
-
 
 class NoiseStream:
     """The noise streams of one run, keyed by its seed.
@@ -56,8 +47,8 @@ class NoiseStream:
     block 1 the noise of every step, in order: step, then row (voltage, then
     adaptation when adaptation noise is on), then neuron.  SFC64 makes each
     double from whole 64-bit words and standard normals keep no state
-    outside the generator, so drawing a block in chunks of any size gives
-    the same draws as drawing it at once.
+    outside the generator, so drawing a block step by step gives the same
+    draws as drawing it at once.
     """
 
     def __init__(self, seed: int):
@@ -224,11 +215,11 @@ class _Stepper:
     simulate.
 
     Each step takes its standard normal draws as a (rows, n) array: the
-    voltage row, then the adaptation row when adaptation noise is on.
-    simulate passes views of a chunk its producer thread filled, em_step
-    one array drawn from its generator.  incr and last hold the scaled
-    increments of the current and the previous step; each step swaps them,
-    so the previous drifts stay for finite_sums at no cost.
+    voltage row, then the adaptation row when adaptation noise is on;
+    simulate and em_step both draw it with one standard_normal call of
+    that shape.  incr and last hold the scaled increments of the current
+    and the previous step; each step swaps them, so the previous drifts
+    stay for finite_sums at no cost.
     """
 
     def __init__(self, p: ModelParams, dt: float, n: int):
@@ -327,7 +318,7 @@ def em_step(state: EnsembleState, p: ModelParams, cfg: SimConfig,
     dt = cfg.dt if cfg.dt is not None else default_dt(p)
     s = np.stack((state.v, state.x))
     stepper = _Stepper(p, dt, state.n)
-    noise = np.array([rng.standard_normal(state.n) for _ in range(stepper.rows)])
+    noise = rng.standard_normal((stepper.rows, state.n))
     with np.errstate(over="ignore", invalid="ignore"):
         stepper.step(s, coupling_mean(state.v), noise)
         t_new = state.t + dt
@@ -341,10 +332,8 @@ def simulate(cfg: SimConfig, p: ModelParams, init: InitCondition) -> TrajectoryR
     core.time_steps of t_end and cfg.dt (or default_dt).  The final ensemble
     is attached for warm restarts and sample-level diagnostics.
 
-    A producer thread draws block 1 of the seed's NoiseStream into two
-    preallocated chunk buffers in turn, one chunk ahead of the steps; it
-    only ever calls that block's generator.  The thread is joined on every
-    exit, and an error it raises is raised here.
+    Each step draws its normals from block 1 of the seed's NoiseStream into
+    one reused (rows, n) buffer, on the calling thread.
     """
     n_steps, dt = time_steps(cfg.t_end, cfg.dt if cfg.dt is not None else default_dt(p))
     stride = cfg.record_stride
@@ -369,57 +358,25 @@ def simulate(cfg: SimConfig, p: ModelParams, init: InitCondition) -> TrajectoryR
         quants[:, row] = _interpolate(ordered, plan)
 
     rng = stream.block(1)
-    per_chunk = max(1, CHUNK_DRAWS // (stepper.rows * n))  # steps
-    n_chunks = -(-n_steps // per_chunk)
-    buffers = [np.empty((min(per_chunk, n_steps), stepper.rows, n)) for _ in range(2)]
-    requests, filled = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def produce() -> None:
-        """Fill each requested chunk in turn, until a request of None."""
-        while (chunk := requests.get()) is not None:
-            try:
-                filled.put(rng.standard_normal(out=chunk))
-            except BaseException as err:  # simulate raises it again
-                filled.put(err)
-                return
-
-    def request(i: int) -> None:
-        """Ask for the draws of chunk i, into the buffer chunk i - 2 used."""
-        requests.put(buffers[i % 2][:min(per_chunk, n_steps - i * per_chunk)])
-
-    producer = threading.Thread(target=produce, name="noise-producer")
+    noise = np.empty((stepper.rows, n))
     sums = np.add.reduce(s, axis=1)
     record(0, sums)
     row = 1
     t = 0.0
     try:
-        if n_chunks:
-            producer.start()
-        for i in range(min(2, n_chunks)):
-            request(i)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n_chunks):
-                noise = filled.get()
-                if isinstance(noise, BaseException):
-                    raise noise
-                for k, draws in enumerate(noise, start=i * per_chunk + 1):
-                    stepper.step(s, sums[0] / n, draws)
-                    t = cfg.t_end if k == n_steps else k * dt
-                    sums = stepper.finite_sums(s, t)
-                    if k % stride == 0 or k == n_steps:
-                        times[row] = t
-                        record(row, sums)
-                        row += 1
-                if i + 2 < n_chunks:
-                    request(i + 2)
+            for k in range(1, n_steps + 1):
+                stepper.step(s, sums[0] / n, rng.standard_normal(out=noise))
+                t = cfg.t_end if k == n_steps else k * dt
+                sums = stepper.finite_sums(s, t)
+                if k % stride == 0 or k == n_steps:
+                    times[row] = t
+                    record(row, sums)
+                    row += 1
     except BlowUpError as err:
         raise BlowUpError(
             f"{err} [n={cfg.n}, seed={cfg.seed}, t_end={cfg.t_end}]",
             t=err.t, index=err.index) from None
-    finally:
-        if producer.is_alive():
-            requests.put(None)
-            producer.join()
 
     return TrajectoryRecord(
         t=times, mean_v=stats[0], mean_x=stats[1], var_v=stats[2],

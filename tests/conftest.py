@@ -5,8 +5,8 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_its_test():
-    """Fail a test that leaves a thread running, such as a producer thread
-    of particle.simulate that was never joined."""
+    """Fail a test that leaves a thread running, such as one it started
+    and never joined."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

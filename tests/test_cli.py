@@ -27,6 +27,7 @@ def test_classify_json(capsys):
     assert payload["regime"] == "Bistable"
     assert payload["delta"] == pytest.approx(143.96, abs=0.01)
     assert len(payload["equilibria"]) == 3
+    assert "cycle" not in payload  # only detect-cycle integrates a cycle
 
 
 def test_classify_json_out_file(tmp_path, capsys):
@@ -50,7 +51,7 @@ def test_simulate_network_outputs(tmp_path):
     assert summary["version"]
     assert summary["config"]["params"]["epsilon"] == 0.05
     assert summary["config"]["sim"]["seed"] == 3
-    assert "classification" in summary
+    assert set(summary["classification"]) == {"delta", "regime", "equilibria"}
     assert (out / "demo_vs_limit.csv").exists()
 
 
@@ -489,6 +490,26 @@ def test_compare_rejects_seeds_below_one(tmp_path, capsys, seeds):
     out = tmp_path / "o"
     assert run([*COMPARE_SMALL, "--out", str(out), "--seeds", seeds]) == 2
     assert "seeds must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-network", "--n", "16", "--t-end", "0.1"],
+    ["simulate-pde", *PDE_SMALL],
+    ["simulate-ode", "--t-end", "0.1"],
+    COMPARE_SMALL,
+], ids=["simulate-network", "simulate-pde", "simulate-ode", "compare"])
+@pytest.mark.parametrize("label", ["a/b", ".", "..", "/abs"])
+def test_a_label_that_is_a_path_exits_2_before_any_output(tmp_path, capsys, argv, label):
+    out = tmp_path / "o"
+    assert run([*argv, "--label", label, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "label must be a file name" in captured.err
+    assert captured.out == "" and not out.exists()
+    ini = tmp_path / "label.ini"
+    ini.write_text(f"[output]\nlabel = {label}\n")
+    assert run([*argv, "--config", str(ini), "--out", str(out)]) == 2
+    assert "label must be a file name" in capsys.readouterr().err
     assert not out.exists()
 
 
