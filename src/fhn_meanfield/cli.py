@@ -6,6 +6,11 @@ config file, and by flags, in that order of precedence (later wins).  Every
 run echoes its fully resolved configuration and the toolkit version into its
 JSON summary.  Exit codes: 0 success, 2 configuration error, 3 numerical
 blow-up or scheme failure, 4 inconclusive cycle detection.
+
+The library modules only compute; this module writes every file: the
+tables through _write_csv, the density field snapshots as .npz and the
+JSON summaries.  A run makes its output directory at its first write, once
+it has results, so a run that fails leaves none.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +31,10 @@ from . import presets as presets_mod
 from .bifurcation import CycleDetectionError, classify, detect_limit_cycle, report_to_dict
 from .core import (GAUSSIAN_CLUSTER, BlowUpError, InitCondition, ModelParams,
                    check_concentration, time_steps)
-from .diagnostics import (compare as diag_compare, log_density_profile,
-                          theoretical_profile, write_comparison_csv,
-                          write_profile_csv)
+from .diagnostics import (Profile, ProfileComparison, compare as diag_compare,
+                          log_density_profile, theoretical_profile)
 from .fokker_planck import (CflError, Grid, SchemeError, check_density_params,
-                            gaussian_field, save_snapshot, solve, write_series_csv)
+                            gaussian_field, solve)
 from .limit_ode import LimitState, rk4_integrate
 from .particle import SimConfig, TrajectoryRecord, simulate
 from .presets import PresetRun
@@ -156,6 +160,15 @@ def load_config_file(path: str) -> dict:
     return settings
 
 
+def _non_directory(path: Path) -> Path | None:
+    """The nearest of path and its ancestors that exists, if it is not a
+    directory; no directory can be made at path then."""
+    for p in (path, *path.parents):
+        if p.exists():
+            return None if p.is_dir() else p
+    return None
+
+
 @dataclass
 class ExperimentConfig:
     model: str
@@ -179,6 +192,10 @@ class ExperimentConfig:
         if self.label in (".", "..") or any(
                 sep and sep in self.label for sep in (os.sep, os.altsep)):
             raise ValueError(f"label must be a file name, not a path, got {self.label!r}")
+        blocker = _non_directory(self.out_dir) if self.model in _RUNS else None
+        if blocker is not None:
+            raise ValueError(f"output directory {str(self.out_dir)!r} cannot be made: "
+                             f"{str(blocker)!r} is not a directory")
 
     def to_dict(self) -> dict:
         """The resolved keys that the model reads, by INI section and key."""
@@ -231,6 +248,8 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
                     sim=SimConfig(n=1000, t_end=10.0, record_stride=10))
     if getattr(args, "preset", None):
         preset_name, run, notes = _select_preset(args.preset)
+    # a preset's step is a network step; the density solver takes its own
+    sim = replace(run.sim, dt=None) if model == "pde" else run.sim
     given = {section: {} for section in _SECTIONS}
     if getattr(args, "config", None):
         for section, values in load_config_file(args.config).items():
@@ -252,7 +271,7 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
                            "x_max": span, "nv": 128, "nx": 64, **given["grid"]})
         out_dir = given["output"].get("out_dir", os.environ.get(ENV_OUT_DIR, "out"))
         cfg = ExperimentConfig(
-            model=model, params=params, sim=replace(run.sim, **given["sim"]),
+            model=model, params=params, sim=replace(sim, **given["sim"]),
             grid=grid, init=init, out_dir=Path(out_dir),
             label=given["output"].get("label", run.label), preset=preset_name,
             notes=notes, profile_diagnostics=run.profile_diagnostics,
@@ -271,22 +290,39 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _write_csv(path, columns) -> None:
+    """Write a table to path, making its directory: a header of the column
+    names, then one row per entry, each value formatted %.17g.  columns are
+    (name, values) pairs of one length; a name may repeat, as two quantile
+    fractions can round to one column name."""
+    path = Path(path)
+    names = [name for name, _ in columns]
+    values = [np.asarray(col, dtype=float).tolist() for _, col in columns]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in zip(*values, strict=True):
+            fh.write(",".join([f"{x:.17g}" for x in row]) + "\n")
 
 
 def write_timeseries_csv(path, rec: TrajectoryRecord) -> None:
     qcols = [f"q{round(q * 100):d}" for q in rec.quantile_fractions]
-    header = ("t,mean_v,mean_x,var_v,var_x,m4_v,m4_x,"
-              + ",".join(f"{c}_v" for c in qcols) + ","
-              + ",".join(f"{c}_x" for c in qcols))
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for k in range(len(rec)):
-            row = [rec.t[k], rec.mean_v[k], rec.mean_x[k], rec.var_v[k],
-                   rec.var_x[k], rec.m4_v[k], rec.m4_x[k],
-                   *rec.quantiles_v[k], *rec.quantiles_x[k]]
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    moments = ("t", "mean_v", "mean_x", "var_v", "var_x", "m4_v", "m4_x")
+    _write_csv(path, [*((name, getattr(rec, name)) for name in moments),
+                      *((f"{c}_v", rec.quantiles_v[:, j]) for j, c in enumerate(qcols)),
+                      *((f"{c}_x", rec.quantiles_x[:, j]) for j, c in enumerate(qcols))])
+
+
+def write_comparison_csv(path, comps: list[ProfileComparison]) -> None:
+    """One column per ProfileComparison field, in field order."""
+    _write_csv(path, [(f.name, [getattr(c, f.name) for c in comps])
+                      for f in fields(ProfileComparison)])
+
+
+def write_profile_csv(path, prof: Profile, theoretical) -> None:
+    """Bin centre, empirical profile and the theoretical quadratic there."""
+    _write_csv(path, [("center", prof.centers), ("empirical", prof.values),
+                      ("theoretical", theoretical(prof.centers))])
 
 
 def _write_summary(path, payload: dict) -> None:
@@ -329,7 +365,6 @@ def reference_trajectory(rec: TrajectoryRecord, cfg: ExperimentConfig):
 # pipelines
 
 def run_network(cfg: ExperimentConfig) -> dict:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     rec = simulate(cfg.sim, cfg.params, cfg.init)
     ref = reference_trajectory(rec, cfg)
@@ -377,11 +412,11 @@ def run_pde(cfg: ExperimentConfig) -> dict:
     sol = solve(field0, cfg.params, cfg.sim.t_end, dt=cfg.sim.dt,
                 record_stride=cfg.sim.record_stride,
                 snapshot_stride=cfg.snapshot_stride)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_series_csv(cfg.out_dir / f"{cfg.label}_pde.csv", sol)
+    _write_csv(cfg.out_dir / f"{cfg.label}_pde.csv",
+               [("t", sol.t), ("jg", sol.jg), ("mass", sol.mass)])
     for k, snap in enumerate(sol.snapshots):
-        save_snapshot(cfg.out_dir / f"{cfg.label}_field_{k:04d}.bin",
-                      snap, cfg.params)
+        np.savez(cfg.out_dir / f"{cfg.label}_field_{k:04d}.npz", rho=snap.rho,
+                 t=snap.t, epsilon=cfg.params.epsilon, **asdict(snap.grid))
 
     report = classify(cfg.params)
     return _finish(cfg, t0, report, {
@@ -394,16 +429,13 @@ def run_pde(cfg: ExperimentConfig) -> dict:
 
 
 def run_ode(cfg: ExperimentConfig) -> dict:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     _, dt = time_steps(cfg.sim.t_end, ODE_DT if cfg.sim.dt is None else cfg.sim.dt)
     s0 = LimitState(t=0.0, alpha=cfg.init.mean_v, beta=cfg.init.mean_x)
     traj = rk4_integrate(s0, cfg.params, dt, cfg.sim.t_end,
                          record_stride=cfg.sim.record_stride)
-    with open(cfg.out_dir / f"{cfg.label}_ode.csv", "w", newline="") as fh:
-        fh.write("t,alpha,beta\n")
-        for t, al, be in zip(traj.t, traj.alpha, traj.beta):
-            fh.write(f"{_fmt(t)},{_fmt(al)},{_fmt(be)}\n")
+    _write_csv(cfg.out_dir / f"{cfg.label}_ode.csv",
+               [("t", traj.t), ("alpha", traj.alpha), ("beta", traj.beta)])
 
     return _finish(cfg, t0, classify(cfg.params), {
         "final_alpha": float(traj.alpha[-1]),
@@ -418,7 +450,6 @@ def run_compare(cfg: ExperimentConfig) -> dict:
         print(f"warning: epsilon={cfg.params.epsilon:g} below "
               f"{PDE_EPSILON_WARN}; the grid solver step budget explodes",
               file=sys.stderr)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
 
     recs = [simulate(replace(cfg.sim, seed=cfg.sim.seed + k), cfg.params, cfg.init)
@@ -433,10 +464,9 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     sol = solve(field0, cfg.params, cfg.sim.t_end, record_stride=1)
     jg = np.interp(times, sol.t, sol.jg)
 
-    with open(cfg.out_dir / f"{cfg.label}_compare.csv", "w", newline="") as fh:
-        fh.write("t,mean_v_network,jg_pde,alpha_limit\n")
-        for row in zip(times, mean_v, jg, alpha):
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    _write_csv(cfg.out_dir / f"{cfg.label}_compare.csv",
+               [("t", times), ("mean_v_network", mean_v), ("jg_pde", jg),
+                ("alpha_limit", alpha)])
 
     return _finish(cfg, t0, classify(cfg.params), {
         "seeds_averaged": cfg.seeds,
@@ -460,14 +490,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_classify(args) -> int:
     cfg = resolve_config(args, args.model)
+    json_out = Path(args.json_out) if args.json_out else None
+    if json_out is not None and (json_out.is_dir() or _non_directory(json_out.parent)):
+        raise ConfigError(f"--json-out {str(json_out)!r} is a directory or lies under a file")
     report = classify(cfg.params)
     payload = {"version": __version__, "config": cfg.to_dict()}
     payload.update(report_to_dict(report))
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
-    if args.json_out:
-        Path(args.json_out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.json_out).write_text(text + "\n")
+    if json_out is not None:
+        json_out.parent.mkdir(parents=True, exist_ok=True)
+        json_out.write_text(text + "\n")
     return 0
 
 

@@ -174,20 +174,3 @@ def viscosity_residual(field: HopfColeField, jg: float) -> ResidualStats:
     return ResidualStats(median_abs=float(np.median(vals)),
                          p90_abs=float(np.percentile(vals, 90.0)),
                          n_cells=int(vals.size))
-
-
-def write_comparison_csv(path, comps: list[ProfileComparison]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,sup_error_v,sup_error_x,var_ratio_v,var_ratio_x,mean_error\n")
-        for c in comps:
-            fh.write(f"{c.t:.17g},{c.sup_error_v:.17g},{c.sup_error_x:.17g},"
-                     f"{c.var_ratio_v:.17g},{c.var_ratio_x:.17g},{c.mean_error:.17g}\n")
-
-
-def write_profile_csv(path, prof: Profile, theoretical: Callable) -> None:
-    """Plot-ready dump: bin center, empirical profile, theoretical quadratic."""
-    theo = theoretical(prof.centers)
-    with open(path, "w", newline="") as fh:
-        fh.write("center,empirical,theoretical\n")
-        for c, e, th in zip(prof.centers, prof.values, theo):
-            fh.write(f"{c:.17g},{e:.17g},{th:.17g}\n")

@@ -28,9 +28,7 @@ step of the same kernel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -42,8 +40,6 @@ from .core import (InitCondition, ModelParams, nonlinearity, require_finite,  # 
 CFL_SAFETY = 0.9
 DENSITY_FLOOR = 1e-300
 NEGATIVITY_TOL = -1e-12
-
-_MAGIC = b"FHNMF-FIELD-1\n"
 
 
 class CflError(RuntimeError):
@@ -360,38 +356,3 @@ def hopf_cole(f: DensityField, p: ModelParams) -> HopfColeField:
     mask = ~(f.rho > DENSITY_FLOOR)
     psi = p.epsilon * np.log(np.maximum(f.rho, DENSITY_FLOOR))
     return HopfColeField(psi=psi, mask=mask, grid=f.grid)
-
-
-def save_snapshot(path, f: DensityField, p: ModelParams) -> None:
-    """Dense binary block with a one-line text header (grid, t, epsilon)."""
-    header = {
-        "v_min": f.grid.v_min, "v_max": f.grid.v_max,
-        "x_min": f.grid.x_min, "x_max": f.grid.x_max,
-        "nv": f.grid.nv, "nx": f.grid.nx,
-        "t": f.t, "epsilon": p.epsilon,
-    }
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        fh.write(np.ascontiguousarray(f.rho, dtype="<f8").tobytes())
-
-
-def load_snapshot(path) -> tuple[DensityField, float]:
-    """Inverse of save_snapshot; returns the field and the stored epsilon."""
-    raw = Path(path).read_bytes()
-    if not raw.startswith(_MAGIC):
-        raise ValueError(f"{path} is not a field snapshot")
-    nl = raw.index(b"\n", len(_MAGIC))
-    header = json.loads(raw[len(_MAGIC):nl].decode("ascii"))
-    grid = Grid(v_min=header["v_min"], v_max=header["v_max"],
-                x_min=header["x_min"], x_max=header["x_max"],
-                nv=header["nv"], nx=header["nx"])
-    rho = np.frombuffer(raw[nl + 1:], dtype="<f8").reshape(grid.nx, grid.nv).copy()
-    return DensityField(grid=grid, rho=rho, t=header["t"]), header["epsilon"]
-
-
-def write_series_csv(path, sol: FpSolution) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,jg,mass\n")
-        for t, jg, m in zip(sol.t, sol.jg, sol.mass):
-            fh.write(f"{t:.17g},{jg:.17g},{m:.17g}\n")

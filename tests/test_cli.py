@@ -7,7 +7,7 @@ import pytest
 from fhn_meanfield import cli, presets
 from fhn_meanfield.cli import main
 from fhn_meanfield.core import time_steps
-from fhn_meanfield.fokker_planck import load_snapshot
+from fhn_meanfield.fokker_planck import stable_dt
 from fhn_meanfield.limit_ode import LimitState, rk4_integrate
 from fhn_meanfield.particle import default_dt, simulate
 
@@ -152,13 +152,13 @@ def test_simulate_pde_snapshot_stride_writes_fields(tmp_path):
                 "--snapshot-stride", "1", *PDE_SMALL]) == 0
     summary = json.loads((out / "p_summary.json").read_text())
     n_steps = round(0.002 / summary["results"]["dt"])
-    files = sorted(out.glob("p_field_*.bin"))
+    files = sorted(out.glob("p_field_*.npz"))
     assert len(files) == n_steps + 1
     assert summary["config"]["grid"]["snapshot_stride"] == 1
-    field, eps = load_snapshot(files[-1])
-    assert eps == 0.1
-    assert field.rho.shape == (32, 64)
-    assert field.t == pytest.approx(0.002)
+    with np.load(files[-1]) as field:
+        assert field["epsilon"] == 0.1
+        assert field["rho"].shape == (32, 64)
+        assert field["t"] == pytest.approx(0.002)
 
 
 def test_snapshot_stride_from_config_file_and_validation(tmp_path, capsys):
@@ -168,7 +168,7 @@ def test_snapshot_stride_from_config_file_and_validation(tmp_path, capsys):
     assert run(["simulate-pde", "--config", str(cfgfile), "--out", str(out),
                 "--label", "p", *PDE_SMALL]) == 0
     # only the initial and the final fields within the horizon
-    assert len(list(out.glob("p_field_*.bin"))) == 2
+    assert len(list(out.glob("p_field_*.npz"))) == 2
     assert run(["simulate-pde", "--snapshot-stride", "0", "--out", str(out),
                 *PDE_SMALL]) == 2
     assert "snapshot_stride" in capsys.readouterr().err
@@ -181,7 +181,7 @@ def test_simulate_pde_summary_reports_solver_step(tmp_path):
     summary = json.loads((out / "p_summary.json").read_text())
     assert summary["results"]["dt"] < 1e-3  # below the particle default
     assert summary["config"]["sim"]["dt"] == summary["results"]["dt"]
-    assert not list(out.glob("p_field_*.bin"))
+    assert not list(out.glob("p_field_*"))
 
 
 def test_simulate_pde_honours_user_step(tmp_path):
@@ -543,6 +543,99 @@ def test_simulate_pde_step_above_the_horizon_is_one_checked_step(tmp_path, capsy
     assert run(["simulate-pde", "--out", str(out), "--dt", "0.005", *PDE_SMALL]) == 3
     assert "stability bound" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-network", "--n", "16", "--dt", "0.5", "--t-end", "20",
+     "--init-kind", "point", "--init-mean-v", "1e10"],
+    ["simulate-ode", "--dt", "0.5", "--t-end", "20", "--init-mean-v", "1e10"],
+    ["compare", "--epsilon", "0.2", "--n", "16", "--dt", "0.5", "--t-end", "20",
+     "--init-mean-v", "1e10", "--nv", "16", "--nx", "16"],
+], ids=["simulate-network", "simulate-ode", "compare"])
+def test_a_numerical_failure_leaves_no_output_directory(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_simulate_pde_preset_takes_the_solvers_own_step(tmp_path):
+    out = tmp_path / "o"
+    argv = ["simulate-pde", "--preset", "fig1:epsinv25", "--t-end", "0.01"]
+    assert run([*argv, "--out", str(out)]) == 0
+    summary = json.loads((out / "epsinv25_summary.json").read_text())
+    cfg = cli.resolve_config(cli.build_parser().parse_args(argv), "pde")
+    assert cfg.sim.dt is None
+    step = time_steps(0.01, stable_dt(cfg.grid, cfg.params))[1]
+    assert summary["results"]["dt"] == summary["config"]["sim"]["dt"] == step
+    assert step == pytest.approx(5.49e-5, rel=1e-3)
+    # the network levels keep the preset's step eps/10
+    for command, model in (("simulate-network", "network"), ("compare", "compare")):
+        args = cli.build_parser().parse_args([command, "--preset", "fig1:epsinv25"])
+        assert cli.resolve_config(args, model).sim.dt == pytest.approx(0.004)
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_simulate_pde_preset_step_yields_to_a_given_dt(tmp_path, source):
+    ini = tmp_path / "dt.ini"
+    ini.write_text("[sim]\ndt = 5e-5\n")
+    given = ["--dt", "5e-5"] if source == "flag" else ["--config", str(ini)]
+    out = tmp_path / "o"
+    assert run(["simulate-pde", "--preset", "fig1:epsinv25", "--t-end", "0.01",
+                "--out", str(out), *given]) == 0
+    summary = json.loads((out / "epsinv25_summary.json").read_text())
+    assert summary["results"]["dt"] == summary["config"]["sim"]["dt"] == 5e-5
+
+
+RUNS_SMALL = {
+    "simulate-network": ["simulate-network", "--n", "16", "--t-end", "0.1"],
+    "simulate-pde": ["simulate-pde", *PDE_SMALL],
+    "simulate-ode": ["simulate-ode", "--t-end", "0.1"],
+    "compare": COMPARE_SMALL,
+}
+
+
+@pytest.mark.parametrize("command", RUNS_SMALL)
+@pytest.mark.parametrize("where", ["file", "under a file", "ini under a file"])
+def test_an_unusable_output_path_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                        command, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("simulate", "solve", "rk4_integrate"):
+        monkeypatch.setattr(cli, name, no_work)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = blocker if where == "file" else blocker / "sub"
+    given = ["--out", str(out)]
+    if where.startswith("ini"):
+        ini = tmp_path / "out.ini"
+        ini.write_text(f"[output]\ndirectory = {out}\n")
+        given = ["--config", str(ini)]
+    assert run([*RUNS_SMALL[command], *given]) == 2
+    captured = capsys.readouterr()
+    assert f"{str(blocker)!r} is not a directory" in captured.err
+    assert captured.out == "" and blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("where", ["directory", "under a file"])
+def test_classify_rejects_an_unusable_json_out_before_printing(tmp_path, capsys, where):
+    (tmp_path / "taken").write_text("keep")
+    target = tmp_path if where == "directory" else tmp_path / "taken" / "cls.json"
+    assert run(["classify", "--json-out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "--json-out" in captured.err and captured.out == ""
+    assert (tmp_path / "taken").read_text() == "keep"
+
+
+def test_classify_ignores_a_file_named_like_the_default_output(tmp_path, monkeypatch,
+                                                               capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FHN_MEANFIELD_OUT", raising=False)
+    (tmp_path / "out").write_text("not a directory")
+    assert run(["classify"]) == 0
+    assert run(["detect-cycle", "--a", "0.3", "--b", "0.1", "--i-ext", "0.0"]) == 0
 
 
 def test_scenario_runs_several_presets_or_all(tmp_path, monkeypatch):

@@ -4,8 +4,7 @@ import pytest
 from fhn_meanfield.core import EnsembleState, ModelParams
 from fhn_meanfield.diagnostics import (Profile, compare, log_density_profile,
                                        theoretical_profile,
-                                       viscosity_residual,
-                                       write_comparison_csv, write_profile_csv)
+                                       viscosity_residual)
 from fhn_meanfield.fokker_planck import (DensityField, Grid, gaussian_field,
                                          hopf_cole)
 from fhn_meanfield.core import InitCondition
@@ -181,23 +180,3 @@ def test_viscosity_residual_requires_support():
     field = hopf_cole(DensityField(grid, np.zeros((16, 16)), 0.0), p)
     with pytest.raises(ValueError):
         viscosity_residual(field, 0.0)
-
-
-def test_csv_writers(tmp_path):
-    p = ModelParams(a=0.3, epsilon=0.01)
-    rng = np.random.default_rng(8)
-    state = EnsembleState(0.0, rng.standard_normal(2000) * 0.1,
-                          rng.standard_normal(2000) * 0.2)
-    comps = compare([state], _flat_limit(0.0, 0.0), p)
-    cpath = tmp_path / "comps.csv"
-    write_comparison_csv(cpath, comps)
-    header = cpath.read_text().splitlines()[0]
-    assert header == "t,sup_error_v,sup_error_x,var_ratio_v,var_ratio_x,mean_error"
-
-    prof = log_density_profile(state.v, p.epsilon, bins=32)
-    ppath = tmp_path / "prof.csv"
-    psi_v, _ = theoretical_profile(LimitState(0.0, 0.0, 0.0), p)
-    write_profile_csv(ppath, prof, psi_v)
-    lines = ppath.read_text().splitlines()
-    assert lines[0] == "center,empirical,theoretical"
-    assert len(lines) == 33

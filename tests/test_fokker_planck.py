@@ -8,9 +8,7 @@ from fhn_meanfield.core import InitCondition, ModelParams
 from fhn_meanfield.fokker_planck import (CFL_SAFETY, NEGATIVITY_TOL, CflError,
                                          DensityField, Grid, SchemeError, cfl_limit,
                                          first_moment, fp_step, gaussian_field,
-                                         hopf_cole, load_snapshot, mass,
-                                         save_snapshot, solve, stable_dt,
-                                         write_series_csv)
+                                         hopf_cole, mass, solve, stable_dt)
 from fhn_meanfield.limit_ode import equilibria
 
 P01 = ModelParams(a=0.3, b=0.1, lam=4.0, i_ext=0.0, epsilon=0.1)
@@ -170,28 +168,6 @@ def test_hopf_cole_mask_grows_as_epsilon_shrinks():
         hc = hopf_cole(f, p)
         fractions.append(hc.mask.mean())
     assert 0.0 < fractions[0] < fractions[1]
-
-
-def test_snapshot_roundtrip(tmp_path):
-    f = gaussian_field(small_grid(), InitCondition(mean_v=1.3, mean_x=0.2), P01)
-    f.t = 2.5
-    path = tmp_path / "field.bin"
-    save_snapshot(path, f, P01)
-    loaded, eps = load_snapshot(path)
-    assert eps == P01.epsilon
-    assert loaded.t == 2.5
-    assert loaded.grid == f.grid
-    assert np.array_equal(loaded.rho, f.rho)
-
-
-def test_series_csv(tmp_path):
-    f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.0), P01)
-    sol = solve(f, P01, t_end=20 * stable_dt(f.grid, P01), record_stride=5)
-    path = tmp_path / "series.csv"
-    write_series_csv(path, sol)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,jg,mass"
-    assert len(lines) == len(sol.t) + 1
 
 
 def test_cfl_limit_matches_formula():
