@@ -240,9 +240,10 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
     args lacks or holds as None is not set.
 
     The density solver (pde, compare) needs sigma = 1, adaptation noise on
-    and a gaussian cluster, and a sampled cluster (network, compare) a
-    concentration within sample_initial's bound, whichever of preset, file
-    or flag sets them; a ConfigError says otherwise before any output."""
+    and a gaussian cluster with mass on its grid, and a sampled cluster
+    (network, compare) a concentration within sample_initial's bound,
+    whichever of preset, file or flag sets them; a ConfigError says
+    otherwise before any work or output."""
     preset_name, notes = None, ()
     run = PresetRun(label="run", params=ModelParams(), init=InitCondition(),
                     sim=SimConfig(n=1000, t_end=10.0, record_stride=10))
@@ -280,6 +281,7 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
             check_density_params(params)
             if init.kind != GAUSSIAN_CLUSTER:
                 raise ValueError("the density solver needs a gaussian initial cluster")
+            gaussian_field(grid, init, params)  # raises if the cluster misses the grid
         if model in _ENSEMBLE:
             check_concentration(init, params)
     except ValueError as err:

@@ -143,7 +143,8 @@ def gaussian_field(grid: Grid, cond: InitCondition, p: ModelParams) -> DensityFi
     rho = np.exp(-((v - cond.mean_v) ** 2 + (x - cond.mean_x) ** 2) / (2.0 * var))
     total = rho.sum() * grid.dv * grid.dx
     if total <= 0:
-        raise ValueError("initial density has no mass on this grid")
+        raise ValueError(f"initial density has no mass on this grid: the cluster at "
+                         f"({cond.mean_v:g}, {cond.mean_x:g}) lies too far outside it")
     return DensityField(grid=grid, rho=rho / total, t=0.0)
 
 

@@ -8,12 +8,14 @@ epsilon.  x takes an Euler-Maruyama step.  vbar is reduced from the
 pre-step state, so the result does not depend on update order.
 
 A run's noise is one SFC64 stream per block of NoiseStream(seed): block 0
-draws the initial ensemble and block 1 every step's draws in order, each
-step drawing its own just before it is taken.  So trajectories are bitwise
-reproducible for a fixed configuration and seed.  The ensemble lives in
-one preallocated (2, n) array, voltages in row 0 and adaptation values in
-row 1, which every step updates in place; em_step runs the same update on
-a copy of a single state.
+draws the initial ensemble and block 1 every step's draws in order.
+simulate draws them for a block of whole steps at a time, at most
+NOISE_BLOCK_NORMALS normals in one call, and at least one step's; a block's
+draws do not depend on how the stream is split, so trajectories are
+bitwise reproducible for a fixed configuration and seed.  The ensemble
+lives in one preallocated (2, n) array, voltages in row 0 and adaptation
+values in row 1, which every step updates in place; em_step runs the same
+update on a copy of a single state, with a block of one step.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ DEFAULT_QUANTILES = (0.10, 0.25, 0.75, 0.90)
 # and the benchmark workloads all hold.
 DEFAULT_DT = 1e-2
 
+# simulate draws the normals of as many whole steps as fit in 2**16 doubles
+# (512 KiB) with one standard_normal call, which spreads the call's fixed
+# cost over many steps when n is small; a step of more draws takes its own.
+NOISE_BLOCK_NORMALS = 2 ** 16
+
 
 class NoiseStream:
     """The noise streams of one run, keyed by its seed.
@@ -47,8 +54,8 @@ class NoiseStream:
     block 1 the noise of every step, in order: step, then row (voltage, then
     adaptation when adaptation noise is on), then neuron.  SFC64 makes each
     double from whole 64-bit words and standard normals keep no state
-    outside the generator, so drawing a block step by step gives the same
-    draws as drawing it at once.
+    outside the generator, so drawing block 1 in runs of whole steps, of any
+    length, gives the same draws as drawing it step by step or at once.
     """
 
     def __init__(self, seed: int):
@@ -210,23 +217,29 @@ def quantiles(values: np.ndarray, qs: Sequence[float]) -> np.ndarray:
 
 
 class _Stepper:
-    """Step constants and scratch buffers for in-place steps of n neurons.
-    step() is the only arithmetic path of a step, shared by em_step and
-    simulate.
+    """Step constants, row views and scratch buffers for in-place steps of
+    the state s, shape (2, n).  step() is the only arithmetic path of a
+    step, shared by em_step and simulate.
 
-    Each step takes its standard normal draws as a (rows, n) array: the
-    voltage row, then the adaptation row when adaptation noise is on;
-    simulate and em_step both draw it with one standard_normal call of
-    that shape.  incr and last hold the scaled increments of the current
-    and the previous step; each step swaps them, so the previous drifts
-    stay for finite_sums at no cost.
+    The noise arrives in blocks of whole steps, shape (m, rows, n): the
+    voltage row, then the adaptation row when adaptation noise is on.
+    scale() takes each step's voltage-draw sum and scales the whole block
+    once; step() then takes one step's scaled draws with that sum.  The
+    constants the ufuncs take are np.float64 and every row view is made
+    here, so a step converts no Python float and slices nothing.  incr and
+    last hold the scaled increments of the current and the previous step;
+    each step swaps them, so the previous drifts stay for finite_sums at no
+    cost.
     """
 
-    def __init__(self, p: ModelParams, dt: float, n: int):
-        self.p, self.dt = p, dt
+    def __init__(self, p: ModelParams, dt: float, s: np.ndarray):
+        self.p, self.dt, self.s = p, dt, s
+        self.v, self.x = s
+        self.n = n = s.shape[1]
         self.rows = rows = 2 if p.adaptation_noise else 1
+        self.noisy = s[:rows]
         ratio = dt / p.epsilon
-        self.decay = math.exp(-ratio)  # e
+        self.decay = np.float64(math.exp(-ratio))  # e
         self.damped = -math.expm1(-ratio)  # 1 - e
         ou_noise = p.sigma * math.sqrt(-p.epsilon * math.expm1(-2.0 * ratio))  # A
         self.gain = np.array([[p.epsilon * self.damped], [dt]])  # phi, h
@@ -234,14 +247,24 @@ class _Stepper:
                                      [math.sqrt(2.0 * p.epsilon * dt)]])[:rows]
         self.mean_drift = dt - p.epsilon * self.damped  # h - phi
         self.mean_noise = p.sigma * math.sqrt(2.0 * dt) - ou_noise  # B - A
-        self.incr = np.zeros((2, n))
-        self.last = np.zeros((2, n))
+        self.lam, self.one, self.i_ext, self.neg_a, self.b = map(
+            np.float64, (p.lam, 1.0, p.i_ext, -p.a, p.b))
+        incr, last = np.zeros((2, n)), np.zeros((2, n))
+        self.incr, self.last = (incr, *incr), (last, *last)  # (both rows, drift, relax)
         self.work = np.empty(n)
 
-    def step(self, s: np.ndarray, vbar: float, noise: np.ndarray) -> None:
+    def scale(self, block: np.ndarray) -> list[float]:
+        """Scale a block of standard normal draws, shape (m, rows, n), in
+        place by the noise amplitudes A and sqrt(2 eps h), and return each
+        step's sum of voltage draws, taken before the scaling."""
+        sums = np.add.reduce(block[:, 0], axis=1).tolist()
+        np.multiply(block, self.noise_scale, block)
+        return sums
+
+    def step(self, vbar: float, noise: np.ndarray, noise_sum: float) -> None:
         """Advance s = (v, x) by one step in place, with vbar the mean of
-        the pre-step voltages and noise the step's draws, which are scaled
-        in place.
+        the pre-step voltages, noise the step's draws as scale() left them
+        and noise_sum their voltage row's sum before scaling.
 
         With h the step, e = exp(-h/eps), phi = eps (1 - e), f the non-stiff
         drift -N0(v) + i_ext - x, xi the voltage draws, A and B the noise
@@ -256,32 +279,30 @@ class _Stepper:
         of core.voltage_drift without its coupling term.
         """
         self.incr, self.last = self.last, self.incr
-        p, work = self.p, self.work
-        v, x = s
-        drift, relax = self.incr
-        if p.truncation is None:
-            np.subtract(v, p.lam, out=drift)
-            np.multiply(v, drift, out=drift)
-            np.subtract(v, 1.0, out=work)
-            np.multiply(drift, work, out=drift)
+        incr, drift, relax = self.incr
+        v, x, work = self.v, self.x, self.work
+        if self.p.truncation is None:
+            np.subtract(v, self.lam, drift)
+            np.multiply(v, drift, drift)
+            np.subtract(v, self.one, work)
+            np.multiply(drift, work, drift)
         else:
-            drift[...] = nonlinearity(v, p)
-        np.subtract(p.i_ext, drift, out=drift)
-        drift -= x
-        n = v.size
-        shift = (self.damped * vbar + self.mean_drift * np.add.reduce(drift) / n
-                 + self.mean_noise * np.add.reduce(noise[0]) / n)
-        np.multiply(x, -p.a, out=relax)
-        np.multiply(v, p.b, out=work)
-        relax += work
-        self.incr *= self.gain
-        v *= self.decay
-        s += self.incr
-        noise *= self.noise_scale
-        s[:noise.shape[0]] += noise
-        v += shift
+            drift[...] = nonlinearity(v, self.p)
+        np.subtract(self.i_ext, drift, drift)
+        np.subtract(drift, x, drift)
+        n = self.n
+        shift = (self.damped * vbar + self.mean_drift * np.add.reduce(drift).item() / n
+                 + self.mean_noise * noise_sum / n)
+        np.multiply(x, self.neg_a, relax)
+        np.multiply(v, self.b, work)
+        np.add(relax, work, relax)
+        np.multiply(incr, self.gain, incr)
+        np.multiply(v, self.decay, v)
+        np.add(self.s, incr, self.s)
+        np.add(self.noisy, noise, self.noisy)
+        np.add(v, shift, v)
 
-    def finite_sums(self, s: np.ndarray, t: float) -> np.ndarray:
+    def finite_sums(self, t: float) -> np.ndarray:
         """Row sums of s after a step that ended at time t.
 
         Any non-finite entry raises BlowUpError naming t and the first
@@ -292,16 +313,17 @@ class _Stepper:
         the largest previous drift.  Finite sums imply finite entries, so
         the entry-wise test only runs when a sum is not finite.
         """
+        s = self.s
         sums = np.add.reduce(s, axis=1)
-        if math.isfinite(sums[0]) and math.isfinite(sums[1]):
+        if math.isfinite(sums.item(0)) and math.isfinite(sums.item(1)):
             return sums
         finite = np.isfinite(s).all(axis=0)
         if not finite.all():
-            drift_finite = np.isfinite(self.incr[0])
+            drift_finite = np.isfinite(self.incr[1])
             if drift_finite.any():
                 bad = int(np.argmin(finite if drift_finite.all() else drift_finite))
             else:
-                bad = int(np.argmax(np.abs(self.last[0])))
+                bad = int(np.argmax(np.abs(self.last[1])))
             raise BlowUpError(
                 f"non-finite state at t={t:.6g}, neuron {bad} "
                 f"(dt={self.dt:.3g}; reduce dt)", t=t, index=bad)
@@ -311,18 +333,20 @@ class _Stepper:
 def em_step(state: EnsembleState, p: ModelParams, cfg: SimConfig,
             rng: np.random.Generator) -> EnsembleState:
     """One step of the ensemble, with vbar reduced from state: the update
-    simulate makes in place (see _Stepper.step), here on a copy of state.
-    A non-finite result raises BlowUpError naming the time and the neuron,
-    which signals dt too large for the explicit non-stiff drift.
+    simulate makes in place (see _Stepper.step), here on a copy of state,
+    with the step's draws as a block of one step.  A non-finite result
+    raises BlowUpError naming the time and the neuron, which signals dt too
+    large for the explicit non-stiff drift.
     """
     dt = cfg.dt if cfg.dt is not None else default_dt(p)
     s = np.stack((state.v, state.x))
-    stepper = _Stepper(p, dt, state.n)
-    noise = rng.standard_normal((stepper.rows, state.n))
+    stepper = _Stepper(p, dt, s)
+    noise = rng.standard_normal((1, stepper.rows, state.n))
+    (noise_sum,) = stepper.scale(noise)
     with np.errstate(over="ignore", invalid="ignore"):
-        stepper.step(s, coupling_mean(state.v), noise)
+        stepper.step(coupling_mean(state.v), noise[0], noise_sum)
         t_new = state.t + dt
-        stepper.finite_sums(s, t_new)
+        stepper.finite_sums(t_new)
     return EnsembleState(t=t_new, v=s[0], x=s[1])
 
 
@@ -332,8 +356,11 @@ def simulate(cfg: SimConfig, p: ModelParams, init: InitCondition) -> TrajectoryR
     core.time_steps of t_end and cfg.dt (or default_dt).  The final ensemble
     is attached for warm restarts and sample-level diagnostics.
 
-    Each step draws its normals from block 1 of the seed's NoiseStream into
-    one reused (rows, n) buffer, on the calling thread.
+    The normals come from block 1 of the seed's NoiseStream, on the calling
+    thread, one standard_normal call per block of whole steps into one
+    reused (K, rows, n) buffer, with K = NOISE_BLOCK_NORMALS // (rows n),
+    at least 1 and at most the step count.  Each block is summed and scaled
+    once (_Stepper.scale), then stepped through.
     """
     n_steps, dt = time_steps(cfg.t_end, cfg.dt if cfg.dt is not None else default_dt(p))
     stride = cfg.record_stride
@@ -342,7 +369,7 @@ def simulate(cfg: SimConfig, p: ModelParams, init: InitCondition) -> TrajectoryR
 
     s = np.stack((state.v, state.x))
     n = s.shape[1]
-    stepper = _Stepper(p, dt, n)
+    stepper = _Stepper(p, dt, s)
     ordered = np.empty_like(s)
     plan = _quantile_plan(n, cfg.quantile_fractions)
 
@@ -358,21 +385,27 @@ def simulate(cfg: SimConfig, p: ModelParams, init: InitCondition) -> TrajectoryR
         quants[:, row] = _interpolate(ordered, plan)
 
     rng = stream.block(1)
-    noise = np.empty((stepper.rows, n))
+    per_block = max(1, min(n_steps, NOISE_BLOCK_NORMALS // (stepper.rows * n)))
+    block = np.empty((per_block, stepper.rows, n))
     sums = np.add.reduce(s, axis=1)
     record(0, sums)
     row = 1
     t = 0.0
+    k = 0
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, n_steps + 1):
-                stepper.step(s, sums[0] / n, rng.standard_normal(out=noise))
-                t = cfg.t_end if k == n_steps else k * dt
-                sums = stepper.finite_sums(s, t)
-                if k % stride == 0 or k == n_steps:
-                    times[row] = t
-                    record(row, sums)
-                    row += 1
+            while k < n_steps:
+                draws = block[:min(per_block, n_steps - k)]
+                rng.standard_normal(out=draws)
+                for noise, noise_sum in zip(draws, stepper.scale(draws)):
+                    stepper.step(sums.item(0) / n, noise, noise_sum)
+                    k += 1
+                    t = cfg.t_end if k == n_steps else k * dt
+                    sums = stepper.finite_sums(t)
+                    if k % stride == 0 or k == n_steps:
+                        times[row] = t
+                        record(row, sums)
+                        row += 1
     except BlowUpError as err:
         raise BlowUpError(
             f"{err} [n={cfg.n}, seed={cfg.seed}, t_end={cfg.t_end}]",

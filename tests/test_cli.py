@@ -549,8 +549,9 @@ def test_simulate_pde_step_above_the_horizon_is_one_checked_step(tmp_path, capsy
     ["simulate-network", "--n", "16", "--dt", "0.5", "--t-end", "20",
      "--init-kind", "point", "--init-mean-v", "1e10"],
     ["simulate-ode", "--dt", "0.5", "--t-end", "20", "--init-mean-v", "1e10"],
+    # a cluster on the density grid (v in [-12, 12]), so the network blows up
     ["compare", "--epsilon", "0.2", "--n", "16", "--dt", "0.5", "--t-end", "20",
-     "--init-mean-v", "1e10", "--nv", "16", "--nx", "16"],
+     "--init-mean-v", "10", "--nv", "16", "--nx", "16"],
 ], ids=["simulate-network", "simulate-ode", "compare"])
 def test_a_numerical_failure_leaves_no_output_directory(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -689,6 +690,24 @@ def test_density_runs_reject_noise_the_solver_does_not_model(tmp_path, capsys, a
     assert run([*argv, *given, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "sigma = 1 and adaptation noise on" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-pde", "--init-mean-v", "100", "--t-end", "0.001"],
+    [*COMPARE_SMALL, "--init-mean-x", "100"],
+], ids=["simulate-pde", "compare"])
+def test_a_cluster_off_the_grid_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                        argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("simulate", "solve"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "initial density has no mass on this grid" in captured.err
     assert captured.out == "" and not out.exists()
 
 

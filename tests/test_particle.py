@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import sys
 import threading
 
@@ -7,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fhn_meanfield import particle
 from fhn_meanfield.core import (BlowUpError, EnsembleState, InitCondition,
                                 ModelParams, nonlinearity, sample_initial)
 from fhn_meanfield.limit_ode import LimitState, equilibria, rk4_integrate
-from fhn_meanfield.particle import (NoiseStream, SimConfig, coupling_mean,
-                                    default_dt, em_step, empirical_moments,
-                                    quantiles, simulate)
+from fhn_meanfield.particle import (NoiseStream, SimConfig, TrajectoryRecord,
+                                    coupling_mean, default_dt, em_step,
+                                    empirical_moments, quantiles, simulate)
 
 
 def test_coupling_mean_constant():
@@ -264,13 +267,17 @@ def _reference_row(v, x, qs):
             np.quantile(v, qs), np.quantile(x, qs))
 
 
+PLAIN_LOOP_INIT = InitCondition(mean_v=1.2, mean_x=0.4, concentration=0.3)
+
+
 def _check_against_plain_loop(params, n, t_end, stride, seed):
     """simulate against the plain loop and against em_step, each driven by
-    its own block(1) generator of the seed, draw for draw in step order."""
+    its own block(1) generator of the seed, draw for draw in step order.
+    Returns simulate's record."""
     p = ModelParams(**params)
     dt = 1e-3
     cfg = SimConfig(n=n, t_end=t_end, dt=dt, seed=seed, record_stride=stride)
-    init = InitCondition(mean_v=1.2, mean_x=0.4, concentration=0.3)
+    init = PLAIN_LOOP_INIT
     rec = simulate(cfg, p, init)
 
     stream = NoiseStream(cfg.seed)
@@ -301,6 +308,16 @@ def _check_against_plain_loop(params, n, t_end, stride, seed):
     assert np.array_equal(rec.final_state.x, x)
     assert rec.final_state.t == t == t_end
     assert stepped.t == pytest.approx(t_end)  # em_step adds dt to its state's clock
+    return rec
+
+
+def _assert_same_record(got, want):
+    for field in dataclasses.fields(TrajectoryRecord):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "final_state":
+            assert a.t == b.t and np.array_equal(a.v, b.v) and np.array_equal(a.x, b.x)
+        else:
+            assert np.array_equal(a, b), field.name
 
 
 @pytest.mark.parametrize("params, n, t_end, stride", [
@@ -314,9 +331,24 @@ def _check_against_plain_loop(params, n, t_end, stride, seed):
     (dict(epsilon=0.05), 2000, 0.05, 9),
     # a step of 66 000 draws, more than 2**16 in one standard_normal call
     (dict(epsilon=0.05), 33_000, 0.005, 2),
+    # the ensemble-narrow network over 250 steps: draws of 109, 109 and 32 steps
+    (dict(a=0.3, b=3.0, i_ext=10.0, epsilon=0.01), 300, 0.25, 10),
+    # adaptation noise off, one row of draws: 21, 21 and 8 steps
+    (dict(epsilon=0.05, adaptation_noise=False), 3000, 0.05, 6),
+    # the truncated nonlinearity: 16, 16, 16 and 2 steps
+    (dict(epsilon=0.05, truncation=1.5), 2000, 0.05, 7),
 ])
-def test_simulate_matches_plain_loop_bitwise(params, n, t_end, stride):
-    _check_against_plain_loop(params, n, t_end, stride, seed=21)
+def test_simulate_matches_plain_loop_bitwise(monkeypatch, params, n, t_end, stride):
+    rec = _check_against_plain_loop(params, n, t_end, stride, seed=21)
+    # the same record whatever number of steps one call draws: one, and
+    # seven, which divides none of the step counts above
+    p = ModelParams(**params)
+    cfg = SimConfig(n=n, t_end=t_end, dt=1e-3, seed=21, record_stride=stride)
+    rows = 2 if p.adaptation_noise else 1
+    assert round(t_end / 1e-3) % 7
+    for steps in (1, 7):
+        monkeypatch.setattr(particle, "NOISE_BLOCK_NORMALS", steps * rows * n)
+        _assert_same_record(simulate(cfg, p, PLAIN_LOOP_INIT), rec)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 70 + 5])
@@ -357,7 +389,7 @@ def test_quantiles_propagate_nan_and_reject_nan_fractions():
         quantiles(np.array([1.0, 2.0]), [np.nan])
 
 
-def test_simulate_blowup_reports_plain_loop_time_and_index():
+def test_simulate_blowup_reports_plain_loop_time_and_index(monkeypatch):
     # dt too large for the explicit cubic drift: the outlying neuron 37
     # overshoots further every step until its drift overflows
     p = ModelParams(epsilon=0.3, sigma=0.0, adaptation_noise=False)
@@ -377,11 +409,15 @@ def test_simulate_blowup_reports_plain_loop_time_and_index():
     finite = np.isfinite(f) if not np.isfinite(f).all() else np.isfinite(v) & np.isfinite(x)
     bad = int(np.argmin(finite))
     assert t > 5 * dt and bad == 37
-    with pytest.raises(BlowUpError) as info:
-        simulate(SimConfig(n=n, t_end=100.0, dt=dt, seed=1), p, init)
-    assert info.value.t == t and info.value.index == bad
-    assert f"neuron {bad}" in str(info.value)
-    assert f"[n={n}, seed=1, t_end=100.0]" in str(info.value)
+    # one call draws every step's noise, or three steps' at a time, which
+    # puts the blow-up in a later call's steps
+    for budget in (particle.NOISE_BLOCK_NORMALS, 3 * n):
+        monkeypatch.setattr(particle, "NOISE_BLOCK_NORMALS", budget)
+        with pytest.raises(BlowUpError) as info:
+            simulate(SimConfig(n=n, t_end=100.0, dt=dt, seed=1), p, init)
+        assert info.value.t == t and info.value.index == bad
+        assert f"neuron {bad}" in str(info.value)
+        assert f"[n={n}, seed=1, t_end=100.0]" in str(info.value)
 
 
 def test_blowup_building_over_several_steps_names_the_outlier():
@@ -402,6 +438,33 @@ def test_blowup_building_over_several_steps_names_the_outlier():
                 except BlowUpError as err:
                     named.append(err.index)
     assert named == [37] * 10
+
+
+def test_simulate_draws_the_noise_of_many_steps_per_call(monkeypatch):
+    calls = {}
+    block = NoiseStream.block
+
+    class Counting:
+        def __init__(self, rng, index):
+            self.rng, self.index = rng, index
+
+        def standard_normal(self, *args, **kwargs):
+            calls[self.index] = calls.get(self.index, 0) + 1
+            return self.rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(NoiseStream, "block",
+                        lambda self, index: Counting(block(self, index), index))
+    # the ensemble-narrow network: 650 steps of 600 draws
+    p = ModelParams(a=0.3, b=3.0, i_ext=10.0, epsilon=0.01)
+    init = InitCondition(mean_v=0.0, mean_x=7.5, concentration=0.3)
+    simulate(SimConfig(n=300, t_end=6.5, dt=0.01, seed=5), p, init)
+    per_call = particle.NOISE_BLOCK_NORMALS // (2 * 300)
+    assert calls[1] <= math.ceil(650 / per_call) + 1 <= 7
+    # a step of 66 000 draws is more than one call's budget, so it takes its own
+    calls.clear()
+    simulate(SimConfig(n=33_000, t_end=0.005, dt=1e-3, seed=5), ModelParams(epsilon=0.05),
+             InitCondition())
+    assert calls[1] == 5
 
 
 def test_simulate_starts_no_thread(monkeypatch):
