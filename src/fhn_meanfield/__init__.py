@@ -13,14 +13,13 @@ from .bifurcation import (BifurcationReport, CycleDetectionError, LimitCycle,
 from .core import (BlowUpError, EnsembleState, InitCondition, ModelParams,
                    cubic, cubic_truncated, sample_initial, voltage_drift)
 from .diagnostics import (ProfileComparison, compare, log_density_profile,
-                          theoretical_profile, viscosity_residual)
+                          profile_sup_error, theoretical_profile, viscosity_residual)
 from .fokker_planck import (DensityField, Grid, first_moment, fp_step,
                             gaussian_field, hopf_cole, solve)
 from .limit_ode import (LimitState, LimitTrajectory, equilibria, limit_rhs,
                         rk4_integrate)
 from .particle import (Moments, NoiseStream, SimConfig, TrajectoryRecord,
-                       coupling_mean, em_step, empirical_moments, quantiles,
-                       simulate)
+                       em_step, empirical_moments, quantiles, simulate)
 
 __all__ = [
     "__version__",
@@ -28,10 +27,10 @@ __all__ = [
     "EnsembleState", "Grid", "InitCondition", "LimitCycle", "LimitState",
     "LimitTrajectory", "ModelParams", "Moments", "NoiseStream",
     "ProfileComparison", "SimConfig", "TrajectoryRecord",
-    "classify", "compare", "coupling_mean", "cubic", "cubic_truncated",
-    "detect_limit_cycle", "discriminant", "em_step", "empirical_moments",
-    "equilibria", "first_moment", "fp_step", "gaussian_field", "hopf_cole",
-    "limit_rhs", "log_density_profile", "quantiles", "rk4_integrate",
+    "classify", "compare", "cubic", "cubic_truncated", "detect_limit_cycle",
+    "discriminant", "em_step", "empirical_moments", "equilibria",
+    "first_moment", "fp_step", "gaussian_field", "hopf_cole", "limit_rhs",
+    "log_density_profile", "profile_sup_error", "quantiles", "rk4_integrate",
     "sample_initial", "simulate", "solve", "theoretical_profile", "trace_at",
     "viscosity_residual", "voltage_drift",
 ]

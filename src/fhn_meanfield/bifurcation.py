@@ -73,14 +73,22 @@ class BifurcationReport:
 
 
 def discriminant(p: ModelParams) -> float:
-    """The cubic discriminant, evaluated exactly as written above."""
+    """The cubic discriminant, evaluated exactly as written above.  Raises
+    ValueError when it is not finite, as when q ** 3 overflows."""
     if not p.a > 0:
         raise ValueError("discriminant requires a > 0")
     lam1 = 1.0 + p.lam
     q = p.lam + p.b / p.a
     i0 = p.i_ext
-    return (-27.0 * i0 ** 2 + 18.0 * lam1 * q * i0 - 4.0 * q ** 3
-            - 4.0 * lam1 ** 3 * i0 + lam1 ** 2 * q ** 2)
+    try:
+        delta = (-27.0 * i0 ** 2 + 18.0 * lam1 * q * i0 - 4.0 * q ** 3
+                 - 4.0 * lam1 ** 3 * i0 + lam1 ** 2 * q ** 2)
+    except OverflowError:
+        delta = math.inf
+    if not math.isfinite(delta):
+        raise ValueError(f"the discriminant is not finite at q = lambda + b/a = {q:g}, "
+                         f"lambda = {p.lam:g}, i_ext = {p.i_ext:g}")
+    return delta
 
 
 def trace_at(vstar: float, p: ModelParams) -> float:

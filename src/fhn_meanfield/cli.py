@@ -28,13 +28,14 @@ import numpy as np
 
 from . import __version__
 from . import presets as presets_mod
-from .bifurcation import CycleDetectionError, classify, detect_limit_cycle, report_to_dict
+from .bifurcation import (CycleDetectionError, classify, detect_limit_cycle,
+                          discriminant, report_to_dict)
 from .core import (GAUSSIAN_CLUSTER, BlowUpError, InitCondition, ModelParams,
                    check_concentration, time_steps)
 from .diagnostics import (Profile, ProfileComparison, compare as diag_compare,
-                          log_density_profile, theoretical_profile)
+                          log_density_profile, profile_sup_error, theoretical_profile)
 from .fokker_planck import (CflError, Grid, SchemeError, check_density_params,
-                            gaussian_field, solve)
+                            gaussian_field, solve, stable_dt)
 from .limit_ode import LimitState, rk4_integrate
 from .particle import SimConfig, TrajectoryRecord, simulate
 from .presets import PresetRun
@@ -239,11 +240,12 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
     any key; flags are taken only for keys the model reads, and one that
     args lacks or holds as None is not set.
 
-    The density solver (pde, compare) needs sigma = 1, adaptation noise on
-    and a gaussian cluster with mass on its grid, and a sampled cluster
-    (network, compare) a concentration within sample_initial's bound,
-    whichever of preset, file or flag sets them; a ConfigError says
-    otherwise before any work or output."""
+    The density solver (pde, compare) needs sigma = 1, adaptation noise on,
+    a gaussian cluster with mass on its grid and, at its own step, at most
+    core.MAX_STEPS steps; a sampled cluster (network, compare) needs a
+    concentration within sample_initial's bound; and every model needs a
+    finite discriminant.  Whichever of preset, file or flag sets them, a
+    ConfigError says otherwise before any work or output."""
     preset_name, notes = None, ()
     run = PresetRun(label="run", params=ModelParams(), init=InitCondition(),
                     sim=SimConfig(n=1000, t_end=10.0, record_stride=10))
@@ -282,8 +284,11 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
             if init.kind != GAUSSIAN_CLUSTER:
                 raise ValueError("the density solver needs a gaussian initial cluster")
             gaussian_field(grid, init, params)  # raises if the cluster misses the grid
+            if model == "compare" or cfg.sim.dt is None:
+                time_steps(cfg.sim.t_end, stable_dt(grid, params))  # the solver's own step
         if model in _ENSEMBLE:
             check_concentration(init, params)
+        discriminant(params)  # raises if it is not finite
     except ValueError as err:
         raise ConfigError(str(err)) from err
     return cfg
@@ -315,10 +320,9 @@ def write_timeseries_csv(path, rec: TrajectoryRecord) -> None:
                       *((f"{c}_x", rec.quantiles_x[:, j]) for j, c in enumerate(qcols))])
 
 
-def write_comparison_csv(path, comps: list[ProfileComparison]) -> None:
+def write_comparison_csv(path, comp: ProfileComparison) -> None:
     """One column per ProfileComparison field, in field order."""
-    _write_csv(path, [(f.name, [getattr(c, f.name) for c in comps])
-                      for f in fields(ProfileComparison)])
+    _write_csv(path, [(f.name, getattr(comp, f.name)) for f in fields(ProfileComparison)])
 
 
 def write_profile_csv(path, prof: Profile, theoretical) -> None:
@@ -370,10 +374,10 @@ def run_network(cfg: ExperimentConfig) -> dict:
     t0 = time.perf_counter()
     rec = simulate(cfg.sim, cfg.params, cfg.init)
     ref = reference_trajectory(rec, cfg)
-    comps = diag_compare(rec, ref, cfg.params)
+    comp = diag_compare(rec, ref, cfg.params)
 
     write_timeseries_csv(cfg.out_dir / f"{cfg.label}_timeseries.csv", rec)
-    write_comparison_csv(cfg.out_dir / f"{cfg.label}_vs_limit.csv", comps)
+    write_comparison_csv(cfg.out_dir / f"{cfg.label}_vs_limit.csv", comp)
 
     report = classify(cfg.params)
     mean_err = np.abs(rec.mean_v - ref.alpha)
@@ -401,9 +405,10 @@ def run_network(cfg: ExperimentConfig) -> dict:
                                      curvature=cfg.params.a)
         write_profile_csv(cfg.out_dir / f"{cfg.label}_profile_v.csv", prof_v, psi_v)
         write_profile_csv(cfg.out_dir / f"{cfg.label}_profile_x.csv", prof_x, psi_x)
-        final_comp = diag_compare([final], ref, cfg.params)[0]
-        results["final_profile_sup_error_v"] = final_comp.sup_error_v
-        results["final_profile_sup_error_x"] = final_comp.sup_error_x
+        results["final_profile_sup_error_v"] = profile_sup_error(
+            prof_v, psi_v, cfg.params.epsilon)
+        results["final_profile_sup_error_x"] = profile_sup_error(
+            prof_x, psi_x, cfg.params.epsilon)
 
     return _finish(cfg, t0, report, results, rec.dt)
 

@@ -1,10 +1,11 @@
 """Concentration diagnostics: shifted log-density profiles of empirical
-samples against the predicted quadratics
+samples and their sup distance from the predicted quadratics
 
     psi_v(v) = -(v - alpha)^2 / 2,    psi_x(x) = -a (x - beta)^2 / 2,
 
-variance ratios against the predicted variances (epsilon in v, epsilon/a in
-x), and the residual of the limiting balance
+a trajectory record's variance ratios against the predicted variances
+(epsilon in v, epsilon/a in x) and its mean error against the limit
+trajectory, and the residual of the limiting balance
 
     R = (v - alpha) d_v psi + |d_v psi|^2
 
@@ -16,11 +17,11 @@ would blur the tails the diagnostic cares about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .core import EnsembleState, ModelParams
+from .core import ModelParams
 from .fokker_planck import HopfColeField
 from .limit_ode import LimitState, LimitTrajectory
 from .particle import TrajectoryRecord
@@ -41,12 +42,12 @@ class Profile:
 
 @dataclass(frozen=True)
 class ProfileComparison:
-    t: float
-    sup_error_v: float
-    sup_error_x: float
-    var_ratio_v: float
-    var_ratio_x: float
-    mean_error: float
+    """A trajectory record against the limit, one entry per record."""
+
+    t: np.ndarray
+    var_ratio_v: np.ndarray  # var_v / eps
+    var_ratio_x: np.ndarray  # var_x / (eps / a)
+    mean_error: np.ndarray  # distance of the mean (v, x) from (alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -99,64 +100,41 @@ def theoretical_profile(state: LimitState, p: ModelParams) -> tuple[Callable, Ca
     return psi_v, psi_x
 
 
-def _nearest_index(t: float, times: np.ndarray, tol: float) -> int:
-    i = int(np.argmin(np.abs(times - t)))
-    if abs(times[i] - t) > tol:
-        raise ValueError(
-            f"no reference time within {tol:.3g} of t={t:.6g} (closest {times[i]:.6g})")
-    return i
-
-
-def _sup_profile_error(samples, epsilon, center, curvature) -> float:
-    """Sup distance of the samples' profile from -curvature (y - center)^2 / 2
-    over the resolvable, unmasked bins."""
-    prof = log_density_profile(samples, epsilon, curvature=curvature)
-    theo = -0.5 * curvature * (prof.centers - center) ** 2
-    resolvable = theo >= -RESOLVABLE_DECADES * epsilon * np.log(10.0)
-    use = resolvable & ~prof.mask
+def profile_sup_error(prof: Profile, theoretical: Callable, epsilon: float) -> float:
+    """Sup distance of a profile from the theoretical quadratic (one of
+    theoretical_profile's pair) over the bins that are unmasked and
+    resolvable, where the quadratic is at least -RESOLVABLE_DECADES eps
+    ln(10); nan if there are none."""
+    theo = theoretical(prof.centers)
+    use = (theo >= -RESOLVABLE_DECADES * epsilon * np.log(10.0)) & ~prof.mask
     if not use.any():
         return float("nan")
     return float(np.max(np.abs(prof.values[use] - theo[use])))
 
 
-def compare(data: TrajectoryRecord | Iterable[EnsembleState],
-            limit: LimitTrajectory, p: ModelParams) -> list[ProfileComparison]:
-    """Per-time comparison against the limit trajectory.
+def compare(rec: TrajectoryRecord, limit: LimitTrajectory,
+            p: ModelParams) -> ProfileComparison:
+    """Each record's variance ratios and mean error against the limit.
 
-    Accepts either a TrajectoryRecord (moment statistics only; profile
-    sup errors come out nan) or an iterable of ensemble snapshots (full
-    profile comparison).  Time stamps are matched to the nearest limit
-    sample; a gap beyond the limit series spacing is an alignment error.
+    A record time is matched to the nearest sample of the limit, whose
+    times ascend; of two equally near samples the earlier one.  A gap
+    beyond the limit series' median spacing is an alignment error.
     """
-    spacing = float(np.median(np.diff(limit.t))) if len(limit) > 1 else np.inf
-    out = []
-    if isinstance(data, TrajectoryRecord):
-        for k in range(len(data)):
-            t = float(data.t[k])
-            i = _nearest_index(t, limit.t, spacing)
-            alpha, beta = float(limit.alpha[i]), float(limit.beta[i])
-            out.append(ProfileComparison(
-                t=t,
-                sup_error_v=float("nan"), sup_error_x=float("nan"),
-                var_ratio_v=float(data.var_v[k]) / p.epsilon,
-                var_ratio_x=float(data.var_x[k]) / (p.epsilon / p.a),
-                mean_error=float(np.hypot(data.mean_v[k] - alpha,
-                                          data.mean_x[k] - beta))))
-        return out
-
-    for state in data:
-        t = float(state.t)
-        i = _nearest_index(t, limit.t, spacing)
-        alpha, beta = float(limit.alpha[i]), float(limit.beta[i])
-        out.append(ProfileComparison(
-            t=t,
-            sup_error_v=_sup_profile_error(state.v, p.epsilon, alpha, 1.0),
-            sup_error_x=_sup_profile_error(state.x, p.epsilon, beta, p.a),
-            var_ratio_v=float(np.var(state.v)) / p.epsilon,
-            var_ratio_x=float(np.var(state.x)) / (p.epsilon / p.a),
-            mean_error=float(np.hypot(np.mean(state.v) - alpha,
-                                      np.mean(state.x) - beta))))
-    return out
+    lt = limit.t
+    spacing = float(np.median(np.diff(lt))) if len(limit) > 1 else np.inf
+    hi = np.minimum(np.searchsorted(lt, rec.t), lt.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    gap_lo, gap_hi = np.abs(lt[lo] - rec.t), np.abs(lt[hi] - rec.t)
+    i = np.where(gap_lo <= gap_hi, lo, hi)
+    far = np.flatnonzero(np.minimum(gap_lo, gap_hi) > spacing)
+    if far.size:
+        k = far[0]
+        raise ValueError(f"no reference time within {spacing:.3g} of t={rec.t[k]:.6g} "
+                         f"(closest {lt[i[k]]:.6g})")
+    return ProfileComparison(
+        t=rec.t, var_ratio_v=rec.var_v / p.epsilon,
+        var_ratio_x=rec.var_x / (p.epsilon / p.a),
+        mean_error=np.hypot(rec.mean_v - limit.alpha[i], rec.mean_x - limit.beta[i]))
 
 
 def viscosity_residual(field: HopfColeField, jg: float) -> ResidualStats:

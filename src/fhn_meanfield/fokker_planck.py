@@ -34,8 +34,8 @@ import numpy as np
 
 # The benchmark's traced run (perfbench/layers.py) wraps voltage_drift on
 # this module; _cell_terms and the kernel follow it operation for operation.
-from .core import (InitCondition, ModelParams, nonlinearity, require_finite,  # noqa: F401
-                   time_steps, voltage_drift)
+from .core import (InitCondition, ModelParams, init_variance, nonlinearity,  # noqa: F401
+                   require_finite, time_steps, voltage_drift)
 
 CFL_SAFETY = 0.9
 DENSITY_FLOOR = 1e-300
@@ -137,7 +137,7 @@ def first_moment(f: DensityField) -> float:
 def gaussian_field(grid: Grid, cond: InitCondition, p: ModelParams) -> DensityField:
     """Discretized concentrated product Gaussian (variance eps/concentration
     per coordinate), renormalized to exact unit discrete mass."""
-    var = p.epsilon / cond.concentration
+    var = init_variance(cond, p)
     v = grid.v_centers()[None, :]
     x = grid.x_centers()[:, None]
     rho = np.exp(-((v - cond.mean_v) ** 2 + (x - cond.mean_x) ** 2) / (2.0 * var))

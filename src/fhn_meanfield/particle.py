@@ -136,14 +136,6 @@ class TrajectoryRecord:
         return self.t.size
 
 
-def coupling_mean(v: np.ndarray) -> float:
-    """Ensemble mean voltage vbar; (1/n) sum_j (v_j - v_i) = vbar - v_i."""
-    v = np.asarray(v)
-    if v.size < 1:
-        raise ValueError("coupling_mean requires a non-empty array")
-    return float(np.mean(v))
-
-
 def _moments(s: np.ndarray, sums: np.ndarray,
              work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row mean, variance and raw fourth moment of s, given its row sums.
@@ -344,7 +336,7 @@ def em_step(state: EnsembleState, p: ModelParams, cfg: SimConfig,
     noise = rng.standard_normal((1, stepper.rows, state.n))
     (noise_sum,) = stepper.scale(noise)
     with np.errstate(over="ignore", invalid="ignore"):
-        stepper.step(coupling_mean(state.v), noise[0], noise_sum)
+        stepper.step(np.add.reduce(s, axis=1).item(0) / state.n, noise[0], noise_sum)
         t_new = state.t + dt
         stepper.finite_sums(t_new)
     return EnsembleState(t=t_new, v=s[0], x=s[1])

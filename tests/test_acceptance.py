@@ -15,11 +15,11 @@ import pytest
 from fhn_meanfield.bifurcation import (MONOSTABLE_STABLE, OSCILLATORY,
                                        classify, detect_limit_cycle)
 from fhn_meanfield.core import InitCondition, ModelParams
-from fhn_meanfield.diagnostics import compare, viscosity_residual
+from fhn_meanfield.diagnostics import (log_density_profile, profile_sup_error,
+                                       theoretical_profile, viscosity_residual)
 from fhn_meanfield.fokker_planck import Grid, gaussian_field, hopf_cole, solve
 from fhn_meanfield.limit_ode import LimitState, equilibria, rk4_integrate
-from fhn_meanfield.particle import (SimConfig, coupling_mean, default_dt,
-                                    quantiles, simulate)
+from fhn_meanfield.particle import SimConfig, default_dt, quantiles, simulate
 
 FIG1 = dict(a=0.3, b=0.1, lam=4.0, i_ext=0.0, sigma=1.0, adaptation_noise=True)
 
@@ -115,8 +115,10 @@ def test_criterion_1_concentration_scaling():
                            float(np.mean(rec.var_x[late])) / (eps / p.a))
         if eps_inv == 225:
             ref = _reference(rec, p, dt, stride)
-            comp = compare([rec.final_state], ref, p)[0]
-            sup_profile = comp.sup_error_v
+            psi_v, _ = theoretical_profile(
+                LimitState(float(ref.t[-1]), float(ref.alpha[-1]), float(ref.beta[-1])), p)
+            sup_profile = profile_sup_error(
+                log_density_profile(rec.final_state.v, eps), psi_v, eps)
     ok = all(0.75 <= r <= 1.25 for pair in ratios.values() for r in pair)
     ok = ok and sup_profile is not None and sup_profile <= 0.15
     _report(1, ok,
@@ -308,7 +310,7 @@ def test_criterion_8_invariant_suites(tmp_path):
     for _ in range(20):
         n = int(rng.integers(2, 101))
         v = rng.uniform(-30, 30, n)
-        vbar = coupling_mean(v)
+        vbar = np.mean(v)
         pairwise = np.array([sum(v[j] - v[i] for j in range(n)) / n
                              for i in range(n)])
         if np.max(np.abs(pairwise - (vbar - v))) > 1e-12 * max(1.0, np.abs(v).max()):

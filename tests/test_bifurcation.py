@@ -297,3 +297,13 @@ def test_hermite_crossing_is_fourth_order():
 def test_discriminant_requires_positive_a():
     with pytest.raises(ValueError):
         ModelParams(a=-0.3)
+
+
+@pytest.mark.parametrize("a", [1e-120, 0.1 / 5.5e102], ids=["q cubed", "4 q cubed"])
+def test_a_discriminant_that_is_not_finite_is_a_value_error(a):
+    # q = lambda + b/a: at 1e119 the power q ** 3 overflows; at 5.5e102 the
+    # power is finite and -4 q^3 rounds to -inf
+    with pytest.raises(ValueError, match="discriminant is not finite"):
+        discriminant(ModelParams(a=a))
+    with pytest.raises(ValueError, match="discriminant is not finite"):
+        classify(ModelParams(a=a))

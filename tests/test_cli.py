@@ -370,6 +370,38 @@ def test_huge_step_counts_exit_2_before_any_output(tmp_path, capsys, argv):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate-pde", "--epsilon", "1e-4", "--t-end", "1000"],
+    ["compare", "--epsilon", "1e-4", "--t-end", "1000", "--n", "16"],
+])
+def test_density_step_counts_over_the_bound_exit_2_before_any_work(tmp_path, monkeypatch,
+                                                                   capsys, argv):
+    # the solver's own step, stable_dt = 7e-7 here, would take 1.4e9 steps
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("simulate", "solve"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "steps" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "detect-cycle", "simulate-ode",
+                                     "simulate-pde"])
+def test_an_overflowing_discriminant_exits_2_before_any_output(tmp_path, capsys, command):
+    # q = lambda + b/a = 1e119, so q ** 3 overflows
+    out = tmp_path / "o"
+    out_flag = [] if command in ("classify", "detect-cycle") else ["--out", str(out),
+                                                                   "--t-end", "0.001"]
+    assert run([command, "--a", "1e-120", *out_flag]) == 2
+    captured = capsys.readouterr()
+    assert "discriminant is not finite" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("max_time", ["nan", "-5", "0", "inf"])
 def test_detect_cycle_rejects_a_bad_max_time(capsys, max_time):
     assert run(["detect-cycle", "--max-time", max_time]) == 2

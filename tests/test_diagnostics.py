@@ -3,13 +3,14 @@ import pytest
 
 from fhn_meanfield.core import EnsembleState, ModelParams
 from fhn_meanfield.diagnostics import (Profile, compare, log_density_profile,
-                                       theoretical_profile,
+                                       profile_sup_error, theoretical_profile,
                                        viscosity_residual)
 from fhn_meanfield.fokker_planck import (DensityField, Grid, gaussian_field,
                                          hopf_cole)
 from fhn_meanfield.core import InitCondition
 from fhn_meanfield.limit_ode import LimitState, LimitTrajectory
-from fhn_meanfield.particle import SimConfig, TrajectoryRecord, simulate
+from fhn_meanfield.particle import (SimConfig, TrajectoryRecord, empirical_moments,
+                                    simulate)
 
 P = ModelParams(a=0.3, b=0.1, lam=4.0, epsilon=0.01)
 
@@ -87,6 +88,31 @@ def test_theoretical_profile_shape():
     assert curv_x == pytest.approx(-0.25, rel=1e-6)
 
 
+def _record(t, mean_v, mean_x, var_v, var_x):
+    """A trajectory record of the given moments, one row per time."""
+    t = np.asarray(t, dtype=float)
+    zeros = np.zeros((t.size, 1))
+    return TrajectoryRecord(t=t, mean_v=np.asarray(mean_v, dtype=float),
+                            mean_x=np.asarray(mean_x, dtype=float),
+                            var_v=np.asarray(var_v, dtype=float),
+                            var_x=np.asarray(var_x, dtype=float),
+                            m4_v=np.zeros(t.size), m4_x=np.zeros(t.size),
+                            quantiles_v=zeros, quantiles_x=zeros,
+                            quantile_fractions=(0.5,), dt=0.01)
+
+
+def _sample_record(state):
+    m = empirical_moments(state)
+    return _record([state.t], [m.mean_v], [m.mean_x], [m.var_v], [m.var_x])
+
+
+def _sup_errors(state, p, limit_state):
+    psi_v, psi_x = theoretical_profile(limit_state, p)
+    return (profile_sup_error(log_density_profile(state.v, p.epsilon), psi_v, p.epsilon),
+            profile_sup_error(log_density_profile(state.x, p.epsilon, curvature=p.a),
+                              psi_x, p.epsilon))
+
+
 def test_compare_on_exact_product_gaussian_samples():
     p = ModelParams(a=0.3, epsilon=0.01)
     rng = np.random.default_rng(4)
@@ -95,13 +121,13 @@ def test_compare_on_exact_product_gaussian_samples():
     state = EnsembleState(0.5,
                           alpha + np.sqrt(p.epsilon) * rng.standard_normal(n),
                           beta + np.sqrt(p.epsilon / p.a) * rng.standard_normal(n))
-    comps = compare([state], _flat_limit(alpha, beta), p)
-    c = comps[0]
+    c = compare(_sample_record(state), _flat_limit(alpha, beta), p)
     band = 3.0 / np.sqrt(n)
-    assert c.var_ratio_v == pytest.approx(1.0, abs=3 * band)
-    assert c.var_ratio_x == pytest.approx(1.0, abs=3 * band)
-    assert c.mean_error < 4 * np.sqrt(p.epsilon / p.a / n) + 4 * np.sqrt(p.epsilon / n)
-    assert c.sup_error_v < 0.15
+    assert c.var_ratio_v[0] == pytest.approx(1.0, abs=3 * band)
+    assert c.var_ratio_x[0] == pytest.approx(1.0, abs=3 * band)
+    assert c.mean_error[0] < 4 * np.sqrt(p.epsilon / p.a / n) + 4 * np.sqrt(p.epsilon / n)
+    sup_v, sup_x = _sup_errors(state, p, LimitState(0.5, alpha, beta))
+    assert sup_v < 0.15 and sup_x < 0.15
 
 
 def test_compare_centres_adaptation_profile_on_beta_at_unit_curvature():
@@ -116,9 +142,15 @@ def test_compare_centres_adaptation_profile_on_beta_at_unit_curvature():
         p = ModelParams(a=a, epsilon=eps)
         state = EnsembleState(0.5, alpha + np.sqrt(eps) * z_v,
                               beta + np.sqrt(eps / a) * z_x)
-        errs[a] = compare([state], _flat_limit(alpha, beta), p)[0].sup_error_x
+        errs[a] = _sup_errors(state, p, LimitState(0.5, alpha, beta))[1]
     assert errs[1.0] < 0.01
     assert errs[1.0] == pytest.approx(errs[0.999], rel=0.5)
+
+
+def test_profile_sup_error_is_nan_without_a_resolvable_bin():
+    prof = log_density_profile(np.random.default_rng(9).standard_normal(2000), 0.01)
+    psi_v, _ = theoretical_profile(LimitState(0.0, 50.0, 0.0), P)
+    assert np.isnan(profile_sup_error(prof, psi_v, 0.01))
 
 
 def test_compare_zero_mean_error_for_copied_means():
@@ -126,9 +158,10 @@ def test_compare_zero_mean_error_for_copied_means():
     rec = simulate(SimConfig(n=200, t_end=0.2, dt=1e-3, seed=5, record_stride=20),
                    p, InitCondition(mean_v=1.0, mean_x=0.2))
     limit = LimitTrajectory(rec.t, rec.mean_v.copy(), rec.mean_x.copy())
-    comps = compare(rec, limit, p)
-    assert all(c.mean_error == 0.0 for c in comps)
-    assert all(np.isnan(c.sup_error_v) for c in comps)
+    comp = compare(rec, limit, p)
+    assert np.array_equal(comp.t, rec.t)
+    assert np.all(comp.mean_error == 0.0)
+    assert np.array_equal(comp.var_ratio_v, rec.var_v / p.epsilon)
 
 
 def test_compare_alignment_error():
@@ -136,8 +169,28 @@ def test_compare_alignment_error():
     rec = simulate(SimConfig(n=50, t_end=1.0, dt=1e-3, seed=6, record_stride=100),
                    p, InitCondition())
     limit = _flat_limit(0.0, 0.0, t_end=0.2, n=3)  # spacing 0.1, ends at 0.2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no reference time within 0.1 of t=0.4"):
         compare(rec, limit, p)
+
+
+def test_compare_takes_the_nearest_limit_sample_on_another_grid():
+    # limit samples every 0.25; 0.125 and 0.625 lie halfway between two
+    # samples, where the earlier one is taken, as a first-minimum argmin does
+    limit_t = 0.25 * np.arange(9)
+    limit = LimitTrajectory(limit_t, np.sin(limit_t), np.cos(3.0 * limit_t))
+    t = np.array([0.0, 0.1, 0.125, 0.3, 0.625, 1.9, 2.0, 2.2])
+    rng = np.random.default_rng(10)
+    rec = _record(t, rng.standard_normal(t.size), rng.standard_normal(t.size),
+                  np.ones(t.size), np.ones(t.size))
+    comp = compare(rec, limit, P)
+    expected = []
+    for k in range(t.size):
+        i = int(np.argmin(np.abs(limit_t - t[k])))
+        expected.append(np.hypot(rec.mean_v[k] - limit.alpha[i],
+                                 rec.mean_x[k] - limit.beta[i]))
+    assert np.array_equal(comp.mean_error, expected)
+    halfway = np.hypot(rec.mean_v[2] - limit.alpha[0], rec.mean_x[2] - limit.beta[0])
+    assert comp.mean_error[2] == halfway
 
 
 def test_compare_permutation_invariant():
@@ -146,10 +199,11 @@ def test_compare_permutation_invariant():
     v = rng.standard_normal(5000) * 0.1
     x = rng.standard_normal(5000) * 0.2
     perm = rng.permutation(5000)
-    c1 = compare([EnsembleState(0.0, v, x)], _flat_limit(0.0, 0.0), p)[0]
-    c2 = compare([EnsembleState(0.0, v[perm], x[perm])], _flat_limit(0.0, 0.0), p)[0]
-    assert c1.var_ratio_v == pytest.approx(c2.var_ratio_v, rel=1e-12)
-    assert c1.sup_error_v == pytest.approx(c2.sup_error_v, rel=1e-12)
+    states = [EnsembleState(0.0, v, x), EnsembleState(0.0, v[perm], x[perm])]
+    c1, c2 = (compare(_sample_record(s), _flat_limit(0.0, 0.0), p) for s in states)
+    assert c1.var_ratio_v[0] == pytest.approx(c2.var_ratio_v[0], rel=1e-12)
+    e1, e2 = (_sup_errors(s, p, LimitState(0.0, 0.0, 0.0)) for s in states)
+    assert e1 == e2
 
 
 def test_viscosity_residual_zero_for_exact_quadratic():

@@ -3,15 +3,17 @@ replaced, byte for byte, the .npz field snapshots, and the rule that only
 cli writes files."""
 
 import ast
+import json
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fhn_meanfield import cli
+from fhn_meanfield import cli, diagnostics
 from fhn_meanfield.core import EnsembleState, InitCondition, ModelParams
-from fhn_meanfield.diagnostics import compare, log_density_profile, theoretical_profile
+from fhn_meanfield.diagnostics import (compare, log_density_profile, profile_sup_error,
+                                       theoretical_profile)
 from fhn_meanfield.fokker_planck import Grid, gaussian_field, solve
 from fhn_meanfield.limit_ode import LimitState, LimitTrajectory, rk4_integrate
 from fhn_meanfield.particle import SimConfig, simulate
@@ -48,12 +50,12 @@ def ref_timeseries_csv(path, rec) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def ref_comparison_csv(path, comps) -> None:
+def ref_comparison_csv(path, comp) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("t,sup_error_v,sup_error_x,var_ratio_v,var_ratio_x,mean_error\n")
-        for c in comps:
-            fh.write(f"{c.t:.17g},{c.sup_error_v:.17g},{c.sup_error_x:.17g},"
-                     f"{c.var_ratio_v:.17g},{c.var_ratio_x:.17g},{c.mean_error:.17g}\n")
+        fh.write("t,var_ratio_v,var_ratio_x,mean_error\n")
+        for k in range(comp.t.size):
+            fh.write(f"{comp.t[k]:.17g},{comp.var_ratio_v[k]:.17g},"
+                     f"{comp.var_ratio_x[k]:.17g},{comp.mean_error[k]:.17g}\n")
 
 
 def ref_profile_csv(path, prof, theoretical) -> None:
@@ -117,18 +119,16 @@ def test_comparison_csv_matches_the_reference_writer_with_and_without_nan(tmp_pa
                    InitCondition(mean_v=1.0, mean_x=0.5, concentration=0.3))
     limit = rk4_integrate(LimitState(0.0, float(rec.mean_v[0]), float(rec.mean_x[0])),
                           P, rec.dt, 0.2, record_stride=3)
-    moments_only = compare(rec, limit, P)
-    assert all(np.isnan(c.sup_error_v) and np.isnan(c.sup_error_x) for c in moments_only)
-    rng = np.random.default_rng(8)
-    states = [EnsembleState(t, rng.standard_normal(2000) * 0.2, rng.standard_normal(2000) * 0.4)
-              for t in (0.0, 0.5)]
-    profiles = compare(states, LimitTrajectory(np.linspace(0, 1, 11), np.zeros(11),
-                                               np.zeros(11)), P)
-    assert all(np.isfinite(c.sup_error_v) for c in profiles)
-    for name, comps in (("nan", moments_only), ("finite", profiles)):
+    finite = compare(rec, limit, P)
+    assert all(np.isfinite(getattr(finite, f)).all() for f in ("var_ratio_v", "mean_error"))
+    gaps = rec.var_v.copy()
+    gaps[1::2] = np.nan
+    with_nan = compare(replace(rec, var_v=gaps), limit, P)
+    assert np.isnan(with_nan.var_ratio_v[1])
+    for name, comp in (("nan", with_nan), ("finite", finite)):
         path = tmp_path / f"{name}_vs_limit.csv"
-        cli.write_comparison_csv(path, comps)
-        _same_bytes(tmp_path, path, ref_comparison_csv, comps)
+        cli.write_comparison_csv(path, comp)
+        _same_bytes(tmp_path, path, ref_comparison_csv, comp)
 
 
 def test_profile_csv_matches_the_reference_writer_with_masked_bins(tmp_path):
@@ -158,11 +158,31 @@ def test_network_run_tables_match_the_reference_writers(tmp_path):
     s_end = LimitState(float(ref.t[-1]), float(ref.alpha[-1]), float(ref.beta[-1]))
     psi_v, psi_x = theoretical_profile(s_end, cfg.params)
     final = rec.final_state
-    _same_bytes(tmp_path, out / "epsinv25_profile_v.csv", ref_profile_csv,
-                log_density_profile(final.v, cfg.params.epsilon), psi_v)
-    _same_bytes(tmp_path, out / "epsinv25_profile_x.csv", ref_profile_csv,
-                log_density_profile(final.x, cfg.params.epsilon, curvature=cfg.params.a),
-                psi_x)
+    prof_v = log_density_profile(final.v, cfg.params.epsilon)
+    prof_x = log_density_profile(final.x, cfg.params.epsilon, curvature=cfg.params.a)
+    _same_bytes(tmp_path, out / "epsinv25_profile_v.csv", ref_profile_csv, prof_v, psi_v)
+    _same_bytes(tmp_path, out / "epsinv25_profile_x.csv", ref_profile_csv, prof_x, psi_x)
+    results = json.loads((out / "epsinv25_summary.json").read_text())["results"]
+    assert results["final_profile_sup_error_v"] == profile_sup_error(
+        prof_v, psi_v, cfg.params.epsilon)
+    assert results["final_profile_sup_error_x"] == profile_sup_error(
+        prof_x, psi_x, cfg.params.epsilon)
+
+
+def test_a_profile_run_builds_each_histogram_once(tmp_path, monkeypatch):
+    calls = []
+    histogram = np.histogram
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return histogram(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics.np, "histogram", counted)
+    argv = ["simulate-network", "--preset", "fig1:epsinv25", "--n", "1000",
+            "--t-end", "0.1", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "o" / "epsinv25_profile_x.csv").exists()
+    assert len(calls) == 2  # one per profile, each also scored
 
 
 def test_series_csv(tmp_path):
@@ -210,12 +230,14 @@ def test_csv_writers(tmp_path):
     rng = np.random.default_rng(8)
     state = EnsembleState(0.0, rng.standard_normal(2000) * 0.1,
                           rng.standard_normal(2000) * 0.2)
-    comps = compare([state], LimitTrajectory(np.linspace(0, 1, 101), np.zeros(101),
-                                             np.zeros(101)), p)
+    rec = simulate(SimConfig(n=16, t_end=0.05, dt=0.01, seed=3), p, InitCondition())
+    comp = compare(rec, LimitTrajectory(np.linspace(0, 1, 101), np.zeros(101),
+                                        np.zeros(101)), p)
     cpath = tmp_path / "comps.csv"
-    cli.write_comparison_csv(cpath, comps)
-    header = cpath.read_text().splitlines()[0]
-    assert header == "t,sup_error_v,sup_error_x,var_ratio_v,var_ratio_x,mean_error"
+    cli.write_comparison_csv(cpath, comp)
+    lines = cpath.read_text().splitlines()
+    assert lines[0] == "t,var_ratio_v,var_ratio_x,mean_error"
+    assert len(lines) == len(rec) + 1
 
     prof = log_density_profile(state.v, p.epsilon, bins=32)
     ppath = tmp_path / "prof.csv"

@@ -14,21 +14,8 @@ from fhn_meanfield.core import (BlowUpError, EnsembleState, InitCondition,
                                 ModelParams, nonlinearity, sample_initial)
 from fhn_meanfield.limit_ode import LimitState, equilibria, rk4_integrate
 from fhn_meanfield.particle import (NoiseStream, SimConfig, TrajectoryRecord,
-                                    coupling_mean, default_dt, em_step,
-                                    empirical_moments, quantiles, simulate)
-
-
-def test_coupling_mean_constant():
-    assert coupling_mean(np.full(7, 3.2)) == pytest.approx(3.2)
-
-
-def test_coupling_mean_simple():
-    assert coupling_mean(np.array([1.0, 2.0, 3.0])) == 2.0
-
-
-def test_coupling_mean_empty():
-    with pytest.raises(ValueError):
-        coupling_mean(np.array([]))
+                                    default_dt, em_step, empirical_moments,
+                                    quantiles, simulate)
 
 
 @given(hnp.arrays(np.float64, st.integers(2, 100),
@@ -37,7 +24,7 @@ def test_coupling_mean_empty():
 def test_coupling_identity_against_pairwise_sum(v):
     # (1/n) sum_j (v_j - v_i) == vbar - v_i, against the O(n^2) double loop
     n = v.size
-    vbar = coupling_mean(v)
+    vbar = np.mean(v)
     pairwise = np.array([sum(v[j] - v[i] for j in range(n)) / n for i in range(n)])
     scale = max(1.0, np.abs(v).max())
     assert np.max(np.abs(pairwise - (vbar - v))) < 1e-12 * scale
