@@ -19,16 +19,19 @@ without its coupling term (so the cubic is never evaluated in a step), the
 x-face speeds with their upwind mask, and the flux and scratch buffers.  A
 step then runs in-place ufuncs in the operation order of the plain formula,
 alternating between two density buffers owned by the call, so the results
-equal those of a fresh-array loop bit for bit.  The CFL denominator of a
-cell is affine in J[g] up to an absolute value, so the moments for which dt
-is stable form one interval; it is computed once, and a step runs the exact
-full-grid cfl_limit only when its moment falls outside.  fp_step is one
-step of the same kernel.
+equal those of a fresh-array loop bit for bit.  The v-fluxes are one flat
+array with one face per cell and a zero-flux wall slot at each row end, so
+every v-direction pass is one contiguous pass over the grid.  The CFL
+denominator of a cell is affine in J[g] up to an absolute value, so the
+moments for which dt is stable form one interval; it is computed once, and
+a step runs the exact full-grid cfl_limit only when its moment falls
+outside.  fp_step is one step of the same kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +53,12 @@ class CflError(RuntimeError):
 
 
 class SchemeError(RuntimeError):
-    """The update produced a density below the negativity tolerance."""
+    """The update produced a density below the negativity tolerance, or
+    NaN; cell is the (ix, iv) of the lowest (or first NaN) value."""
+
+    def __init__(self, message: str, cell: tuple[int, int]):
+        super().__init__(message)
+        self.cell = cell
 
 
 @dataclass(frozen=True)
@@ -79,7 +87,14 @@ class Grid:
         return (self.x_max - self.x_min) / self.nx
 
     def v_centers(self) -> np.ndarray:
-        return self.v_min + (np.arange(self.nv) + 0.5) * self.dv
+        """The cell centres in v: one read-only array per grid."""
+        return self._v_centers
+
+    @cached_property
+    def _v_centers(self) -> np.ndarray:
+        vc = self.v_min + (np.arange(self.nv) + 0.5) * self.dv
+        vc.flags.writeable = False
+        return vc
 
     def x_centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.nx) + 0.5) * self.dx
@@ -212,6 +227,14 @@ class _UpwindKernel:
     gives the same bits.  With W the voltage drift, the v-speed is U = -W;
     U <= 0 exactly where W >= 0, and h + U*rho equals h - W*rho because
     negation is exact.
+
+    The v-fluxes are one flat array of nx*nv + 1 slots: slot 1 + k is the
+    right face of cell k of the row-major density, so slot 0 and every
+    nv-th slot are walls, slot (ix + 1)*nv closing row ix.  The v-faces and
+    their drift are padded to nv columns (the last face is the wall v_max),
+    so each v-pass runs over the flat slots 1 .. nx*nv - 1 in one go.  It
+    writes garbage into the walls between rows, which are zeroed before
+    the divergence, slot 1 + k minus slot k.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, dt: float):
@@ -220,15 +243,15 @@ class _UpwindKernel:
         self.p, self.dt = p, dt
         nx, nv = g.nx, g.nv
         # fluxes with their zero walls, and one grid-sized scratch array
-        self._hv = np.zeros((nx, nv + 1))
+        self._fv = np.zeros(nx * nv + 1)
         self._hx = np.zeros((nx + 1, nv))
         self._scratch = np.empty(nx * nv)
         self._lo, self._hi = self._stable_moments()
-        vf = self._v_faces = g.v_faces_interior()
+        vf = self._v_faces = np.append(g.v_faces_interior(), g.v_max)
         xc = g.x_centers()[:, None]
-        # the v-face drift without its coupling term, (jg - v_f)/eps
-        self._drift_v = -nonlinearity(vf[None, :], p) + p.i_ext - xc
-        self._up_v = np.empty((nx, nv - 1), dtype=bool)
+        # the v-face drift without its coupling term, (jg - v_f)/eps, flat
+        self._drift_v = (-nonlinearity(vf[None, :], p) + p.i_ext - xc).reshape(-1)
+        self._up_v = np.empty(nx * nv - 1, dtype=bool)
         self._speed_x = p.a * g.x_faces_interior()[:, None] - p.b * g.v_centers()[None, :]
         self._up_x = self._speed_x <= 0.0
 
@@ -251,8 +274,8 @@ class _UpwindKernel:
         return lo + tol, hi - tol
 
     def step(self, src: np.ndarray, dst: np.ndarray, jg: float, t_new: float) -> None:
-        """Write the density one step after src into dst; t_new, the time
-        of dst, names the step in errors."""
+        """Write the density one step after src into dst, a C-ordered
+        array; t_new, the time of dst, names the step in errors."""
         g, p, dt = self.grid, self.p, self.dt
         nx, nv = g.nx, g.nv
         if not self._lo <= jg <= self._hi:
@@ -260,24 +283,30 @@ class _UpwindKernel:
             if dt > dt_max:
                 raise CflError(
                     f"dt={dt:.3g} violates the stability bound {dt_max:.3g} "
+                    f"in the step to t={t_new:.6g} "
                     f"(limiting cell ix={cell[0]}, iv={cell[1]})",
                     required_dt=dt_max, cell=cell)
         # dst and the scratch array double as upwind buffers until the sum
         spare = dst.reshape(-1)
         scratch = self._scratch
+        flat = src.ravel()  # a copy only when src is not C-ordered
 
-        # v-direction interface fluxes H = U g_up + d_v g, zero at the walls
-        hv = self._hv[:, 1:-1]
-        np.subtract(src[:, 1:], src[:, :-1], out=hv)
-        hv /= g.dv
-        w = scratch[:nx * (nv - 1)].reshape(nx, nv - 1)
-        np.add(self._drift_v, (jg - self._v_faces) / p.epsilon, out=w)
+        # v-direction interface fluxes H = U g_up + d_v g, on flat slots
+        # 1 .. nx*nv - 1: the wall slots between rows get garbage here
+        fv = self._fv[1:-1]
+        np.subtract(flat[1:], flat[:-1], out=fv)
+        fv /= g.dv
+        # W = drift + (jg - v_f)/eps, added the other way round (addition
+        # commutes exactly) so that no row broadcast needs a numpy buffer
+        np.copyto(scratch.reshape(nx, nv), (jg - self._v_faces) / p.epsilon)
+        scratch += self._drift_v
+        w = scratch[:-1]
         np.greater_equal(w, 0.0, out=self._up_v)
-        up = spare[:nx * (nv - 1)].reshape(nx, nv - 1)
-        np.copyto(up, src[:, 1:])
-        np.copyto(up, src[:, :-1], where=self._up_v)
+        up = spare[:-1]
+        np.copyto(up, flat[1:])
+        np.copyto(up, flat[:-1], where=self._up_v)
         w *= up
-        hv -= w
+        fv -= w
 
         # x-direction interface fluxes H = U g_up + eps d_x g
         hx = self._hx[1:-1, :]
@@ -290,7 +319,9 @@ class _UpwindKernel:
         up *= self._speed_x
         hx += up
 
-        np.subtract(self._hv[:, 1:], self._hv[:, :-1], out=dst)
+        fv = self._fv
+        fv[nv::nv] = 0.0  # the walls between rows, and the last
+        np.subtract(fv[1:], fv[:-1], out=spare)
         dst /= g.dv
         div_x = scratch.reshape(nx, nv)
         np.subtract(self._hx[1:, :], self._hx[:-1, :], out=div_x)
@@ -301,7 +332,9 @@ class _UpwindKernel:
 
         worst = float(dst.min())
         if not worst >= NEGATIVITY_TOL:  # also catches NaN
-            raise SchemeError(f"density fell to {worst:.3e} at t={t_new:.6g}")
+            ix, iv = divmod(int(np.argmin(dst)), nv)
+            raise SchemeError(f"density fell to {worst:.3e} at t={t_new:.6g} "
+                              f"(cell ix={ix}, iv={iv})", cell=(ix, iv))
 
 
 def solve(f0: DensityField, p: ModelParams, t_end: float, *,

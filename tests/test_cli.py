@@ -577,6 +577,16 @@ def test_simulate_pde_step_above_the_horizon_is_one_checked_step(tmp_path, capsy
     assert not out.exists()
 
 
+def test_simulate_pde_failure_names_the_time_and_the_cell(tmp_path, capsys):
+    out = tmp_path / "o"
+    # one step of 0.001 on the default grid, whose bound is 4.61e-05
+    assert run(["simulate-pde", "--out", str(out), "--t-end", "0.001", "--dt", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: dt=0.001 violates the stability bound "
+                            "4.61e-05 in the step to t=0.001 (limiting cell ix=0, iv=0)\n")
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate-network", "--n", "16", "--dt", "0.5", "--t-end", "20",
      "--init-kind", "point", "--init-mean-v", "1e10"],

@@ -77,21 +77,30 @@ def test_cfl_violation_names_cell_and_required_dt():
     assert err.required_dt < 1.0
     assert 0 <= err.cell[0] < f.grid.nx and 0 <= err.cell[1] < f.grid.nv
     assert "stability" in str(err)
+    # the message names the step that failed and the cell
+    assert "in the step to t=1 " in str(err)
+    assert f"ix={err.cell[0]}, iv={err.cell[1]})" in str(err)
 
 
 def test_negative_density_guard():
     grid = small_grid()
     rho = np.zeros((grid.nx, grid.nv))
     rho[5, 5] = -1.0
-    with pytest.raises(SchemeError):
-        fp_step(DensityField(grid, rho, 0.0), P01, dt=stable_dt(grid, P01))
+    rho[2, 40] = -0.5  # earlier in the row-major order, but not the lowest
+    dt = stable_dt(grid, P01)
+    with pytest.raises(SchemeError) as info:
+        fp_step(DensityField(grid, rho, 0.25), P01, dt=dt)
+    # the lowest cell of the failed density, named with its time
+    assert info.value.cell == (5, 5)
+    assert str(info.value).endswith(f"at t={0.25 + dt:.6g} (cell ix=5, iv=5)")
 
 
 def test_nan_moment_trips_the_negativity_guard():
     f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
     f.rho[5, 5] = np.nan
-    with pytest.raises(SchemeError, match="nan"):
+    with pytest.raises(SchemeError, match="nan") as info:
         solve(f, P01, 0.01)
+    assert info.value.cell == (0, 0)  # a NaN moment spreads NaN everywhere
     with pytest.raises(SchemeError, match="nan"):
         fp_step(f, P01, 1e-4)
 
@@ -266,10 +275,8 @@ SOLVE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
-def test_solve_bit_identical_to_reference_loop(case):
-    p, t_end, kw = SOLVE_CASES[case]
-    f0 = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), p)
+def _solve_matching_the_reference(f0, p, t_end, **kw):
+    """solve from f0, asserted equal to the reference loop bit for bit."""
     rho0 = f0.rho.copy()
     sol = solve(f0, p, t_end, **kw)
     t, jg, m, dt, snaps = _reference_solve(f0, p, t_end, **kw)
@@ -278,10 +285,19 @@ def test_solve_bit_identical_to_reference_loop(case):
     assert np.array_equal(sol.t, t)
     assert np.array_equal(sol.jg, jg)
     assert np.array_equal(sol.mass, m)
-    assert len(sol.snapshots) == len(snaps) >= 1
+    assert len(sol.snapshots) == len(snaps)
     for got, want in zip(sol.snapshots, snaps):
         assert got.t == want.t
         assert np.array_equal(got.rho, want.rho)
+    return sol
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_solve_bit_identical_to_reference_loop(case):
+    p, t_end, kw = SOLVE_CASES[case]
+    f0 = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), p)
+    sol = _solve_matching_the_reference(f0, p, t_end, **kw)
+    assert len(sol.snapshots) >= 1
 
 
 def test_fp_step_bit_identical_to_reference_step():
@@ -291,6 +307,124 @@ def test_fp_step_bit_identical_to_reference_step():
     got, want = fp_step(f, P_TRUNC, dt), _reference_step(f, P_TRUNC, dt)
     assert got.t == want.t
     assert np.array_equal(got.rho, want.rho)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's flat v-fluxes, with one wall slot at each row end
+
+# the density-oracle benchmark grid; P01 is fig1 at eps = 0.1
+ORACLE_GRID = Grid(v_min=-1.5, v_max=7.0, x_min=-2.5, x_max=4.5, nv=256, nx=112)
+
+
+def _mass_drift(sol):
+    return np.abs(sol.mass - sol.mass[0]).max()
+
+
+def test_mass_at_the_row_ends_stays_in_its_row():
+    # mass only in the first and last v-columns: a wall slot between two
+    # rows that kept its difference would move mass from one row to the next
+    grid = small_grid()
+    rng = np.random.default_rng(5)
+    rho = np.zeros((grid.nx, grid.nv))
+    rho[:, 0] = rng.uniform(0.5, 1.5, grid.nx)
+    rho[:, -1] = rng.uniform(0.5, 1.5, grid.nx)
+    rho /= rho.sum() * grid.dv * grid.dx
+    f0 = DensityField(grid, rho)
+    sol = _solve_matching_the_reference(f0, P01, 0.01, snapshot_stride=5)
+    assert _mass_drift(sol) <= 1e-12
+    got, want = fp_step(f0, P01, sol.dt), _reference_step(f0, P01, sol.dt)
+    assert np.array_equal(got.rho, want.rho)
+
+
+@pytest.mark.parametrize("nv, nx", [(8, 13), (11, 8)])
+def test_small_grids_with_nx_not_nv_match_the_reference(nv, nx):
+    grid = small_grid(nv=nv, nx=nx)
+    f0 = gaussian_field(grid, InitCondition(mean_v=1.0, mean_x=0.5), P01)
+    sol = _solve_matching_the_reference(f0, P01, 0.2, record_stride=3, snapshot_stride=4)
+    assert _mass_drift(sol) <= 1e-12
+
+
+def test_density_oracle_grid_matches_the_reference():
+    f0 = gaussian_field(ORACLE_GRID, InitCondition(mean_v=2.0, mean_x=1.0,
+                                                   concentration=0.3), P01)
+    dt = stable_dt(ORACLE_GRID, P01)
+    sol = _solve_matching_the_reference(f0, P01, 20 * dt, dt=dt, record_stride=4,
+                                        snapshot_stride=10)
+    assert len(sol.t) == 6 and sol.t[-1] == 20 * dt
+    assert _mass_drift(sol) <= 1e-12
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_an_initial_density_that_is_not_c_ordered(layout):
+    grid = small_grid()
+    rho = gaussian_field(grid, InitCondition(mean_v=1.0, mean_x=0.5), P01).rho
+    base = None
+    if layout == "fortran":
+        rho = np.asfortranarray(rho)
+    else:
+        base = np.full((grid.nx, 2 * grid.nv), -7.0)
+        base[:, 1::2] = rho
+        rho = base[:, 1::2]
+    f0 = DensityField(grid, rho, 0.5)
+    assert f0.rho is rho and not rho.flags.c_contiguous
+    sol = _solve_matching_the_reference(f0, P01, 0.02, record_stride=2, snapshot_stride=3)
+    assert _mass_drift(sol) <= 1e-12
+    got, want = fp_step(f0, P01, sol.dt), _reference_step(f0, P01, sol.dt)
+    assert np.array_equal(got.rho, want.rho)
+    if base is not None:
+        assert (base[:, ::2] == -7.0).all()  # the cells between stay unwritten
+
+
+def test_moments_outside_the_stable_interval_take_the_exact_check(monkeypatch):
+    # an empty stable interval sends every step to cfl_limit, which passes
+    # at the default step
+    from fhn_meanfield import fokker_planck
+    monkeypatch.setattr(fokker_planck._UpwindKernel, "_stable_moments",
+                        lambda self: (math.inf, -math.inf))
+    checks = []
+    exact = fokker_planck.cfl_limit
+
+    def counting(*args):
+        checks.append(args[2])
+        return exact(*args)
+
+    monkeypatch.setattr(fokker_planck, "cfl_limit", counting)
+    f0 = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
+    sol = _solve_matching_the_reference(f0, P01, 0.05, record_stride=3, snapshot_stride=7)
+    assert len(checks) == round(0.05 / sol.dt) > 10
+    assert checks[0] == sol.jg[0]
+    assert _mass_drift(sol) <= 1e-12
+
+
+def test_kernel_steps_allocate_less_than_half_a_grid_array():
+    import tracemalloc
+
+    from fhn_meanfield.fokker_planck import _UpwindKernel
+    f0 = gaussian_field(ORACLE_GRID, InitCondition(mean_v=2.0, mean_x=1.0,
+                                                   concentration=0.3), P01)
+    dt = stable_dt(ORACLE_GRID, P01)
+    kernel = _UpwindKernel(ORACLE_GRID, P01, dt)
+    bufs = [f0.rho.copy(), np.empty_like(f0.rho)]
+    jg = first_moment(f0)
+    kernel.step(bufs[0], bufs[1], jg, dt)  # warm-up
+    tracemalloc.start()
+    try:
+        for k in range(10):
+            kernel.step(bufs[k % 2], bufs[(k + 1) % 2], jg, (k + 2) * dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f0.rho.nbytes / 2
+
+
+def test_first_moment_reuses_one_read_only_centres_array():
+    grid = small_grid()
+    vc = grid.v_centers()
+    assert grid.v_centers() is vc and not vc.flags.writeable
+    fresh = grid.v_min + (np.arange(grid.nv) + 0.5) * grid.dv
+    assert np.array_equal(vc, fresh)
+    f = gaussian_field(grid, InitCondition(mean_v=1.0, mean_x=0.5), P01)
+    assert first_moment(f) == float((f.rho @ fresh).sum() * grid.dv * grid.dx)
 
 
 @pytest.mark.parametrize("kw, what", [
@@ -345,9 +479,12 @@ def test_moment_jump_outside_domain_fails_at_the_reference_step(monkeypatch):
             run(f, P01, 0.5, dt=dt)
         errors.append((asked[-1], str(info.value), info.value.required_dt,
                        info.value.cell, len(asked)))
-    (jg_fast, *err_fast, checks_fast), (jg_ref, *err_ref, steps_ref) = errors
+    (jg_fast, msg_fast, *err_fast, checks_fast), (jg_ref, msg_ref, *err_ref, steps_ref) = errors
     assert (jg_fast, err_fast) == (jg_ref, err_ref)
     assert jg_ref < 0.93 and checks_fast == 1 and steps_ref > 50
+    # the reference's message, naming also the step that failed
+    step_to = f" in the step to t={steps_ref * dt:.6g} (limiting"
+    assert msg_fast == msg_ref.replace(" (limiting", step_to)
 
 
 def test_default_step_solve_skips_the_exact_cfl_check(monkeypatch):
