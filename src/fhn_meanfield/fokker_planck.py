@@ -21,11 +21,18 @@ step then runs in-place ufuncs in the operation order of the plain formula,
 alternating between two density buffers owned by the call, so the results
 equal those of a fresh-array loop bit for bit.  The v-fluxes are one flat
 array with one face per cell and a zero-flux wall slot at each row end, so
-every v-direction pass is one contiguous pass over the grid.  The CFL
-denominator of a cell is affine in J[g] up to an absolute value, so the
-moments for which dt is stable form one interval; it is computed once, and
-a step runs the exact full-grid cfl_limit only when its moment falls
-outside.  fp_step is one step of the same kernel.
+every v-direction pass is one contiguous pass over the grid.  fp_step is
+one step of the same kernel.
+
+The CFL bound is CFL_SAFETY over the largest cell denominator
+R_c + |y_c + r|, with R_c = K + |a x_c - b v_c|/dx, K = 2/dv^2 + 2 eps/dx^2,
+y_c = (-N0(v_c) + i_ext - x_c - v_c/eps)/dv and r = J[g]/(eps dv).  Since
+|z| = max(z, -z), that largest denominator is max(A + r, B - r), with
+A = max_c(R_c + y_c) and B = max_c(R_c - y_c).  A and B are computed once
+per kernel, so each step checks the exact bound in O(1); cfl_limit and
+stable_dt take the same closed form.  It is convex in J[g], so stable_dt,
+its minimum at the ends v_min and v_max, is the exact worst case over
+every moment on the grid.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 # The benchmark's traced run (perfbench/layers.py) wraps voltage_drift on
-# this module; _cell_terms and the kernel follow it operation for operation.
+# this module; the kernel's v-face drift follows it operation for operation.
 from .core import (InitCondition, ModelParams, init_variance, nonlinearity,  # noqa: F401
                    require_finite, time_steps, voltage_drift)
 
@@ -46,19 +53,25 @@ NEGATIVITY_TOL = -1e-12
 
 
 class CflError(RuntimeError):
-    def __init__(self, message: str, required_dt: float, cell: tuple[int, int]):
+    """dt exceeds the stability bound required_dt, set by cell (ix, iv), in
+    the step that ends at t."""
+
+    def __init__(self, message: str, required_dt: float, cell: tuple[int, int], t: float):
         super().__init__(message)
         self.required_dt = required_dt
         self.cell = cell
+        self.t = t
 
 
 class SchemeError(RuntimeError):
     """The update produced a density below the negativity tolerance, or
-    NaN; cell is the (ix, iv) of the lowest (or first NaN) value."""
+    NaN; cell is the (ix, iv) of the lowest (or first NaN) value and t the
+    end of the failed step."""
 
-    def __init__(self, message: str, cell: tuple[int, int]):
+    def __init__(self, message: str, cell: tuple[int, int], t: float):
         super().__init__(message)
         self.cell = cell
+        self.t = t
 
 
 @dataclass(frozen=True)
@@ -163,38 +176,40 @@ def gaussian_field(grid: Grid, cond: InitCondition, p: ModelParams) -> DensityFi
     return DensityField(grid=grid, rho=rho / total, t=0.0)
 
 
-def _cell_terms(grid: Grid, p: ModelParams) -> tuple:
-    """The per-cell terms of the CFL bound: the diffusion term
-    K = 2 (1/dv^2 + eps/dx^2), the v-centres (1, nv), the uncoupled voltage
-    drift -N0(v_c) + i_ext - x_c and the x-speed |a x_c - b v_c|, both (nx, nv).
-
-    A cell's bound is CFL_SAFETY / (K + |U_c|/dv + |ux_c|/dx), with the
-    v-speed U_c = -(drift + (jg - v_c)/eps) in the divergence form d_v(U g).
-    """
+def _cfl_terms(grid: Grid, p: ModelParams) -> tuple:
+    """The closed form of the CFL bound (module docstring): ((A, cell of A),
+    (B, cell of B), eps*dv)."""
     vc = grid.v_centers()[None, :]
     xc = grid.x_centers()[:, None]
-    k = 2.0 * (1.0 / grid.dv ** 2 + p.epsilon / grid.dx ** 2)
-    drift = -nonlinearity(vc, p) + p.i_ext - xc
-    return k, vc, drift, np.abs(p.a * xc - p.b * vc)
+    rest = (2.0 * (1.0 / grid.dv ** 2 + p.epsilon / grid.dx ** 2)
+            + np.abs(p.a * xc - p.b * vc) / grid.dx)
+    y = (-nonlinearity(vc, p) + p.i_ext - xc - vc / p.epsilon) / grid.dv
+    sides = []
+    for side in (rest + y, rest - y):
+        worst = int(np.argmax(side))
+        sides.append((float(side.flat[worst]), divmod(worst, grid.nv)))
+    return sides[0], sides[1], p.epsilon * grid.dv
+
+
+def _bound(terms: tuple, jg: float) -> tuple[float, tuple[int, int]]:
+    """Largest stable dt (with safety factor) at moment jg, and the limiting
+    cell; NaN for a NaN moment."""
+    (a, cell_a), (b, cell_b), scale = terms
+    r = jg / scale
+    denom, cell = (a + r, cell_a) if a + r >= b - r else (b - r, cell_b)
+    return CFL_SAFETY / denom, cell
 
 
 def cfl_limit(f: DensityField, p: ModelParams, jg: float) -> tuple[float, tuple[int, int]]:
     """Largest stable dt (with safety factor) and the limiting cell."""
-    g = f.grid
-    k, vc, drift, ux = _cell_terms(g, p)
-    denom = k + np.abs(drift + (jg - vc) / p.epsilon) / g.dv + ux / g.dx
-    worst = int(np.argmax(denom))
-    cell = (worst // g.nv, worst % g.nv)
-    return CFL_SAFETY / float(denom.max()), cell
+    return _bound(_cfl_terms(f.grid, p), jg)
 
 
 def stable_dt(grid: Grid, p: ModelParams) -> float:
-    """CFL bound that is safe for any first moment inside the domain (the
-    moment of a density supported on the grid cannot leave [v_min, v_max])."""
-    k, vc, drift, ux = _cell_terms(grid, p)
-    reach = np.maximum(vc - grid.v_min, grid.v_max - vc) / p.epsilon
-    denom = (np.abs(drift) + reach) / grid.dv + ux / grid.dx + k
-    return CFL_SAFETY / float(denom.max())
+    """The largest dt that is stable for every first moment in
+    [v_min, v_max], where the moment of a density on the grid lies."""
+    terms = _cfl_terms(grid, p)
+    return min(_bound(terms, grid.v_min)[0], _bound(terms, grid.v_max)[0])
 
 
 def check_density_params(p: ModelParams) -> None:
@@ -246,7 +261,7 @@ class _UpwindKernel:
         self._fv = np.zeros(nx * nv + 1)
         self._hx = np.zeros((nx + 1, nv))
         self._scratch = np.empty(nx * nv)
-        self._lo, self._hi = self._stable_moments()
+        self._terms = _cfl_terms(g, p)
         vf = self._v_faces = np.append(g.v_faces_interior(), g.v_max)
         xc = g.x_centers()[:, None]
         # the v-face drift without its coupling term, (jg - v_f)/eps, flat
@@ -255,37 +270,18 @@ class _UpwindKernel:
         self._speed_x = p.a * g.x_faces_interior()[:, None] - p.b * g.v_centers()[None, :]
         self._up_x = self._speed_x <= 0.0
 
-    def _stable_moments(self) -> tuple[float, float]:
-        """Moments jg for which dt certainly passes cfl_limit, as [lo, hi].
-
-        The CFL denominator of a cell is K + |U_c(jg)|/dv + |ux_c|/dx and
-        U_c is affine in jg, so each cell allows one interval of jg.  The
-        intersection is shrunk by a relative 1e-9, far above the roundoff of
-        either side; a moment outside it runs the exact cfl_limit."""
-        g, p, dt = self.grid, self.p, self.dt
-        k, vc, drift, ux = _cell_terms(g, p)
-        # the largest |U_c| that dt allows; U_c = -(drift + (jg - v_c)/eps).
-        # A cell with u_max < 0 empties the intersection (lo > hi).
-        u_max = g.dv * (CFL_SAFETY / dt - k - ux / g.dx)
-        lo = float(np.max(vc - p.epsilon * (u_max + drift)))
-        hi = float(np.min(vc + p.epsilon * (u_max - drift)))
-        tol = 1e-9 * (float(np.abs(vc).max())
-                      + p.epsilon * (g.dv * CFL_SAFETY / dt + float(np.abs(drift).max())))
-        return lo + tol, hi - tol
-
     def step(self, src: np.ndarray, dst: np.ndarray, jg: float, t_new: float) -> None:
         """Write the density one step after src into dst, a C-ordered
         array; t_new, the time of dst, names the step in errors."""
         g, p, dt = self.grid, self.p, self.dt
         nx, nv = g.nx, g.nv
-        if not self._lo <= jg <= self._hi:
-            dt_max, cell = cfl_limit(DensityField(g, src), p, jg)
-            if dt > dt_max:
-                raise CflError(
-                    f"dt={dt:.3g} violates the stability bound {dt_max:.3g} "
-                    f"in the step to t={t_new:.6g} "
-                    f"(limiting cell ix={cell[0]}, iv={cell[1]})",
-                    required_dt=dt_max, cell=cell)
+        dt_max, cell = _bound(self._terms, jg)
+        if dt > dt_max:  # False for a NaN moment, which the guard below reports
+            raise CflError(
+                f"dt={dt:.3g} violates the stability bound {dt_max:.3g} "
+                f"in the step to t={t_new:.6g} "
+                f"(limiting cell ix={cell[0]}, iv={cell[1]})",
+                required_dt=dt_max, cell=cell, t=t_new)
         # dst and the scratch array double as upwind buffers until the sum
         spare = dst.reshape(-1)
         scratch = self._scratch
@@ -334,7 +330,7 @@ class _UpwindKernel:
         if not worst >= NEGATIVITY_TOL:  # also catches NaN
             ix, iv = divmod(int(np.argmin(dst)), nv)
             raise SchemeError(f"density fell to {worst:.3e} at t={t_new:.6g} "
-                              f"(cell ix={ix}, iv={iv})", cell=(ix, iv))
+                              f"(cell ix={ix}, iv={iv})", cell=(ix, iv), t=t_new)
 
 
 def solve(f0: DensityField, p: ModelParams, t_end: float, *,
@@ -344,9 +340,9 @@ def solve(f0: DensityField, p: ModelParams, t_end: float, *,
     (t, J[g], mass) diagnostics.
 
     The step is core.time_steps of t_end and dt, which is an upper bound;
-    dt=None bounds it by the worst-case CFL bound stable_dt, so every step
-    is stable for any first moment on the grid.  The steps alternate between
-    two buffers owned by this call; f0 is not written.
+    dt=None bounds it by stable_dt, so every step is stable for any first
+    moment on the grid.  The steps alternate between two buffers owned by
+    this call; f0 is not written.
     """
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from fhn_meanfield.core import InitCondition, ModelParams
+from fhn_meanfield.core import InitCondition, ModelParams, time_steps
 from fhn_meanfield.fokker_planck import (CFL_SAFETY, NEGATIVITY_TOL, CflError,
                                          DensityField, Grid, SchemeError, cfl_limit,
                                          first_moment, fp_step, gaussian_field,
@@ -78,7 +78,7 @@ def test_cfl_violation_names_cell_and_required_dt():
     assert 0 <= err.cell[0] < f.grid.nx and 0 <= err.cell[1] < f.grid.nv
     assert "stability" in str(err)
     # the message names the step that failed and the cell
-    assert "in the step to t=1 " in str(err)
+    assert "in the step to t=1 " in str(err) and err.t == 1.0
     assert f"ix={err.cell[0]}, iv={err.cell[1]})" in str(err)
 
 
@@ -91,7 +91,7 @@ def test_negative_density_guard():
     with pytest.raises(SchemeError) as info:
         fp_step(DensityField(grid, rho, 0.25), P01, dt=dt)
     # the lowest cell of the failed density, named with its time
-    assert info.value.cell == (5, 5)
+    assert info.value.cell == (5, 5) and info.value.t == 0.25 + dt
     assert str(info.value).endswith(f"at t={0.25 + dt:.6g} (cell ix=5, iv=5)")
 
 
@@ -101,8 +101,10 @@ def test_nan_moment_trips_the_negativity_guard():
     with pytest.raises(SchemeError, match="nan") as info:
         solve(f, P01, 0.01)
     assert info.value.cell == (0, 0)  # a NaN moment spreads NaN everywhere
-    with pytest.raises(SchemeError, match="nan"):
+    assert info.value.t == time_steps(0.01, stable_dt(f.grid, P01))[1]  # the first step
+    with pytest.raises(SchemeError, match="nan") as info:
         fp_step(f, P01, 1e-4)
+    assert info.value.t == 1e-4
 
 
 @pytest.mark.parametrize("changes", [dict(sigma=0.5), dict(sigma=0.0),
@@ -212,7 +214,7 @@ def _reference_step(f, p, dt):
         raise CflError(
             f"dt={dt:.3g} violates the stability bound {dt_max:.3g} "
             f"(limiting cell ix={cell[0]}, iv={cell[1]})",
-            required_dt=dt_max, cell=cell)
+            required_dt=dt_max, cell=cell, t=f.t + dt)
 
     # v-direction interface fluxes H = U g_up + d_v g, zero at the walls
     hv = np.zeros((g.nx, g.nv + 1))
@@ -231,7 +233,8 @@ def _reference_step(f, p, dt):
 
     worst = float(rho_new.min())
     if worst < NEGATIVITY_TOL:
-        raise SchemeError(f"density fell to {worst:.3e} at t={f.t + dt:.6g}")
+        raise SchemeError(f"density fell to {worst:.3e} at t={f.t + dt:.6g}",
+                          cell=divmod(int(np.argmin(rho_new)), g.nv), t=f.t + dt)
     return DensityField(grid=g, rho=rho_new, t=f.t + dt)
 
 
@@ -375,27 +378,6 @@ def test_an_initial_density_that_is_not_c_ordered(layout):
         assert (base[:, ::2] == -7.0).all()  # the cells between stay unwritten
 
 
-def test_moments_outside_the_stable_interval_take_the_exact_check(monkeypatch):
-    # an empty stable interval sends every step to cfl_limit, which passes
-    # at the default step
-    from fhn_meanfield import fokker_planck
-    monkeypatch.setattr(fokker_planck._UpwindKernel, "_stable_moments",
-                        lambda self: (math.inf, -math.inf))
-    checks = []
-    exact = fokker_planck.cfl_limit
-
-    def counting(*args):
-        checks.append(args[2])
-        return exact(*args)
-
-    monkeypatch.setattr(fokker_planck, "cfl_limit", counting)
-    f0 = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
-    sol = _solve_matching_the_reference(f0, P01, 0.05, record_stride=3, snapshot_stride=7)
-    assert len(checks) == round(0.05 / sol.dt) > 10
-    assert checks[0] == sol.jg[0]
-    assert _mass_drift(sol) <= 1e-12
-
-
 def test_kernel_steps_allocate_less_than_half_a_grid_array():
     import tracemalloc
 
@@ -458,67 +440,74 @@ def test_solve_too_large_dt_raises_the_cfl_limit_error():
 
 def test_moment_jump_outside_domain_fails_at_the_reference_step(monkeypatch):
     # dt is stable for the initial moment 1.0, whose bound is 1.2266e-3, but
-    # not once the moment, relaxing towards rest, leaves the kernel's stable
-    # interval (lower end 0.929): solve then runs the exact check and must
-    # fail where the reference loop, which checks every step, fails
+    # not once the moment, relaxing towards rest, falls below 0.929: solve,
+    # which checks each step's moment against the kernel's closed form, must
+    # fail where the reference loop, which calls cfl_limit each step, fails
     from fhn_meanfield import fokker_planck
     f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
     dt = 0.5 / 410
     assert cfl_limit(f, P01, first_moment(f))[0] > dt
-    exact = fokker_planck.cfl_limit
     errors = []
-    for owner, run in ((fokker_planck, solve), (sys.modules[__name__], _reference_solve)):
+    for owner, name, run in ((fokker_planck, "_bound", solve),
+                             (sys.modules[__name__], "cfl_limit", _reference_solve)):
         asked = []
+        check = getattr(owner, name)
 
-        def recording(field, p, jg, asked=asked):
-            asked.append(jg)
-            return exact(field, p, jg)
+        def recording(*args, asked=asked, check=check):
+            asked.append(args[-1])
+            return check(*args)
 
-        monkeypatch.setattr(owner, "cfl_limit", recording)
+        monkeypatch.setattr(owner, name, recording)
         with pytest.raises(CflError) as info:
             run(f, P01, 0.5, dt=dt)
-        errors.append((asked[-1], str(info.value), info.value.required_dt,
-                       info.value.cell, len(asked)))
-    (jg_fast, msg_fast, *err_fast, checks_fast), (jg_ref, msg_ref, *err_ref, steps_ref) = errors
-    assert (jg_fast, err_fast) == (jg_ref, err_ref)
-    assert jg_ref < 0.93 and checks_fast == 1 and steps_ref > 50
+        errors.append((len(asked), asked[-1], info.value.required_dt, info.value.cell,
+                       info.value))
+    (steps_fast, *fast, err_fast), (steps_ref, *ref, err_ref) = errors
+    # the same step fails, at the same moment, bound and cell
+    assert steps_fast == steps_ref > 50 and fast == ref
+    assert ref[0] < 0.93 and err_fast.t == steps_ref * dt
     # the reference's message, naming also the step that failed
     step_to = f" in the step to t={steps_ref * dt:.6g} (limiting"
-    assert msg_fast == msg_ref.replace(" (limiting", step_to)
+    assert str(err_fast) == str(err_ref).replace(" (limiting", step_to)
 
 
-def test_default_step_solve_skips_the_exact_cfl_check(monkeypatch):
+def test_default_step_solve_evaluates_the_grid_bound_once(monkeypatch):
+    # the full-grid CFL terms are computed by stable_dt and by the kernel,
+    # and every step checks its moment in closed form: no step calls
+    # cfl_limit or walks the grid for its bound
     from fhn_meanfield import fokker_planck
     calls = []
-    exact = fokker_planck.cfl_limit
+    for name in ("cfl_limit", "_cfl_terms"):
+        def counting(*args, name=name, exact=getattr(fokker_planck, name)):
+            calls.append(name)
+            return exact(*args)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return exact(*args, **kwargs)
-
-    monkeypatch.setattr(fokker_planck, "cfl_limit", counting)
+        monkeypatch.setattr(fokker_planck, name, counting)
     f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
     sol = solve(f, P01, 0.1, record_stride=10)
     assert small_grid().v_min < sol.jg.min() and sol.jg.max() < small_grid().v_max
-    assert calls == []
+    assert len(sol.t) > 10 and calls == ["_cfl_terms", "_cfl_terms"]
 
 
 # ---------------------------------------------------------------------------
-# the CFL bounds against their formulas as they stood before they shared
-# one set of cell terms
+# the CFL bounds against an independent per-cell evaluation, and the
+# worst-case bound as it stood before it became the closed form
 
-def _old_cfl_limit(f, p, jg):
+def _old_denominators(g, p, jg):
     from fhn_meanfield.core import voltage_drift
-    g = f.grid
     vc = g.v_centers()[None, :]
     xc = g.x_centers()[:, None]
     denom = 2.0 * (1.0 / g.dv ** 2 + p.epsilon / g.dx ** 2)
     denom = np.full((g.nx, g.nv), denom)
     uv = np.abs(-voltage_drift(vc, xc, jg, p))
     ux = np.abs(p.a * xc - p.b * vc)
-    denom = denom + uv / g.dv + ux / g.dx
+    return denom + uv / g.dv + ux / g.dx
+
+
+def _old_cfl_limit(f, p, jg):
+    denom = _old_denominators(f.grid, p, jg)
     worst = int(np.argmax(denom))
-    return CFL_SAFETY / float(denom.max()), (worst // g.nv, worst % g.nv)
+    return CFL_SAFETY / float(denom.max()), divmod(worst, f.grid.nv)
 
 
 def _old_stable_dt(grid, p):
@@ -533,24 +522,18 @@ def _old_stable_dt(grid, p):
     return CFL_SAFETY / float(denom.max())
 
 
-def _old_stable_moments(g, p, dt):
-    from fhn_meanfield.core import nonlinearity
-    k = 2.0 * (1.0 / g.dv ** 2 + p.epsilon / g.dx ** 2)
-    vc = g.v_centers()[None, :]
-    xc = g.x_centers()[:, None]
-    base = -nonlinearity(vc, p) + p.i_ext - xc
-    u_max = g.dv * (CFL_SAFETY / dt - k - np.abs(p.a * xc - p.b * vc) / g.dx)
-    lo = float(np.max(vc - p.epsilon * (u_max + base)))
-    hi = float(np.min(vc + p.epsilon * (u_max - base)))
-    tol = 1e-9 * (float(np.abs(vc).max())
-                  + p.epsilon * (g.dv * CFL_SAFETY / dt + float(np.abs(base).max())))
-    return lo + tol, hi - tol
+def _exact_worst_case(grid, p, scan=9):
+    """The smallest per-cell bound over both ends of [v_min, v_max] and a
+    scan of the moments between."""
+    f = DensityField(grid, np.zeros((grid.nx, grid.nv)))
+    return min(_old_cfl_limit(f, p, jg)[0]
+               for jg in np.linspace(grid.v_min, grid.v_max, scan))
 
 
-def test_cfl_bounds_bit_identical_to_their_old_formulas():
+def test_cfl_bounds_match_their_per_cell_formulas():
     from fhn_meanfield.fokker_planck import _UpwindKernel
     rng = np.random.default_rng(20181018)
-    above = below = 0
+    raised = passed = larger = 0
     for case in range(300):
         p = ModelParams(a=rng.uniform(0.01, 1.0), b=rng.uniform(0.0, 1.0),
                         lam=rng.uniform(0.5, 6.0), i_ext=rng.uniform(-2.0, 6.0),
@@ -560,14 +543,53 @@ def test_cfl_bounds_bit_identical_to_their_old_formulas():
         grid = Grid(v_min=v_min, v_max=v_min + rng.uniform(1.0, 10.0),
                     x_min=x_min, x_max=x_min + rng.uniform(1.0, 8.0),
                     nv=int(rng.integers(8, 65)), nx=int(rng.integers(8, 49)))
-        bound = stable_dt(grid, p)
-        assert bound == _old_stable_dt(grid, p)
-        dt = bound * 10.0 ** rng.uniform(-0.5, 0.5)
-        above += dt > bound
-        below += dt < bound
-        kernel = _UpwindKernel(grid, p, dt)
-        assert (kernel._lo, kernel._hi) == _old_stable_moments(grid, p, dt)
         f = DensityField(grid, np.zeros((grid.nx, grid.nv)))
+        # stable_dt: the smaller bound at the two ends, the exact worst case
+        bound = stable_dt(grid, p)
+        ends = min(cfl_limit(f, p, grid.v_min)[0], cfl_limit(f, p, grid.v_max)[0])
+        assert bound == ends
+        assert bound == pytest.approx(_exact_worst_case(grid, p), rel=1e-12)
+        old = _old_stable_dt(grid, p)
+        assert bound >= old * (1.0 - 1e-12)
+        larger += bound > old * (1.0 + 1e-12)
+        # cfl_limit and the kernel's check, at moments in and beyond the grid
+        dt = bound * 10.0 ** rng.uniform(-0.5, 0.5)
+        kernel = _UpwindKernel(grid, p, dt)
+        out = np.empty((grid.nx, grid.nv))
         for jg in rng.uniform(grid.v_min - 2.0, grid.v_max + 2.0, size=3):
-            assert cfl_limit(f, p, jg) == _old_cfl_limit(f, p, jg)
-    assert above > 50 and below > 50
+            dt_max, cell = cfl_limit(f, p, jg)
+            assert dt_max == pytest.approx(_old_cfl_limit(f, p, jg)[0], rel=1e-12)
+            denom = _old_denominators(grid, p, jg)
+            assert denom[cell] == pytest.approx(denom.max(), rel=1e-12)
+            try:
+                kernel.step(f.rho, out, jg, 1.0)
+            except CflError as err:
+                assert dt > dt_max and (err.required_dt, err.cell) == (dt_max, cell)
+                raised += 1
+            else:
+                assert dt <= dt_max
+                passed += 1
+    assert raised > 50 and passed > 50 and larger > 0
+
+
+def test_stable_dt_is_the_worst_case_over_moments():
+    # on a grid that starts above 0, the triangle-inequality bound of the
+    # old stable_dt read 1.2159e-3
+    grid = Grid(0.5, 3.0, -1.0, 2.0, 32, 16)
+    assert stable_dt(grid, P01) == pytest.approx(_exact_worst_case(grid, P01, scan=101),
+                                                 rel=1e-12)
+    assert stable_dt(grid, P01) == pytest.approx(1.3831e-3, rel=1e-4)
+
+
+def test_no_shipped_configuration_changes_its_density_step():
+    from fhn_meanfield import presets
+    horizons = [(ORACLE_GRID, P01, t_end) for t_end in (0.05, 5e-4)]  # the benchmark's
+    for name in presets.available():
+        for run in presets.load(name).runs:
+            span = 3.0 * run.params.lam  # the command line's default grid
+            grid = Grid(-span, span, -span, span, 128, 64)
+            if run.params.sigma == 1.0:
+                horizons.append((grid, run.params, run.sim.t_end))
+    assert len(horizons) > 10
+    for grid, p, t_end in horizons:
+        assert time_steps(t_end, stable_dt(grid, p)) == time_steps(t_end, _old_stable_dt(grid, p))
