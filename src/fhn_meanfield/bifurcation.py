@@ -1,24 +1,24 @@
 """Closed-form regime classification of the limit system, plus numerical
 limit-cycle detection through a Poincare return map.
 
-The discriminant of the equilibrium cubic (in the form below) decides the
-equilibrium count, and the Jacobian trace at the unique equilibrium decides
-its stability:
-
-    Delta = -27 I^2 + 18 (1+lam) q I - 4 q^3 - 4 (1+lam)^3 I + (1+lam)^2 q^2
-    with q = lam + b/a and I = i_ext,
+The regime follows the equilibria found, the real roots of the equilibrium
+cubic: three give Bistable, two (a double root) a saddle-node, and a single
+one is stable for T < 0 and surrounded by an attracting cycle for T > 0,
+with T the Jacobian trace there,
 
     T(v*) = -3 v*^2 + 2 (1+lam) v* - lam - a.
 
-Delta > 0 gives three equilibria, the regime Bistable; Delta < 0 a single
-equilibrium, stable for T < 0 and surrounded by an attracting cycle for
-T > 0.  A saddle-node sits at Delta = 0 and a Hopf point at T = 0.  The
-regime goes by the discriminant's sign alone, so Bistable counts equilibria
-and does not promise that two of them are stable: at (a, b, lam, I) =
-(0.03, 0.09, 4, 2.5) all three are unstable inside a cycle of period 136.5.
-Each equilibrium's label carries its own stability.  Note the
--a in T: it is the trace of [[-N0'(v*), -1], [b, -a]], the linearization of
-the limit system with relaxing adaptation.
+A Hopf point sits at T = 0.  The cubic's discriminant
+
+    Delta = -27 I^2 + 18 (1+lam) q I - 4 q^3 - 4 (1+lam)^3 I + (1+lam)^2 q^2
+    with q = lam + b/a and I = i_ext
+
+is reported, and |Delta| <= DEGENERACY_TOL only marks the saddle-node band.
+Bistable counts equilibria and does not promise that two of them are
+stable: at (a, b, lam, I) = (0.03, 0.09, 4, 2.5) all three are unstable
+inside a cycle of period 136.5.  Each equilibrium's label carries its own
+stability.  Note the -a in T: it is the trace of [[-N0'(v*), -1], [b, -a]],
+the linearization of the limit system with relaxing adaptation.
 """
 
 from __future__ import annotations
@@ -75,8 +75,6 @@ class BifurcationReport:
 def discriminant(p: ModelParams) -> float:
     """The cubic discriminant, evaluated exactly as written above.  Raises
     ValueError when it is not finite, as when q ** 3 overflows."""
-    if not p.a > 0:
-        raise ValueError("discriminant requires a > 0")
     lam1 = 1.0 + p.lam
     q = p.lam + p.b / p.a
     i0 = p.i_ext
@@ -122,10 +120,9 @@ def _stability_label(eigs) -> str:
 def classify(p: ModelParams) -> BifurcationReport:
     """Regime classification with per-equilibrium eigenvalue labels.
 
-    Degenerate annotations appear when |Delta| or |T| falls below
-    DEGENERACY_TOL.  Raises RuntimeError if the discriminant sign and the root
-    count disagree outside the degeneracy band (an internal inconsistency,
-    not a user error).
+    The regime follows the equilibria found: DegenerateSaddleNode when two
+    are found or |Delta| <= DEGENERACY_TOL, else Bistable for three and the
+    trace rule for one, DegenerateHopf when |T| <= DEGENERACY_TOL.
     """
     delta = discriminant(p)
 
@@ -138,7 +135,7 @@ def classify(p: ModelParams) -> BifurcationReport:
 
     infos = tuple(info_at(v, x) for v, x in equilibria(p))
 
-    if abs(delta) <= DEGENERACY_TOL:
+    if abs(delta) <= DEGENERACY_TOL or len(infos) == 2:
         if len(infos) == 3:
             # within the band the numerically split double root is one
             # equilibrium; present the merged pair next to the simple root
@@ -148,14 +145,8 @@ def classify(p: ModelParams) -> BifurcationReport:
             merged = info_at(mid, (p.b / p.a) * mid)
             infos = (merged, infos[2]) if k == 0 else (infos[0], merged)
         return BifurcationReport(delta, infos, DEGENERATE_SADDLE_NODE)
-    if delta > 0.0:
-        if len(infos) != 3:
-            raise RuntimeError(
-                f"discriminant {delta} > 0 but {len(infos)} equilibria found")
+    if len(infos) == 3:
         return BifurcationReport(delta, infos, BISTABLE)
-    if len(infos) != 1:
-        raise RuntimeError(
-            f"discriminant {delta} < 0 but {len(infos)} equilibria found")
     tr = infos[0].trace
     if abs(tr) <= DEGENERACY_TOL:
         regime = DEGENERATE_HOPF

@@ -32,7 +32,7 @@ from .bifurcation import (CycleDetectionError, classify, detect_limit_cycle,
                           discriminant, report_to_dict)
 from .core import (GAUSSIAN_CLUSTER, BlowUpError, InitCondition, ModelParams,
                    check_concentration, time_steps)
-from .diagnostics import (Profile, ProfileComparison, compare as diag_compare,
+from .diagnostics import (MIN_SAMPLES, Profile, ProfileComparison, compare as diag_compare,
                           log_density_profile, profile_sup_error, theoretical_profile)
 from .fokker_planck import (CflError, Grid, SchemeError, check_density_params,
                             gaussian_field, solve, stable_dt)
@@ -245,7 +245,10 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
     core.MAX_STEPS steps; a sampled cluster (network, compare) needs a
     concentration within sample_initial's bound; and every model needs a
     finite discriminant.  Whichever of preset, file or flag sets them, a
-    ConfigError says otherwise before any work or output."""
+    ConfigError says otherwise before any work or output.
+
+    detect-cycle (cycle) with no preset and no mean_v or mean_x set starts
+    half a unit in v above the first equilibrium classify reports."""
     preset_name, notes = None, ()
     run = PresetRun(label="run", params=ModelParams(), init=InitCondition(),
                     sim=SimConfig(n=1000, t_end=10.0, record_stride=10))
@@ -266,6 +269,10 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
     try:
         params = replace(run.params, **given["params"])
         init = replace(run.init, **given["init"])
+        if model == "cycle" and preset_name is None and not (
+                {"mean_v", "mean_x"} & given["init"].keys()):
+            e = classify(params).equilibria[0]
+            init = replace(init, mean_v=e.v + 0.5, mean_x=e.x)
         grid = snapshot_stride = None
         if model in _DENSITY:
             snapshot_stride = given["grid"].pop("snapshot_stride", None)
@@ -395,7 +402,7 @@ def run_network(cfg: ExperimentConfig) -> dict:
     }
 
     if (cfg.profile_diagnostics and rec.final_state is not None
-            and rec.final_state.n >= 1000):
+            and rec.final_state.n >= MIN_SAMPLES):
         final = rec.final_state
         s_end = LimitState(t=float(ref.t[-1]), alpha=float(ref.alpha[-1]),
                            beta=float(ref.beta[-1]))
@@ -465,7 +472,10 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     mean_x0 = float(np.mean([r.mean_x[0] for r in recs]))
     times = recs[0].t
 
-    alpha = reference_trajectory(recs[0], cfg).alpha
+    # the limit starts where the seed-averaged network does
+    s0 = LimitState(t=0.0, alpha=float(mean_v[0]), beta=mean_x0)
+    alpha = rk4_integrate(s0, cfg.params, recs[0].dt, cfg.sim.t_end,
+                          record_stride=cfg.sim.record_stride).alpha
 
     field0 = gaussian_field(cfg.grid, cfg.init, cfg.params)
     sol = solve(field0, cfg.params, cfg.sim.t_end, record_stride=1)
@@ -511,23 +521,12 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _start_is_given(args) -> bool:
-    """Whether a preset, the config file or a flag sets the initial cluster's centre."""
-    file_init = load_config_file(args.config).get("init", {}) if args.config else {}
-    return bool(args.preset) or any(getattr(args, f"init_{k}") is not None or k in file_init
-                                    for k in ("mean_v", "mean_x"))
-
-
 def _cmd_detect_cycle(args) -> int:
     if not 0.0 < args.max_time < float("inf"):
         raise ConfigError(f"--max-time must be finite and > 0, got {args.max_time}")
     cfg = resolve_config(args, args.model)
     report = classify(cfg.params)
-    if _start_is_given(args):
-        s0 = LimitState(t=0.0, alpha=cfg.init.mean_v, beta=cfg.init.mean_x)
-    else:
-        e = report.equilibria[0]
-        s0 = LimitState(t=0.0, alpha=e.v + 0.5, beta=e.x)
+    s0 = LimitState(t=0.0, alpha=cfg.init.mean_v, beta=cfg.init.mean_x)
     cycle = detect_limit_cycle(cfg.params, s0, max_time=args.max_time)
     payload = {"version": __version__, "config": cfg.to_dict()}
     payload.update(report_to_dict(report))

@@ -100,8 +100,6 @@ def rk4_integrate(s0: LimitState, p: ModelParams, dt: float, t_end: float,
 
 def equilibrium_cubic_coeffs(p: ModelParams) -> tuple[float, float, float]:
     """(c2, c1, c0) of the monic equilibrium cubic v^3 + c2 v^2 + c1 v + c0."""
-    if not p.a > 0:
-        raise ValueError("equilibria require a > 0 (x* = (b/a) v* undefined)")
     return (-(1.0 + p.lam), p.lam + p.b / p.a, -p.i_ext)
 
 

@@ -175,6 +175,61 @@ def test_sign_of_delta_predicts_root_count_small_grid():
         assert (delta > 0 and count == 3) or (delta < 0 and count == 1)
 
 
+# (a, b, lambda, i_ext) within a relative 1e-13 to 1e-7 of a saddle-node
+# current, where the sign of Delta and the equilibria found disagree
+NEAR_SADDLE_NODES = [
+    (0.012248716169534374, 11.90727040338958, 332.33613833763485, 1283.7933467569262),
+    (0.3428224661065284, 1468.347669818454, 754.2297467830375, 8437.171145583094),
+    (0.08954004097730058, 26.93630782581547, 163.3112794550999, 330.64592516691476),
+    (0.07856996806204102, 24.39998303473674, 170.91004250706985, 339.89933537662284),
+    (0.0025910054562692953, 2.0406146270344268, 927.897187903237, 792.8168692468206),
+]
+
+
+@pytest.mark.parametrize("a, b, lam, i_ext", NEAR_SADDLE_NODES)
+def test_classify_labels_the_equilibria_it_finds(a, b, lam, i_ext):
+    p = ModelParams(a=a, b=b, lam=lam, i_ext=i_ext)
+    rep = classify(p)
+    count = len(equilibria(p))
+    assert abs(rep.delta) > bifurcation.DEGENERACY_TOL
+    if count == 2:
+        assert rep.regime == DEGENERATE_SADDLE_NODE and len(rep.equilibria) == 2
+    elif count == 3:
+        assert rep.regime == BISTABLE and len(rep.equilibria) == 3
+    else:
+        (e,) = rep.equilibria
+        assert rep.regime == (MONOSTABLE_STABLE if e.trace < 0 else OSCILLATORY)
+
+
+def _sign_rule_regime(p):
+    # the regime by the sign of Delta, with None where the equilibria found
+    # disagree with it
+    delta = discriminant(p)
+    eqs = equilibria(p)
+    if abs(delta) <= bifurcation.DEGENERACY_TOL:
+        return DEGENERATE_SADDLE_NODE
+    if len(eqs) != (3 if delta > 0 else 1):
+        return None
+    if delta > 0:
+        return BISTABLE
+    tr = trace_at(eqs[0][0], p)
+    if abs(tr) <= bifurcation.DEGENERACY_TOL:
+        return bifurcation.DEGENERATE_HOPF
+    return MONOSTABLE_STABLE if tr < 0 else OSCILLATORY
+
+
+def test_classify_agrees_with_the_sign_rule_on_the_regime_scan_rectangle():
+    checked = 0
+    for lam in np.linspace(2.0, 6.0, 51):
+        for i_ext in np.linspace(-2.0, 6.0, 101):
+            p = ModelParams(a=0.3, b=0.1, lam=float(lam), i_ext=float(i_ext))
+            expected = _sign_rule_regime(p)
+            if expected is not None:
+                assert classify(p).regime == expected, p
+                checked += 1
+    assert checked == 51 * 101
+
+
 def test_detect_cycle_converges_to_none_in_stable_regimes():
     # monostable with comfortably negative trace
     p = ModelParams(a=0.01, b=0.1, lam=4.0, i_ext=5.0)

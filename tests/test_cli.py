@@ -269,19 +269,70 @@ def test_detect_cycle_starts_from_any_init_source(tmp_path, capsys):
     ini.write_text("[init]\nmean_v = 3.5\nmean_x = 1.0\n")
     fig4 = presets.load("fig4").runs[0]
     sources = [
-        (["--config", str(ini)], (3.5, 1.0)),
-        (["--init-mean-v", "3.5", "--init-mean-x", "1.0"], (3.5, 1.0)),
-        (["--preset", f"fig4:{fig4.label}"], (fig4.init.mean_v, fig4.init.mean_x)),
+        # without an init source: the first equilibrium shifted by 0.5 in v
+        (bistable, (0.4999999999999989, -3.700743415417189e-16)),
+        (["detect-cycle", "--a", "0.3", "--b", "3", "--i-ext", "10"],
+         (1.4999999999999998, 9.999999999999998)),
+        ([*bistable, "--config", str(ini)], (3.5, 1.0)),
+        ([*bistable, "--init-mean-v", "3.5", "--init-mean-x", "1.0"], (3.5, 1.0)),
+        ([*bistable, "--preset", f"fig4:{fig4.label}"],
+         (fig4.init.mean_v, fig4.init.mean_x)),
     ]
     for argv, start in sources:
-        assert run([*bistable, *argv]) == 0
+        assert run(argv) == 0
         payload = json.loads(capsys.readouterr().out)
+        init = payload["config"]["init"]
         assert (payload["start"]["alpha"], payload["start"]["beta"]) == start
-    # without an init source: the first equilibrium shifted by 0.5 in v
-    assert run(bistable) == 0
-    payload = json.loads(capsys.readouterr().out)
-    e = payload["equilibria"][0]
-    assert (payload["start"]["alpha"], payload["start"]["beta"]) == (e["v"] + 0.5, e["x"])
+        assert (init["mean_v"], init["mean_x"]) == start
+        if argv is bistable:
+            e = payload["equilibria"][0]
+            assert start == (e["v"] + 0.5, e["x"])
+
+
+def test_detect_cycle_reads_its_config_file_once(tmp_path, monkeypatch, capsys):
+    ini = tmp_path / "init.ini"
+    ini.write_text("[params]\na = 0.3\n")
+    loads = []
+    load = cli.load_config_file
+
+    def counted(path):
+        loads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_config_file", counted)
+    assert run(["detect-cycle", "--config", str(ini), "--i-ext", "0.0"]) == 0
+    capsys.readouterr()
+    assert loads == [str(ini)]
+
+
+# (a, b, lambda, i_ext) within a relative 1e-13 to 1e-7 of a saddle-node
+# current, where Delta's rounding error exceeds DEGENERACY_TOL
+NEAR_SADDLE_NODE = (0.012248716169534374, 11.90727040338958, 332.33613833763485,
+                    1283.7933467569262)
+
+
+def test_classify_and_simulate_ode_run_near_a_saddle_node(tmp_path, capsys):
+    a, b, lam, i_ext = (repr(x) for x in NEAR_SADDLE_NODE)
+    params = ["--a", a, "--b", b, "--lambda", lam, "--i-ext", i_ext]
+    assert run(["classify", *params]) == 0
+    assert len(json.loads(capsys.readouterr().out)["equilibria"]) == 1
+    out = tmp_path / "o"
+    assert run(["simulate-ode", *params, "--t-end", "0.0001", "--out", str(out),
+                "--label", "sn"]) == 0
+    summary = json.loads((out / "sn_summary.json").read_text())
+    assert summary["classification"]["regime"] == "MonostableStable"
+
+
+def test_compare_starts_the_limit_at_the_seed_averaged_means(tmp_path):
+    out = tmp_path / "o"
+    assert run(["compare", "--out", str(out), "--label", "c", "--epsilon", "0.2",
+                "--t-end", "0.01", "--n", "64", "--dt", "1e-3", "--nv", "24",
+                "--nx", "16", "--v-min", "-2", "--v-max", "4", "--x-min", "-2",
+                "--x-max", "3", "--seeds", "2"]) == 0
+    header, first = (out / "c_compare.csv").read_text().splitlines()[:2]
+    row = dict(zip(header.split(","), map(float, first.split(","))))
+    assert row["t"] == 0.0
+    assert row["mean_v_network"] == row["alpha_limit"]
 
 
 @pytest.mark.parametrize("argv, series", [
