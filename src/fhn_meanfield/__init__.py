@@ -13,7 +13,7 @@ from .bifurcation import (BifurcationReport, CycleDetectionError, LimitCycle,
 from .core import (BlowUpError, EnsembleState, InitCondition, ModelParams,
                    cubic, cubic_truncated, sample_initial, voltage_drift)
 from .diagnostics import (ProfileComparison, compare, log_density_profile,
-                          profile_sup_error, theoretical_profile, viscosity_residual)
+                          viscosity_residual)
 from .fokker_planck import (DensityField, Grid, first_moment, fp_step,
                             gaussian_field, hopf_cole, solve)
 from .limit_ode import (LimitState, LimitTrajectory, equilibria, limit_rhs,
@@ -30,7 +30,6 @@ __all__ = [
     "classify", "compare", "cubic", "cubic_truncated", "detect_limit_cycle",
     "discriminant", "em_step", "empirical_moments", "equilibria",
     "first_moment", "fp_step", "gaussian_field", "hopf_cole", "limit_rhs",
-    "log_density_profile", "profile_sup_error", "quantiles", "rk4_integrate",
-    "sample_initial", "simulate", "solve", "theoretical_profile", "trace_at",
-    "viscosity_residual", "voltage_drift",
+    "log_density_profile", "quantiles", "rk4_integrate", "sample_initial",
+    "simulate", "solve", "trace_at", "viscosity_residual", "voltage_drift",
 ]

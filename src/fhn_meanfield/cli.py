@@ -33,7 +33,7 @@ from .bifurcation import (CycleDetectionError, classify, detect_limit_cycle,
 from .core import (GAUSSIAN_CLUSTER, BlowUpError, InitCondition, ModelParams,
                    check_concentration, time_steps)
 from .diagnostics import (MIN_SAMPLES, Profile, ProfileComparison, compare as diag_compare,
-                          log_density_profile, profile_sup_error, theoretical_profile)
+                          log_density_profile)
 from .fokker_planck import (CflError, Grid, SchemeError, check_density_params,
                             gaussian_field, solve, stable_dt)
 from .limit_ode import LimitState, rk4_integrate
@@ -332,10 +332,10 @@ def write_comparison_csv(path, comp: ProfileComparison) -> None:
     _write_csv(path, [(f.name, getattr(comp, f.name)) for f in fields(ProfileComparison)])
 
 
-def write_profile_csv(path, prof: Profile, theoretical) -> None:
-    """Bin centre, empirical profile and the theoretical quadratic there."""
+def write_profile_csv(path, prof: Profile) -> None:
+    """Bin centre, empirical profile and the profile's target quadratic there."""
     _write_csv(path, [("center", prof.centers), ("empirical", prof.values),
-                      ("theoretical", theoretical(prof.centers))])
+                      ("theoretical", prof.target)])
 
 
 def _write_summary(path, payload: dict) -> None:
@@ -344,10 +344,16 @@ def _write_summary(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _finish(cfg: ExperimentConfig, t0: float, report, results: dict, dt: float) -> dict:
+def _finish(cfg: ExperimentConfig, t0: float, results: dict, dt: float,
+            final_mean_v: float | None = None) -> dict:
     """Write <label>_summary.json: the resolved configuration with the step
     dt the run took as [sim] dt, the seed if the run reads one, the runtime
-    since t0, the closed-form classification and the run's results."""
+    since t0, the closed-form classification and the run's results, with the
+    distance of final_mean_v from the nearest equilibrium if it is given."""
+    report = classify(cfg.params)
+    if final_mean_v is not None:
+        results["nearest_equilibrium_distance"] = float(min(
+            abs(final_mean_v - e.v) for e in report.equilibria))
     cfg = replace(cfg, sim=replace(cfg.sim, dt=dt))
     config = cfg.to_dict()
     summary = {
@@ -365,12 +371,12 @@ def _finish(cfg: ExperimentConfig, t0: float, report, results: dict, dt: float) 
     return summary
 
 
-def reference_trajectory(rec: TrajectoryRecord, cfg: ExperimentConfig):
-    """Limit system integrated from the empirical initial means with the
-    step the ensemble took and its stride, so it records the ensemble's
-    times exactly."""
-    s0 = LimitState(t=0.0, alpha=float(rec.mean_v[0]), beta=float(rec.mean_x[0]))
-    return rk4_integrate(s0, cfg.params, rec.dt, cfg.sim.t_end,
+def reference_trajectory(cfg: ExperimentConfig, alpha: float, beta: float, dt: float):
+    """The limit system from (alpha, beta) at t = 0 to the run's horizon with
+    step dt and the run's record stride; at the step an ensemble took it
+    records the ensemble's times exactly."""
+    s0 = LimitState(t=0.0, alpha=float(alpha), beta=float(beta))
+    return rk4_integrate(s0, cfg.params, dt, cfg.sim.t_end,
                          record_stride=cfg.sim.record_stride)
 
 
@@ -380,13 +386,12 @@ def reference_trajectory(rec: TrajectoryRecord, cfg: ExperimentConfig):
 def run_network(cfg: ExperimentConfig) -> dict:
     t0 = time.perf_counter()
     rec = simulate(cfg.sim, cfg.params, cfg.init)
-    ref = reference_trajectory(rec, cfg)
+    ref = reference_trajectory(cfg, rec.mean_v[0], rec.mean_x[0], rec.dt)
     comp = diag_compare(rec, ref, cfg.params)
 
     write_timeseries_csv(cfg.out_dir / f"{cfg.label}_timeseries.csv", rec)
     write_comparison_csv(cfg.out_dir / f"{cfg.label}_vs_limit.csv", comp)
 
-    report = classify(cfg.params)
     mean_err = np.abs(rec.mean_v - ref.alpha)
     late = rec.t >= 0.75 * cfg.sim.t_end
     results = {
@@ -397,27 +402,19 @@ def run_network(cfg: ExperimentConfig) -> dict:
         "late_var_ratio_v": float(np.mean(rec.var_v[late]) / cfg.params.epsilon),
         "late_var_ratio_x": float(np.mean(rec.var_x[late])
                                   / (cfg.params.epsilon / cfg.params.a)),
-        "nearest_equilibrium_distance": float(min(
-            abs(rec.mean_v[-1] - e.v) for e in report.equilibria)),
     }
 
-    if (cfg.profile_diagnostics and rec.final_state is not None
-            and rec.final_state.n >= MIN_SAMPLES):
-        final = rec.final_state
-        s_end = LimitState(t=float(ref.t[-1]), alpha=float(ref.alpha[-1]),
-                           beta=float(ref.beta[-1]))
-        psi_v, psi_x = theoretical_profile(s_end, cfg.params)
-        prof_v = log_density_profile(final.v, cfg.params.epsilon)
-        prof_x = log_density_profile(final.x, cfg.params.epsilon,
-                                     curvature=cfg.params.a)
-        write_profile_csv(cfg.out_dir / f"{cfg.label}_profile_v.csv", prof_v, psi_v)
-        write_profile_csv(cfg.out_dir / f"{cfg.label}_profile_x.csv", prof_x, psi_x)
-        results["final_profile_sup_error_v"] = profile_sup_error(
-            prof_v, psi_v, cfg.params.epsilon)
-        results["final_profile_sup_error_x"] = profile_sup_error(
-            prof_x, psi_x, cfg.params.epsilon)
+    final = rec.final_state
+    if cfg.profile_diagnostics and final.n >= MIN_SAMPLES:
+        eps = cfg.params.epsilon
+        prof_v = log_density_profile(final.v, eps, ref.alpha[-1])
+        prof_x = log_density_profile(final.x, eps, ref.beta[-1], curvature=cfg.params.a)
+        write_profile_csv(cfg.out_dir / f"{cfg.label}_profile_v.csv", prof_v)
+        write_profile_csv(cfg.out_dir / f"{cfg.label}_profile_x.csv", prof_x)
+        results["final_profile_sup_error_v"] = prof_v.sup_error
+        results["final_profile_sup_error_x"] = prof_x.sup_error
 
-    return _finish(cfg, t0, report, results, rec.dt)
+    return _finish(cfg, t0, results, rec.dt, final_mean_v=rec.mean_v[-1])
 
 
 def run_pde(cfg: ExperimentConfig) -> dict:
@@ -432,26 +429,21 @@ def run_pde(cfg: ExperimentConfig) -> dict:
         np.savez(cfg.out_dir / f"{cfg.label}_field_{k:04d}.npz", rho=snap.rho,
                  t=snap.t, epsilon=cfg.params.epsilon, **asdict(snap.grid))
 
-    report = classify(cfg.params)
-    return _finish(cfg, t0, report, {
+    return _finish(cfg, t0, {
         "dt": sol.dt,
         "final_jg": float(sol.jg[-1]),
         "mass_drift": float(np.abs(sol.mass - sol.mass[0]).max()),
-        "nearest_equilibrium_distance": float(min(
-            abs(sol.jg[-1] - e.v) for e in report.equilibria)),
-    }, sol.dt)
+    }, sol.dt, final_mean_v=sol.jg[-1])
 
 
 def run_ode(cfg: ExperimentConfig) -> dict:
     t0 = time.perf_counter()
     _, dt = time_steps(cfg.sim.t_end, ODE_DT if cfg.sim.dt is None else cfg.sim.dt)
-    s0 = LimitState(t=0.0, alpha=cfg.init.mean_v, beta=cfg.init.mean_x)
-    traj = rk4_integrate(s0, cfg.params, dt, cfg.sim.t_end,
-                         record_stride=cfg.sim.record_stride)
+    traj = reference_trajectory(cfg, cfg.init.mean_v, cfg.init.mean_x, dt)
     _write_csv(cfg.out_dir / f"{cfg.label}_ode.csv",
                [("t", traj.t), ("alpha", traj.alpha), ("beta", traj.beta)])
 
-    return _finish(cfg, t0, classify(cfg.params), {
+    return _finish(cfg, t0, {
         "final_alpha": float(traj.alpha[-1]),
         "final_beta": float(traj.beta[-1]),
     }, dt)
@@ -473,9 +465,7 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     times = recs[0].t
 
     # the limit starts where the seed-averaged network does
-    s0 = LimitState(t=0.0, alpha=float(mean_v[0]), beta=mean_x0)
-    alpha = rk4_integrate(s0, cfg.params, recs[0].dt, cfg.sim.t_end,
-                          record_stride=cfg.sim.record_stride).alpha
+    alpha = reference_trajectory(cfg, mean_v[0], mean_x0, recs[0].dt).alpha
 
     field0 = gaussian_field(cfg.grid, cfg.init, cfg.params)
     sol = solve(field0, cfg.params, cfg.sim.t_end, record_stride=1)
@@ -485,7 +475,7 @@ def run_compare(cfg: ExperimentConfig) -> dict:
                [("t", times), ("mean_v_network", mean_v), ("jg_pde", jg),
                 ("alpha_limit", alpha)])
 
-    return _finish(cfg, t0, classify(cfg.params), {
+    return _finish(cfg, t0, {
         "seeds_averaged": cfg.seeds,
         "initial_mean_x": mean_x0,
         "sup_network_vs_pde": float(np.abs(mean_v - jg).max()),

@@ -1,11 +1,13 @@
 """Concentration diagnostics: shifted log-density profiles of empirical
-samples and their sup distance from the predicted quadratics
+samples, each with its predicted quadratic and the sup distance between
+them,
 
     psi_v(v) = -(v - alpha)^2 / 2,    psi_x(x) = -a (x - beta)^2 / 2,
 
 a trajectory record's variance ratios against the predicted variances
-(epsilon in v, epsilon/a in x) and its mean error against the limit
-trajectory, and the residual of the limiting balance
+(epsilon in v, epsilon/a in x) and its mean error against a limit
+trajectory recorded at the record's own times, and the residual of the
+limiting balance
 
     R = (v - alpha) d_v psi + |d_v psi|^2
 
@@ -17,19 +19,18 @@ would blur the tails the diagnostic cares about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import ModelParams
 from .fokker_planck import HopfColeField
-from .limit_ode import LimitState, LimitTrajectory
+from .limit_ode import LimitTrajectory
 from .particle import TrajectoryRecord
 
 MIN_SAMPLES = 1000
 MIN_BINS = 16
 MASK_MIN_COUNT = 5  # log of smaller counts is noise dominated
-RESOLVABLE_DECADES = 4.0  # profile window: theoretical values >= -4 eps ln(10)
+RESOLVABLE_DECADES = 4.0  # profile window: target values >= -4 eps ln(10)
 
 
 @dataclass
@@ -38,6 +39,8 @@ class Profile:
     values: np.ndarray
     mask: np.ndarray  # True where the bin is too thin to trust
     counts: np.ndarray
+    target: np.ndarray  # the predicted quadratic at the bin centres
+    sup_error: float  # max |values - target| over resolvable bins, nan if none
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,17 @@ class ResidualStats:
     n_cells: int
 
 
-def log_density_profile(samples: np.ndarray, epsilon: float, bins: int = 64,
-                        curvature: float = 1.0) -> Profile:
-    """Shifted scaled log histogram: eps*log(mu_hat) + (eps/2)*log(2 pi eps / c).
+def log_density_profile(samples: np.ndarray, epsilon: float, center: float,
+                        bins: int = 64, curvature: float = 1.0) -> Profile:
+    """Shifted scaled log histogram eps*log(mu_hat) + (eps/2)*log(2 pi eps / c)
+    against its target -c (y - center)^2 / 2.
 
-    c is the curvature of the target quadratic (1 for voltage, a for
-    adaptation); with that shift an exact Gaussian of variance eps/c maps
-    onto -c (y - mean)^2 / 2.  Bins span the sample range padded by 10%;
-    bins with fewer than MASK_MIN_COUNT samples are masked.
+    c is the curvature of the target quadratic (1 for voltage centred on
+    alpha, a for adaptation centred on beta); with that shift an exact
+    Gaussian of variance eps/c about center maps onto the target.  Bins span
+    the sample range padded by 10%; bins with fewer than MASK_MIN_COUNT
+    samples are masked.  The sup error is taken over the unmasked bins where
+    the target is at least -RESOLVABLE_DECADES eps ln(10).
     """
     samples = np.asarray(samples)
     if samples.size < MIN_SAMPLES:
@@ -84,57 +90,24 @@ def log_density_profile(samples: np.ndarray, epsilon: float, bins: int = 64,
     values = np.full(bins, np.nan)
     ok = ~mask
     values[ok] = epsilon * np.log(density[ok]) + shift
-    return Profile(centers=centers, values=values, mask=mask, counts=counts)
-
-
-def theoretical_profile(state: LimitState, p: ModelParams) -> tuple[Callable, Callable]:
-    """The limit quadratics centered on (alpha, beta)."""
-    alpha, beta, a = state.alpha, state.beta, p.a
-
-    def psi_v(v):
-        return -0.5 * (np.asarray(v) - alpha) ** 2
-
-    def psi_x(x):
-        return -0.5 * a * (np.asarray(x) - beta) ** 2
-
-    return psi_v, psi_x
-
-
-def profile_sup_error(prof: Profile, theoretical: Callable, epsilon: float) -> float:
-    """Sup distance of a profile from the theoretical quadratic (one of
-    theoretical_profile's pair) over the bins that are unmasked and
-    resolvable, where the quadratic is at least -RESOLVABLE_DECADES eps
-    ln(10); nan if there are none."""
-    theo = theoretical(prof.centers)
-    use = (theo >= -RESOLVABLE_DECADES * epsilon * np.log(10.0)) & ~prof.mask
-    if not use.any():
-        return float("nan")
-    return float(np.max(np.abs(prof.values[use] - theo[use])))
+    target = -0.5 * curvature * (centers - center) ** 2
+    use = (target >= -RESOLVABLE_DECADES * epsilon * np.log(10.0)) & ok
+    sup_error = float(np.max(np.abs(values[use] - target[use]))) if use.any() else np.nan
+    return Profile(centers=centers, values=values, mask=mask, counts=counts,
+                   target=target, sup_error=sup_error)
 
 
 def compare(rec: TrajectoryRecord, limit: LimitTrajectory,
             p: ModelParams) -> ProfileComparison:
-    """Each record's variance ratios and mean error against the limit.
-
-    A record time is matched to the nearest sample of the limit, whose
-    times ascend; of two equally near samples the earlier one.  A gap
-    beyond the limit series' median spacing is an alignment error.
-    """
-    lt = limit.t
-    spacing = float(np.median(np.diff(lt))) if len(limit) > 1 else np.inf
-    hi = np.minimum(np.searchsorted(lt, rec.t), lt.size - 1)
-    lo = np.maximum(hi - 1, 0)
-    gap_lo, gap_hi = np.abs(lt[lo] - rec.t), np.abs(lt[hi] - rec.t)
-    i = np.where(gap_lo <= gap_hi, lo, hi)
-    far = np.flatnonzero(np.minimum(gap_lo, gap_hi) > spacing)
-    if far.size:
-        k = far[0]
-        raise ValueError(f"no reference time within {spacing:.3g} of t={rec.t[k]:.6g} "
-                         f"(closest {lt[i[k]]:.6g})")
+    """Each record's variance ratios and mean error against the limit,
+    which must be recorded at exactly the record's times."""
+    if not np.array_equal(limit.t, rec.t):
+        raise ValueError(f"the limit is not recorded at the record's {len(rec)} times "
+                         f"(t = {rec.t[0]:.6g} .. {rec.t[-1]:.6g})")
     return ProfileComparison(
         t=rec.t, var_ratio_v=rec.var_v / p.epsilon,
         var_ratio_x=rec.var_x / (p.epsilon / p.a),
-        mean_error=np.hypot(rec.mean_v - limit.alpha[i], rec.mean_x - limit.beta[i]))
+        mean_error=np.hypot(rec.mean_v - limit.alpha, rec.mean_x - limit.beta))
 
 
 def viscosity_residual(field: HopfColeField, jg: float) -> ResidualStats:

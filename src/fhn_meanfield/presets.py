@@ -155,13 +155,14 @@ def _fig5() -> Preset:
         runs=tuple(runs))
 
 
+_BUILDERS = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}
+
+
 def available() -> tuple[str, ...]:
-    return ("fig1", "fig2", "fig3", "fig4", "fig5")
+    return tuple(_BUILDERS)
 
 
 def load(name: str) -> Preset:
-    builders = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3,
-                "fig4": _fig4, "fig5": _fig5}
-    if name not in builders:
+    if name not in _BUILDERS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(available())}")
-    return builders[name]()
+    return _BUILDERS[name]()

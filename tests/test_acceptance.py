@@ -15,8 +15,7 @@ import pytest
 from fhn_meanfield.bifurcation import (MONOSTABLE_STABLE, OSCILLATORY,
                                        classify, detect_limit_cycle)
 from fhn_meanfield.core import InitCondition, ModelParams
-from fhn_meanfield.diagnostics import (log_density_profile, profile_sup_error,
-                                       theoretical_profile, viscosity_residual)
+from fhn_meanfield.diagnostics import log_density_profile, viscosity_residual
 from fhn_meanfield.fokker_planck import Grid, gaussian_field, hopf_cole, solve
 from fhn_meanfield.limit_ode import LimitState, equilibria, rk4_integrate
 from fhn_meanfield.particle import SimConfig, default_dt, quantiles, simulate
@@ -115,10 +114,8 @@ def test_criterion_1_concentration_scaling():
                            float(np.mean(rec.var_x[late])) / (eps / p.a))
         if eps_inv == 225:
             ref = _reference(rec, p, dt, stride)
-            psi_v, _ = theoretical_profile(
-                LimitState(float(ref.t[-1]), float(ref.alpha[-1]), float(ref.beta[-1])), p)
-            sup_profile = profile_sup_error(
-                log_density_profile(rec.final_state.v, eps), psi_v, eps)
+            sup_profile = log_density_profile(rec.final_state.v, eps,
+                                              ref.alpha[-1]).sup_error
     ok = all(0.75 <= r <= 1.25 for pair in ratios.values() for r in pair)
     ok = ok and sup_profile is not None and sup_profile <= 0.15
     _report(1, ok,

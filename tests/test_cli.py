@@ -365,7 +365,7 @@ def test_network_and_limit_system_record_the_same_times(t_end, dt, step):
         "--t-end", repr(t_end), "--dt", repr(dt), "--record-stride", str(stride)])
     cfg = cli.resolve_config(args, "network")
     rec = simulate(cfg.sim, cfg.params, cfg.init)
-    ref = cli.reference_trajectory(rec, cfg)
+    ref = cli.reference_trajectory(cfg, rec.mean_v[0], rec.mean_x[0], rec.dt)
     ode = rk4_integrate(LimitState(0.0, -1.0, 0.0), cfg.params, dt, t_end,
                         record_stride=stride)
     n_steps = round(t_end / step)

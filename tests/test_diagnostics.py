@@ -3,21 +3,20 @@ import pytest
 
 from fhn_meanfield.core import EnsembleState, ModelParams
 from fhn_meanfield.diagnostics import (Profile, compare, log_density_profile,
-                                       profile_sup_error, theoretical_profile,
                                        viscosity_residual)
 from fhn_meanfield.fokker_planck import (DensityField, Grid, gaussian_field,
                                          hopf_cole)
 from fhn_meanfield.core import InitCondition
-from fhn_meanfield.limit_ode import LimitState, LimitTrajectory
+from fhn_meanfield.limit_ode import LimitTrajectory
 from fhn_meanfield.particle import (SimConfig, TrajectoryRecord, empirical_moments,
                                     simulate)
 
 P = ModelParams(a=0.3, b=0.1, lam=4.0, epsilon=0.01)
 
 
-def _flat_limit(alpha, beta, t_end=1.0, n=101):
-    t = np.linspace(0.0, t_end, n)
-    return LimitTrajectory(t, np.full(n, alpha), np.full(n, beta))
+def _flat_limit(t, alpha, beta):
+    t = np.asarray(t, dtype=float)
+    return LimitTrajectory(t, np.full(t.size, alpha), np.full(t.size, beta))
 
 
 def test_profile_recovers_gaussian_quadratic():
@@ -26,10 +25,11 @@ def test_profile_recovers_gaussian_quadratic():
     errs = []
     for n in (20_000, 200_000):
         samples = 1.5 + np.sqrt(eps) * rng.standard_normal(n)
-        prof = log_density_profile(samples, eps, bins=int(round(n ** (1 / 3))))
+        prof = log_density_profile(samples, eps, 1.5, bins=int(round(n ** (1 / 3))))
         theo = -0.5 * (prof.centers - 1.5) ** 2
         use = ~prof.mask & (theo >= -4 * eps * np.log(10.0))
         errs.append(np.max(np.abs(prof.values[use] - theo[use])))
+        assert prof.sup_error == errs[-1]
     assert errs[1] < errs[0]
     assert errs[1] < 0.01
 
@@ -37,19 +37,21 @@ def test_profile_recovers_gaussian_quadratic():
 def test_profile_translation_equivariance():
     rng = np.random.default_rng(1)
     samples = rng.standard_normal(5000)
-    a = log_density_profile(samples, 0.1, bins=32)
-    b = log_density_profile(samples + 2.5, 0.1, bins=32)
+    a = log_density_profile(samples, 0.1, 0.0, bins=32)
+    b = log_density_profile(samples + 2.5, 0.1, 2.5, bins=32)
     assert np.allclose(b.centers - a.centers, 2.5, atol=1e-12)
     assert np.array_equal(a.counts, b.counts)
     assert np.allclose(a.values[~a.mask], b.values[~b.mask], atol=1e-12)
+    assert np.allclose(a.target, b.target, atol=1e-12)
+    assert b.sup_error == pytest.approx(a.sup_error, abs=1e-12)
 
 
 def test_profile_linear_in_epsilon_before_shift():
     rng = np.random.default_rng(2)
     samples = rng.standard_normal(5000)
     eps = 0.05
-    a = log_density_profile(samples, eps, bins=32)
-    b = log_density_profile(samples, 2 * eps, bins=32)
+    a = log_density_profile(samples, eps, 0.0, bins=32)
+    b = log_density_profile(samples, 2 * eps, 0.0, bins=32)
     shift_a = 0.5 * eps * np.log(2 * np.pi * eps)
     shift_b = 0.5 * 2 * eps * np.log(2 * np.pi * 2 * eps)
     ok = ~a.mask
@@ -60,7 +62,7 @@ def test_profile_linear_in_epsilon_before_shift():
 def test_profile_histogram_mass_and_peak_location():
     rng = np.random.default_rng(3)
     samples = 0.7 + 0.2 * rng.standard_normal(50_000)
-    prof = log_density_profile(samples, 0.02, bins=64)
+    prof = log_density_profile(samples, 0.02, 0.7, bins=64)
     assert prof.counts.sum() == samples.size  # padded range covers everything
     width = prof.centers[1] - prof.centers[0]
     density_mass = prof.counts.sum() / samples.size  # counts/(n w) * w summed
@@ -71,21 +73,20 @@ def test_profile_histogram_mass_and_peak_location():
 
 def test_profile_input_validation():
     with pytest.raises(ValueError):
-        log_density_profile(np.zeros(10), 0.1)
+        log_density_profile(np.zeros(10), 0.1, 0.0)
     with pytest.raises(ValueError):
-        log_density_profile(np.zeros(2000), 0.1, bins=4)
+        log_density_profile(np.zeros(2000), 0.1, 0.0, bins=4)
 
 
-def test_theoretical_profile_shape():
-    p = ModelParams(a=0.25)
-    psi_v, psi_x = theoretical_profile(LimitState(0.0, 1.2, -0.3), p)
-    assert psi_v(1.2) == 0.0 and psi_x(-0.3) == 0.0
-    assert psi_v(1.2 + 0.4) == pytest.approx(psi_v(1.2 - 0.4), rel=1e-12)
-    h = 0.01
-    curv_v = (psi_v(1.2 + h) - 2 * psi_v(1.2) + psi_v(1.2 - h)) / h ** 2
-    curv_x = (psi_x(-0.3 + h) - 2 * psi_x(-0.3) + psi_x(-0.3 - h)) / h ** 2
-    assert curv_v == pytest.approx(-1.0, rel=1e-6)
-    assert curv_x == pytest.approx(-0.25, rel=1e-6)
+def test_profile_target_is_the_quadratic_about_its_centre():
+    samples = np.random.default_rng(11).standard_normal(5000) * 0.3
+    for center, c in ((1.2, 1.0), (-0.3, 0.25)):
+        prof = log_density_profile(samples + center, 0.01, center, curvature=c)
+        assert np.array_equal(prof.target, -0.5 * c * (prof.centers - center) ** 2)
+        assert np.all(prof.target <= 0.0)
+        width = prof.centers[1] - prof.centers[0]
+        curv = np.diff(prof.target, 2) / width ** 2
+        assert np.allclose(curv, -c, rtol=1e-6)
 
 
 def _record(t, mean_v, mean_x, var_v, var_x):
@@ -106,11 +107,9 @@ def _sample_record(state):
     return _record([state.t], [m.mean_v], [m.mean_x], [m.var_v], [m.var_x])
 
 
-def _sup_errors(state, p, limit_state):
-    psi_v, psi_x = theoretical_profile(limit_state, p)
-    return (profile_sup_error(log_density_profile(state.v, p.epsilon), psi_v, p.epsilon),
-            profile_sup_error(log_density_profile(state.x, p.epsilon, curvature=p.a),
-                              psi_x, p.epsilon))
+def _sup_errors(state, p, alpha, beta):
+    return (log_density_profile(state.v, p.epsilon, alpha).sup_error,
+            log_density_profile(state.x, p.epsilon, beta, curvature=p.a).sup_error)
 
 
 def test_compare_on_exact_product_gaussian_samples():
@@ -121,12 +120,12 @@ def test_compare_on_exact_product_gaussian_samples():
     state = EnsembleState(0.5,
                           alpha + np.sqrt(p.epsilon) * rng.standard_normal(n),
                           beta + np.sqrt(p.epsilon / p.a) * rng.standard_normal(n))
-    c = compare(_sample_record(state), _flat_limit(alpha, beta), p)
+    c = compare(_sample_record(state), _flat_limit([0.5], alpha, beta), p)
     band = 3.0 / np.sqrt(n)
     assert c.var_ratio_v[0] == pytest.approx(1.0, abs=3 * band)
     assert c.var_ratio_x[0] == pytest.approx(1.0, abs=3 * band)
     assert c.mean_error[0] < 4 * np.sqrt(p.epsilon / p.a / n) + 4 * np.sqrt(p.epsilon / n)
-    sup_v, sup_x = _sup_errors(state, p, LimitState(0.5, alpha, beta))
+    sup_v, sup_x = _sup_errors(state, p, alpha, beta)
     assert sup_v < 0.15 and sup_x < 0.15
 
 
@@ -142,15 +141,14 @@ def test_compare_centres_adaptation_profile_on_beta_at_unit_curvature():
         p = ModelParams(a=a, epsilon=eps)
         state = EnsembleState(0.5, alpha + np.sqrt(eps) * z_v,
                               beta + np.sqrt(eps / a) * z_x)
-        errs[a] = _sup_errors(state, p, LimitState(0.5, alpha, beta))[1]
+        errs[a] = _sup_errors(state, p, alpha, beta)[1]
     assert errs[1.0] < 0.01
     assert errs[1.0] == pytest.approx(errs[0.999], rel=0.5)
 
 
 def test_profile_sup_error_is_nan_without_a_resolvable_bin():
-    prof = log_density_profile(np.random.default_rng(9).standard_normal(2000), 0.01)
-    psi_v, _ = theoretical_profile(LimitState(0.0, 50.0, 0.0), P)
-    assert np.isnan(profile_sup_error(prof, psi_v, 0.01))
+    prof = log_density_profile(np.random.default_rng(9).standard_normal(2000), 0.01, 50.0)
+    assert np.isnan(prof.sup_error)
 
 
 def test_compare_zero_mean_error_for_copied_means():
@@ -165,32 +163,14 @@ def test_compare_zero_mean_error_for_copied_means():
 
 
 def test_compare_alignment_error():
+    # a limit on any other times is refused: one a fraction of a record
+    # spacing off, one that stops early, and one with extra samples between
     p = ModelParams()
     rec = simulate(SimConfig(n=50, t_end=1.0, dt=1e-3, seed=6, record_stride=100),
                    p, InitCondition())
-    limit = _flat_limit(0.0, 0.0, t_end=0.2, n=3)  # spacing 0.1, ends at 0.2
-    with pytest.raises(ValueError, match="no reference time within 0.1 of t=0.4"):
-        compare(rec, limit, p)
-
-
-def test_compare_takes_the_nearest_limit_sample_on_another_grid():
-    # limit samples every 0.25; 0.125 and 0.625 lie halfway between two
-    # samples, where the earlier one is taken, as a first-minimum argmin does
-    limit_t = 0.25 * np.arange(9)
-    limit = LimitTrajectory(limit_t, np.sin(limit_t), np.cos(3.0 * limit_t))
-    t = np.array([0.0, 0.1, 0.125, 0.3, 0.625, 1.9, 2.0, 2.2])
-    rng = np.random.default_rng(10)
-    rec = _record(t, rng.standard_normal(t.size), rng.standard_normal(t.size),
-                  np.ones(t.size), np.ones(t.size))
-    comp = compare(rec, limit, P)
-    expected = []
-    for k in range(t.size):
-        i = int(np.argmin(np.abs(limit_t - t[k])))
-        expected.append(np.hypot(rec.mean_v[k] - limit.alpha[i],
-                                 rec.mean_x[k] - limit.beta[i]))
-    assert np.array_equal(comp.mean_error, expected)
-    halfway = np.hypot(rec.mean_v[2] - limit.alpha[0], rec.mean_x[2] - limit.beta[0])
-    assert comp.mean_error[2] == halfway
+    for t in (rec.t + 1e-3, np.linspace(0.0, 0.2, 3), np.linspace(0.0, 1.0, 21)):
+        with pytest.raises(ValueError, match="not recorded at the record's 11 times"):
+            compare(rec, _flat_limit(t, 0.0, 0.0), p)
 
 
 def test_compare_permutation_invariant():
@@ -200,9 +180,9 @@ def test_compare_permutation_invariant():
     x = rng.standard_normal(5000) * 0.2
     perm = rng.permutation(5000)
     states = [EnsembleState(0.0, v, x), EnsembleState(0.0, v[perm], x[perm])]
-    c1, c2 = (compare(_sample_record(s), _flat_limit(0.0, 0.0), p) for s in states)
+    c1, c2 = (compare(_sample_record(s), _flat_limit([0.0], 0.0, 0.0), p) for s in states)
     assert c1.var_ratio_v[0] == pytest.approx(c2.var_ratio_v[0], rel=1e-12)
-    e1, e2 = (_sup_errors(s, p, LimitState(0.0, 0.0, 0.0)) for s in states)
+    e1, e2 = (_sup_errors(s, p, 0.0, 0.0) for s in states)
     assert e1 == e2
 
 

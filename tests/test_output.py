@@ -12,8 +12,7 @@ import pytest
 
 from fhn_meanfield import cli, diagnostics
 from fhn_meanfield.core import EnsembleState, InitCondition, ModelParams
-from fhn_meanfield.diagnostics import (compare, log_density_profile, profile_sup_error,
-                                       theoretical_profile)
+from fhn_meanfield.diagnostics import compare, log_density_profile
 from fhn_meanfield.fokker_planck import Grid, gaussian_field, solve
 from fhn_meanfield.limit_ode import LimitState, LimitTrajectory, rk4_integrate
 from fhn_meanfield.particle import SimConfig, simulate
@@ -58,12 +57,24 @@ def ref_comparison_csv(path, comp) -> None:
                      f"{comp.var_ratio_x[k]:.17g},{comp.mean_error[k]:.17g}\n")
 
 
-def ref_profile_csv(path, prof, theoretical) -> None:
-    theo = theoretical(prof.centers)
+def ref_profile_csv(path, prof, theo) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("center,empirical,theoretical\n")
         for c, e, th in zip(prof.centers, prof.values, theo):
             fh.write(f"{c:.17g},{e:.17g},{th:.17g}\n")
+
+
+def ref_target(prof, center, curvature):
+    """The predicted quadratic as the closures -0.5 (y - alpha)^2 and
+    -0.5 a (y - beta)^2 that the profile's target replaced computed it."""
+    if curvature == 1.0:
+        return -0.5 * (prof.centers - center) ** 2
+    return -0.5 * curvature * (prof.centers - center) ** 2
+
+
+def ref_sup_error(prof, theo, epsilon) -> float:
+    use = (theo >= -4.0 * epsilon * np.log(10.0)) & ~prof.mask
+    return float(np.max(np.abs(prof.values[use] - theo[use]))) if use.any() else np.nan
 
 
 def ref_series_csv(path, sol) -> None:
@@ -134,13 +145,13 @@ def test_comparison_csv_matches_the_reference_writer_with_and_without_nan(tmp_pa
 def test_profile_csv_matches_the_reference_writer_with_masked_bins(tmp_path):
     rng = np.random.default_rng(8)
     samples = rng.standard_normal(2000) * 0.1
-    prof = log_density_profile(samples, 0.01, bins=64)
-    assert prof.mask.any()  # thin tail bins write nan
-    psi_v, psi_x = theoretical_profile(LimitState(0.0, 0.1, 0.2), ModelParams(a=0.3))
-    for name, psi in (("v", psi_v), ("x", psi_x)):
+    for name, center, curvature in (("v", 0.1, 1.0), ("x", 0.2, 0.3)):
+        prof = log_density_profile(samples, 0.01, center, bins=64, curvature=curvature)
+        assert prof.mask.any()  # thin tail bins write nan
         path = tmp_path / f"x_profile_{name}.csv"
-        cli.write_profile_csv(path, prof, psi)
-        _same_bytes(tmp_path, path, ref_profile_csv, prof, psi)
+        cli.write_profile_csv(path, prof)
+        _same_bytes(tmp_path, path, ref_profile_csv, prof,
+                    ref_target(prof, center, curvature))
 
 
 def test_network_run_tables_match_the_reference_writers(tmp_path):
@@ -151,22 +162,21 @@ def test_network_run_tables_match_the_reference_writers(tmp_path):
     assert cli.main(argv) == 0
     cfg = _config(argv, "network")
     rec = simulate(cfg.sim, cfg.params, cfg.init)
-    ref = cli.reference_trajectory(rec, cfg)
+    ref = rk4_integrate(LimitState(0.0, float(rec.mean_v[0]), float(rec.mean_x[0])),
+                        cfg.params, rec.dt, cfg.sim.t_end, record_stride=cfg.sim.record_stride)
     _same_bytes(tmp_path, out / "epsinv25_timeseries.csv", ref_timeseries_csv, rec)
     _same_bytes(tmp_path, out / "epsinv25_vs_limit.csv", ref_comparison_csv,
                 compare(rec, ref, cfg.params))
-    s_end = LimitState(float(ref.t[-1]), float(ref.alpha[-1]), float(ref.beta[-1]))
-    psi_v, psi_x = theoretical_profile(s_end, cfg.params)
-    final = rec.final_state
-    prof_v = log_density_profile(final.v, cfg.params.epsilon)
-    prof_x = log_density_profile(final.x, cfg.params.epsilon, curvature=cfg.params.a)
+    eps, a, final = cfg.params.epsilon, cfg.params.a, rec.final_state
+    alpha, beta = float(ref.alpha[-1]), float(ref.beta[-1])
+    prof_v = log_density_profile(final.v, eps, alpha)
+    prof_x = log_density_profile(final.x, eps, beta, curvature=a)
+    psi_v, psi_x = ref_target(prof_v, alpha, 1.0), ref_target(prof_x, beta, a)
     _same_bytes(tmp_path, out / "epsinv25_profile_v.csv", ref_profile_csv, prof_v, psi_v)
     _same_bytes(tmp_path, out / "epsinv25_profile_x.csv", ref_profile_csv, prof_x, psi_x)
     results = json.loads((out / "epsinv25_summary.json").read_text())["results"]
-    assert results["final_profile_sup_error_v"] == profile_sup_error(
-        prof_v, psi_v, cfg.params.epsilon)
-    assert results["final_profile_sup_error_x"] == profile_sup_error(
-        prof_x, psi_x, cfg.params.epsilon)
+    assert results["final_profile_sup_error_v"] == ref_sup_error(prof_v, psi_v, eps)
+    assert results["final_profile_sup_error_x"] == ref_sup_error(prof_x, psi_x, eps)
 
 
 def test_a_profile_run_builds_each_histogram_once(tmp_path, monkeypatch):
@@ -233,18 +243,16 @@ def test_csv_writers(tmp_path):
     state = EnsembleState(0.0, rng.standard_normal(2000) * 0.1,
                           rng.standard_normal(2000) * 0.2)
     rec = simulate(SimConfig(n=16, t_end=0.05, dt=0.01, seed=3), p, InitCondition())
-    comp = compare(rec, LimitTrajectory(np.linspace(0, 1, 101), np.zeros(101),
-                                        np.zeros(101)), p)
+    comp = compare(rec, LimitTrajectory(rec.t, np.zeros(len(rec)), np.zeros(len(rec))), p)
     cpath = tmp_path / "comps.csv"
     cli.write_comparison_csv(cpath, comp)
     lines = cpath.read_text().splitlines()
     assert lines[0] == "t,var_ratio_v,var_ratio_x,mean_error"
     assert len(lines) == len(rec) + 1
 
-    prof = log_density_profile(state.v, p.epsilon, bins=32)
+    prof = log_density_profile(state.v, p.epsilon, 0.0, bins=32)
     ppath = tmp_path / "prof.csv"
-    psi_v, _ = theoretical_profile(LimitState(0.0, 0.0, 0.0), p)
-    cli.write_profile_csv(ppath, prof, psi_v)
+    cli.write_profile_csv(ppath, prof)
     lines = ppath.read_text().splitlines()
     assert lines[0] == "center,empirical,theoretical"
     assert len(lines) == 33
