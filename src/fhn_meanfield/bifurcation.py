@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import BlowUpError, ModelParams, cubic_prime
 from .limit_ode import LimitState, equilibria, limit_rhs, rk4_step
@@ -48,8 +49,9 @@ class CycleDetectionError(RuntimeError):
     """Integration budget exhausted without convergence or periodicity."""
 
 
-@dataclass(frozen=True)
-class EquilibriumInfo:
+# The reports are immutable named tuples, cheaper to build than frozen
+# dataclasses; classify builds up to four per query.
+class EquilibriumInfo(NamedTuple):
     v: float
     x: float
     trace: float
@@ -65,8 +67,7 @@ class LimitCycle:
     v_max: float
 
 
-@dataclass(frozen=True)
-class BifurcationReport:
+class BifurcationReport(NamedTuple):
     delta: float
     equilibria: tuple[EquilibriumInfo, ...]
     regime: str
@@ -96,25 +97,27 @@ def trace_at(vstar: float, p: ModelParams) -> float:
 
 def determinant_at(vstar: float, p: ModelParams) -> float:
     """Jacobian determinant a*N0'(v*) + b at the equilibrium."""
-    return p.a * float(cubic_prime(vstar, p)) + p.b
+    return p.a * cubic_prime(vstar, p) + p.b
 
 
-def _eigenvalues(trace: float, det: float) -> tuple[complex, complex]:
+def _equilibrium_info(v: float, x: float, p: ModelParams) -> EquilibriumInfo:
+    """The Jacobian's trace, determinant and eigenvalue pair at (v, x), and
+    the stability label of the pair's larger real part, which the trace and
+    the discriminant give directly."""
+    trace = trace_at(v, p)
+    det = determinant_at(v, p)
     disc = trace * trace - 4.0 * det
     if disc >= 0.0:
         s = math.sqrt(disc)
-        return ((trace - s) / 2.0 + 0j, (trace + s) / 2.0 + 0j)
-    s = math.sqrt(-disc)
-    return (complex(trace / 2.0, -s / 2.0), complex(trace / 2.0, s / 2.0))
-
-
-def _stability_label(eigs) -> str:
-    top = max(e.real for e in eigs)
-    if top < -DEGENERACY_TOL:
-        return "stable"
-    if top > DEGENERACY_TOL:
-        return "unstable"
-    return "marginal"
+        top = (trace + s) / 2.0
+        eigs = ((trace - s) / 2.0 + 0j, top + 0j)
+    else:
+        s = math.sqrt(-disc)
+        top = trace / 2.0
+        eigs = (complex(top, -s / 2.0), complex(top, s / 2.0))
+    label = ("stable" if top < -DEGENERACY_TOL
+             else "unstable" if top > DEGENERACY_TOL else "marginal")
+    return EquilibriumInfo(v, x, trace, det, eigs, label)
 
 
 def classify(p: ModelParams) -> BifurcationReport:
@@ -125,15 +128,7 @@ def classify(p: ModelParams) -> BifurcationReport:
     trace rule for one, DegenerateHopf when |T| <= DEGENERACY_TOL.
     """
     delta = discriminant(p)
-
-    def info_at(v: float, x: float) -> EquilibriumInfo:
-        tr = trace_at(v, p)
-        det = determinant_at(v, p)
-        eigs = _eigenvalues(tr, det)
-        return EquilibriumInfo(v=v, x=x, trace=tr, det=det, eigenvalues=eigs,
-                               label=_stability_label(eigs))
-
-    infos = tuple(info_at(v, x) for v, x in equilibria(p))
+    infos = tuple([_equilibrium_info(v, x, p) for v, x in equilibria(p)])
 
     if abs(delta) <= DEGENERACY_TOL or len(infos) == 2:
         if len(infos) == 3:
@@ -142,7 +137,7 @@ def classify(p: ModelParams) -> BifurcationReport:
             gaps = [infos[1].v - infos[0].v, infos[2].v - infos[1].v]
             k = 0 if gaps[0] <= gaps[1] else 1
             mid = 0.5 * (infos[k].v + infos[k + 1].v)
-            merged = info_at(mid, (p.b / p.a) * mid)
+            merged = _equilibrium_info(mid, (p.b / p.a) * mid, p)
             infos = (merged, infos[2]) if k == 0 else (infos[0], merged)
         return BifurcationReport(delta, infos, DEGENERATE_SADDLE_NODE)
     if len(infos) == 3:

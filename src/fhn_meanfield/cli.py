@@ -375,7 +375,7 @@ def reference_trajectory(cfg: ExperimentConfig, alpha: float, beta: float, dt: f
     """The limit system from (alpha, beta) at t = 0 to the run's horizon with
     step dt and the run's record stride; at the step an ensemble took it
     records the ensemble's times exactly."""
-    s0 = LimitState(t=0.0, alpha=float(alpha), beta=float(beta))
+    s0 = LimitState(t=0.0, alpha=alpha, beta=beta)
     return rk4_integrate(s0, cfg.params, dt, cfg.sim.t_end,
                          record_stride=cfg.sim.record_stride)
 

@@ -36,10 +36,11 @@ class BlowUpError(RuntimeError):
 
 
 def require_finite(obj) -> None:
-    """Reject a dataclass instance with a float field that is nan or +-inf."""
+    """Reject a dataclass instance with a field that is nan or +-inf: a
+    Python float or a numpy float of any precision (integers are finite)."""
     for name in obj.__dataclass_fields__:
         value = getattr(obj, name)
-        if isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -80,7 +81,8 @@ class ModelParams:
     so sigma=1 matches the unit-diffusion normalization of the density
     equation.  adaptation_noise switches the sqrt(2*epsilon) diffusion on
     the recovery variable.  truncation, when set, activates the
-    tangent-line drift outside [-M, M].
+    tangent-line drift outside [-M, M].  The numbers are stored as Python
+    floats: a numpy scalar or an int given here is converted.
     """
 
     a: float = 0.3
@@ -93,7 +95,17 @@ class ModelParams:
     truncation: float | None = None
 
     def __post_init__(self):
-        require_finite(self)
+        # float() of a numpy scalar is exact, and the float's arithmetic
+        # gives the same bits at a fraction of the cost
+        for name in ("a", "b", "lam", "i_ext", "sigma", "epsilon", "truncation"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if type(value) is not float:
+                value = float(value)
+                object.__setattr__(self, name, value)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.a > 0:
             raise ValueError(f"a must be > 0, got {self.a}")
         if self.b < 0:
@@ -121,9 +133,18 @@ def cubic_truncated(v, M: float, p: ModelParams):
 
     Equals cubic(v) for |v| <= M and cubic(+-M) + cubic'(+-M)(v -+ M)
     beyond; both the value and the first derivative are continuous at +-M.
+    A float or int v (numpy's float64 included) takes plain comparisons
+    and gives a float with the bits of the array path; nan maps to cubic(nan).
     """
     if not M > 0:
         raise ValueError(f"truncation level must be > 0, got {M}")
+    if isinstance(v, (float, int)):
+        v = float(v)
+        if v > M:
+            return cubic(M, p) + cubic_prime(M, p) * (v - M)
+        if v < -M:
+            return cubic(-M, p) + cubic_prime(-M, p) * (v + M)
+        return cubic(v, p)
     v = np.asarray(v, dtype=float)
     inner = cubic(np.clip(v, -M, M), p)
     upper = cubic(M, p) + cubic_prime(M, p) * (v - M)

@@ -23,9 +23,16 @@ from .core import BlowUpError, ModelParams, nonlinearity, time_steps
 
 @dataclass(frozen=True)
 class LimitState:
+    """A state of the limit system, stored as Python floats: a numpy scalar
+    or an int given here is converted."""
+
     t: float
     alpha: float
     beta: float
+
+    def __post_init__(self):
+        for name in ("t", "alpha", "beta"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass
@@ -39,7 +46,7 @@ class LimitTrajectory:
 
 
 def limit_rhs(s: LimitState, p: ModelParams) -> tuple[float, float]:
-    n0 = float(nonlinearity(s.alpha, p))
+    n0 = nonlinearity(s.alpha, p)
     return (-n0 + p.i_ext - s.beta, -p.a * s.beta + p.b * s.alpha)
 
 
@@ -48,26 +55,28 @@ def rk4_step(alpha: float, beta: float, p: ModelParams, dt: float) -> tuple[floa
     # once, and on the untruncated path the cubic is core.cubic written out
     # on floats, in its operation order.  Each stage keeps limit_rhs's
     # operation order, so a step gives the same bits as one made of four
-    # limit_rhs calls.
+    # limit_rhs calls.  The state and the parameters are Python floats
+    # (LimitState and ModelParams convert), so no stage pays numpy's cost
+    # on scalars.
     lam, i_ext, a, b = p.lam, p.i_ext, p.a, p.b
     cubic = p.truncation is None
     h = 0.5 * dt
-    n0 = alpha * (alpha - lam) * (alpha - 1.0) if cubic else float(nonlinearity(alpha, p))
+    n0 = alpha * (alpha - lam) * (alpha - 1.0) if cubic else nonlinearity(alpha, p)
     k1v = -n0 + i_ext - beta
     k1x = -a * beta + b * alpha
     v = alpha + h * k1v
     x = beta + h * k1x
-    n0 = v * (v - lam) * (v - 1.0) if cubic else float(nonlinearity(v, p))
+    n0 = v * (v - lam) * (v - 1.0) if cubic else nonlinearity(v, p)
     k2v = -n0 + i_ext - x
     k2x = -a * x + b * v
     v = alpha + h * k2v
     x = beta + h * k2x
-    n0 = v * (v - lam) * (v - 1.0) if cubic else float(nonlinearity(v, p))
+    n0 = v * (v - lam) * (v - 1.0) if cubic else nonlinearity(v, p)
     k3v = -n0 + i_ext - x
     k3x = -a * x + b * v
     v = alpha + dt * k3v
     x = beta + dt * k3x
-    n0 = v * (v - lam) * (v - 1.0) if cubic else float(nonlinearity(v, p))
+    n0 = v * (v - lam) * (v - 1.0) if cubic else nonlinearity(v, p)
     k4v = -n0 + i_ext - x
     k4x = -a * x + b * v
     w = dt / 6.0

@@ -201,6 +201,24 @@ def test_classify_labels_the_equilibria_it_finds(a, b, lam, i_ext):
         assert rep.regime == (MONOSTABLE_STABLE if e.trace < 0 else OSCILLATORY)
 
 
+@given(params_strategy)
+@settings(max_examples=200, deadline=None)
+def test_labels_follow_the_larger_real_part_of_the_eigenvalues(p):
+    tol = bifurcation.DEGENERACY_TOL
+    for e in classify(p).equilibria:
+        top = max(z.real for z in e.eigenvalues)
+        assert e.label == ("stable" if top < -tol else "unstable" if top > tol else "marginal")
+        assert sum(e.eigenvalues).real == pytest.approx(e.trace, abs=1e-9 * (1 + abs(e.trace)))
+
+
+def test_reports_are_immutable():
+    rep = classify(ModelParams())
+    with pytest.raises(AttributeError):
+        rep.regime = OSCILLATORY
+    with pytest.raises(AttributeError):
+        rep.equilibria[0].label = "stable"
+
+
 def _sign_rule_regime(p):
     # the regime by the sign of Delta, with None where the equilibria found
     # disagree with it
@@ -243,6 +261,22 @@ def test_detect_cycle_converges_to_none_in_stable_regimes():
     e2 = classify(p2).equilibria[-1]
     out2 = detect_limit_cycle(p2, LimitState(0.0, e2.v + 0.2, e2.x))
     assert out2 is None
+
+
+def test_detect_cycle_from_numpy_scalars_returns_the_floats_of_float_inputs():
+    # a start from numpy.roots, as a library caller makes it
+    a, b, lam, i_ext = 0.2, 2.0, 4.0, 8.0
+    roots = np.roots([1.0, -(1.0 + lam), lam + b / a, -i_ext])
+    v = roots[np.abs(roots.imag) < 1e-7].real[0]
+    assert type(v) is np.float64
+    p = ModelParams(a=a, b=b, lam=lam, i_ext=i_ext)
+    s0 = LimitState(0.0, float(v + 0.5), float(b / a * v))
+    ref = detect_limit_cycle(p, s0)
+    for q, start in ((p, LimitState(0.0, v + 0.5, b / a * v)),
+                     (ModelParams(a=a, b=b, lam=np.float64(lam), i_ext=i_ext), s0)):
+        cycle = detect_limit_cycle(q, start)
+        assert cycle == ref
+        assert all(type(f) is float for f in (cycle.period, cycle.v_min, cycle.v_max))
 
 
 def _reference_lap(p, s0, t_end, section):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fhn_meanfield.core import (InitCondition, ModelParams, cubic, cubic_prime,
                                 cubic_truncated, init_variance, sample_initial,
                                 time_steps, voltage_drift)
+from fhn_meanfield.fokker_planck import Grid
 
 P4 = ModelParams(lam=4.0)
 
@@ -61,6 +62,19 @@ def test_truncated_rejects_bad_level():
         ModelParams(lam=4.0, truncation=0.0)
 
 
+@pytest.mark.parametrize("M", [3.5, 10.0])
+def test_truncated_scalar_path_has_the_bits_of_the_array_path(M):
+    values = [M, -M, np.nextafter(M, 0.0), np.nextafter(-M, 0.0),
+              np.nextafter(M, np.inf), np.nextafter(-M, -np.inf),
+              0.0, 1e3, -1e3, np.nan]
+    array = cubic_truncated(np.array(values), M, P4)
+    for v, want in zip(values, array):
+        for scalar in (float(v), np.float64(v)):
+            got = cubic_truncated(scalar, M, P4)
+            assert type(got) is float
+            assert got.hex() == float(want).hex(), v
+
+
 def test_voltage_drift_zero():
     p = ModelParams(i_ext=0.0)
     assert voltage_drift(0.0, 0.0, 0.0, p) == 0.0
@@ -101,6 +115,27 @@ def test_voltage_drift_uses_truncation():
 def test_params_validation(bad):
     with pytest.raises(ValueError):
         ModelParams(**bad)
+
+
+def test_params_store_python_floats():
+    p = ModelParams(a=np.float64(0.3), b=np.float32(0.25), lam=4, i_ext=np.int64(-1),
+                    sigma=np.float16(0.5), truncation=np.float64(5.0))
+    for name in ("a", "b", "lam", "i_ext", "sigma", "epsilon", "truncation"):
+        assert type(getattr(p, name)) is float, name
+    assert (p.a, p.b, p.lam, p.i_ext, p.sigma, p.truncation) == (0.3, 0.25, 4.0, -1.0, 0.5, 5.0)
+    assert ModelParams(lam=4).lam.hex() == (4.0).hex()
+    assert ModelParams().truncation is None
+
+
+@pytest.mark.parametrize("bad", [np.float32("nan"), np.float32("inf"), np.float16("-inf")])
+@pytest.mark.parametrize("make", [
+    lambda bad: ModelParams(lam=bad),
+    lambda bad: InitCondition(mean_v=bad),
+    lambda bad: Grid(v_min=bad, v_max=1.0, x_min=0.0, x_max=1.0, nv=16, nx=16),
+], ids=["ModelParams", "InitCondition", "Grid"])
+def test_non_finite_numpy_scalars_are_rejected(make, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        make(bad)
 
 
 def test_sample_initial_rejects_empty():

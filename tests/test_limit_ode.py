@@ -174,6 +174,25 @@ def test_rk4_integrate_bit_identical_to_reference_loop(truncation, s0, record_st
         assert np.abs(alpha).max() > truncation
 
 
+def test_limit_state_stores_python_floats():
+    s = LimitState(np.int64(1), np.float64(1.5), np.float32(0.25))
+    assert (s.t, s.alpha, s.beta) == (1.0, 1.5, 0.25)
+    assert all(type(value) is float for value in (s.t, s.alpha, s.beta))
+
+
+@pytest.mark.parametrize("truncation", [None, 3.0])
+def test_rk4_integrate_from_numpy_scalars_has_the_bits_of_floats(truncation):
+    p = ModelParams(a=0.1, b=1.0, lam=4.0, i_ext=6.0, truncation=truncation)
+    ref = rk4_integrate(LimitState(0.0, 2.1, 0.3), p, 0.01, 30.0, record_stride=3)
+    p64 = ModelParams(a=0.1, b=1.0, lam=np.float64(4.0), i_ext=6.0, truncation=truncation)
+    for s0, q in ((LimitState(np.float64(0.0), np.float64(2.1), np.float64(0.3)), p),
+                  (LimitState(0.0, 2.1, 0.3), p64)):
+        traj = rk4_integrate(s0, q, 0.01, 30.0, record_stride=3)
+        assert np.array_equal(traj.t, ref.t)
+        assert np.array_equal(traj.alpha, ref.alpha)
+        assert np.array_equal(traj.beta, ref.beta)
+
+
 def test_rk4_validation():
     p = ModelParams()
     with pytest.raises(ValueError):
