@@ -81,8 +81,7 @@ class ModelParams:
     so sigma=1 matches the unit-diffusion normalization of the density
     equation.  adaptation_noise switches the sqrt(2*epsilon) diffusion on
     the recovery variable.  truncation, when set, activates the
-    tangent-line drift outside [-M, M].  The numbers are stored as Python
-    floats: a numpy scalar or an int given here is converted.
+    tangent-line drift outside [-M, M].
     """
 
     a: float = 0.3
@@ -95,17 +94,7 @@ class ModelParams:
     truncation: float | None = None
 
     def __post_init__(self):
-        # float() of a numpy scalar is exact, and the float's arithmetic
-        # gives the same bits at a fraction of the cost
-        for name in ("a", "b", "lam", "i_ext", "sigma", "epsilon", "truncation"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if type(value) is not float:
-                value = float(value)
-                object.__setattr__(self, name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(self)
         if not self.a > 0:
             raise ValueError(f"a must be > 0, got {self.a}")
         if self.b < 0:

@@ -55,9 +55,7 @@ def rk4_step(alpha: float, beta: float, p: ModelParams, dt: float) -> tuple[floa
     # once, and on the untruncated path the cubic is core.cubic written out
     # on floats, in its operation order.  Each stage keeps limit_rhs's
     # operation order, so a step gives the same bits as one made of four
-    # limit_rhs calls.  The state and the parameters are Python floats
-    # (LimitState and ModelParams convert), so no stage pays numpy's cost
-    # on scalars.
+    # limit_rhs calls.
     lam, i_ext, a, b = p.lam, p.i_ext, p.a, p.b
     cubic = p.truncation is None
     h = 0.5 * dt
@@ -91,6 +89,9 @@ def rk4_integrate(s0: LimitState, p: ModelParams, dt: float, t_end: float,
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
     n_steps, dt = time_steps(t_end, dt)
+    # a float step, like LimitState's floats, keeps numpy scalars out of
+    # every stage; float() of a numpy double is exact
+    dt = float(dt)
     alpha, beta = s0.alpha, s0.beta
     times = [s0.t]
     alphas = [alpha]

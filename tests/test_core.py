@@ -117,16 +117,6 @@ def test_params_validation(bad):
         ModelParams(**bad)
 
 
-def test_params_store_python_floats():
-    p = ModelParams(a=np.float64(0.3), b=np.float32(0.25), lam=4, i_ext=np.int64(-1),
-                    sigma=np.float16(0.5), truncation=np.float64(5.0))
-    for name in ("a", "b", "lam", "i_ext", "sigma", "epsilon", "truncation"):
-        assert type(getattr(p, name)) is float, name
-    assert (p.a, p.b, p.lam, p.i_ext, p.sigma, p.truncation) == (0.3, 0.25, 4.0, -1.0, 0.5, 5.0)
-    assert ModelParams(lam=4).lam.hex() == (4.0).hex()
-    assert ModelParams().truncation is None
-
-
 @pytest.mark.parametrize("bad", [np.float32("nan"), np.float32("inf"), np.float16("-inf")])
 @pytest.mark.parametrize("make", [
     lambda bad: ModelParams(lam=bad),

@@ -185,9 +185,10 @@ def test_rk4_integrate_from_numpy_scalars_has_the_bits_of_floats(truncation):
     p = ModelParams(a=0.1, b=1.0, lam=4.0, i_ext=6.0, truncation=truncation)
     ref = rk4_integrate(LimitState(0.0, 2.1, 0.3), p, 0.01, 30.0, record_stride=3)
     p64 = ModelParams(a=0.1, b=1.0, lam=np.float64(4.0), i_ext=6.0, truncation=truncation)
-    for s0, q in ((LimitState(np.float64(0.0), np.float64(2.1), np.float64(0.3)), p),
-                  (LimitState(0.0, 2.1, 0.3), p64)):
-        traj = rk4_integrate(s0, q, 0.01, 30.0, record_stride=3)
+    for s0, q, dt in ((LimitState(np.float64(0.0), np.float64(2.1), np.float64(0.3)), p, 0.01),
+                      (LimitState(0.0, 2.1, 0.3), p64, 0.01),
+                      (LimitState(0.0, 2.1, 0.3), p, np.float64(0.01))):
+        traj = rk4_integrate(s0, q, dt, 30.0, record_stride=3)
         assert np.array_equal(traj.t, ref.t)
         assert np.array_equal(traj.alpha, ref.alpha)
         assert np.array_equal(traj.beta, ref.beta)
