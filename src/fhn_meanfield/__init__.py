@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .bifurcation import (BifurcationReport, CycleDetectionError, LimitCycle,
                           classify, detect_limit_cycle, discriminant, trace_at)
 from .core import (BlowUpError, EnsembleState, InitCondition, ModelParams,
-                   cubic, cubic_truncated, sample_initial, voltage_drift)
+                   cubic, nonlinearity, sample_initial, voltage_drift)
 from .diagnostics import (ProfileComparison, compare, log_density_profile,
                           viscosity_residual)
 from .fokker_planck import (DensityField, Grid, first_moment, fp_step,
@@ -27,9 +27,9 @@ __all__ = [
     "EnsembleState", "Grid", "InitCondition", "LimitCycle", "LimitState",
     "LimitTrajectory", "ModelParams", "Moments", "NoiseStream",
     "ProfileComparison", "SimConfig", "TrajectoryRecord",
-    "classify", "compare", "cubic", "cubic_truncated", "detect_limit_cycle",
-    "discriminant", "em_step", "empirical_moments", "equilibria",
-    "first_moment", "fp_step", "gaussian_field", "hopf_cole", "limit_rhs",
-    "log_density_profile", "quantiles", "rk4_integrate", "sample_initial",
+    "classify", "compare", "cubic", "detect_limit_cycle", "discriminant",
+    "em_step", "empirical_moments", "equilibria", "first_moment", "fp_step",
+    "gaussian_field", "hopf_cole", "limit_rhs", "log_density_profile",
+    "nonlinearity", "quantiles", "rk4_integrate", "sample_initial",
     "simulate", "solve", "trace_at", "viscosity_residual", "voltage_drift",
 ]

@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import BlowUpError, ModelParams, cubic_prime
-from .limit_ode import LimitState, equilibria, limit_rhs, rk4_step
+from .core import BlowUpError, ModelParams, cubic_prime, uncoupled_drift
+from .limit_ode import LimitState, equilibria, equilibrium_cubic_coeffs, rk4_step
 
 BISTABLE = "Bistable"
 MONOSTABLE_STABLE = "MonostableStable"
@@ -74,11 +74,11 @@ class BifurcationReport(NamedTuple):
 
 
 def discriminant(p: ModelParams) -> float:
-    """The cubic discriminant, evaluated exactly as written above.  Raises
-    ValueError when it is not finite, as when q ** 3 overflows."""
-    lam1 = 1.0 + p.lam
-    q = p.lam + p.b / p.a
-    i0 = p.i_ext
+    """The discriminant above, of the equilibrium cubic v^3 + c2 v^2 + q v
+    + c0 with 1 + lam = -c2 and I = -c0.  Raises ValueError when it is not
+    finite, as when q ** 3 overflows."""
+    c2, q, c0 = equilibrium_cubic_coeffs(p)
+    lam1, i0 = -c2, -c0
     try:
         delta = (-27.0 * i0 ** 2 + 18.0 * lam1 * q * i0 - 4.0 * q ** 3
                  - 4.0 * lam1 ** 3 * i0 + lam1 ** 2 * q ** 2)
@@ -172,7 +172,10 @@ def detect_limit_cycle(p: ModelParams, s0: LimitState, *,
     Raises CycleDetectionError if neither happens within max_time time
     units of s0; no step goes past max_time.  Raises BlowUpError if the
     state is non-finite when a probe finds it still or the budget runs out.
+    A max_time that is not finite and > 0 raises ValueError.
     """
+    if not 0.0 < max_time < math.inf:
+        raise ValueError(f"max_time must be finite and > 0, got {max_time}")
     dt = CYCLE_DT
     eqs = equilibria(p)
     midline = len(eqs) > 1
@@ -245,8 +248,8 @@ def _crossing(p: ModelParams, dt: float, section: float,
     is fourth order in dt like RK4's own; a linear one would be second
     order and would bound the step instead.  Newton from the linear guess.
     """
-    m0 = dt * limit_rhs(LimitState(0.0, v0, x0), p)[0]
-    m1 = dt * limit_rhs(LimitState(0.0, v1, x1), p)[0]
+    m0 = dt * uncoupled_drift(v0, x0, p)
+    m1 = dt * uncoupled_drift(v1, x1, p)
     d = v1 - v0
     # v(s) - section = c0 + s (m0 + s (c2 + s c3)) on s in [0, 1]
     c0, c2, c3 = v0 - section, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d

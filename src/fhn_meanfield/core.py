@@ -81,7 +81,8 @@ class ModelParams:
     so sigma=1 matches the unit-diffusion normalization of the density
     equation.  adaptation_noise switches the sqrt(2*epsilon) diffusion on
     the recovery variable.  truncation, when set, activates the
-    tangent-line drift outside [-M, M].
+    tangent-line drift outside [-M, M].  The others are real numbers, kept
+    as given (TypeError otherwise).
     """
 
     a: float = 0.3
@@ -94,6 +95,11 @@ class ModelParams:
     truncation: float | None = None
 
     def __post_init__(self):
+        for name in ("a", "b", "lam", "i_ext", "sigma", "epsilon", "truncation"):
+            value = getattr(self, name)
+            if not (isinstance(value, (float, int, np.floating, np.integer))
+                    or value is None and name == "truncation"):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
         require_finite(self)
         if not self.a > 0:
             raise ValueError(f"a must be > 0, got {self.a}")
@@ -117,42 +123,37 @@ def cubic_prime(v, p: ModelParams):
     return 3.0 * v * v - 2.0 * (1.0 + p.lam) * v + p.lam
 
 
-def cubic_truncated(v, M: float, p: ModelParams):
-    """Cubic on [-M, M], tangent-line continuation outside.
-
-    Equals cubic(v) for |v| <= M and cubic(+-M) + cubic'(+-M)(v -+ M)
-    beyond; both the value and the first derivative are continuous at +-M.
-    A float or int v (numpy's float64 included) takes plain comparisons
-    and gives a float with the bits of the array path; nan maps to cubic(nan).
-    """
-    if not M > 0:
-        raise ValueError(f"truncation level must be > 0, got {M}")
+def nonlinearity(v, p: ModelParams):
+    """N0(v): cubic(v), or with p.truncation = M its tangent-line
+    continuation cubic(c) + cubic'(c)(v - c), c the clip of v to [-M, M],
+    continuous with its first derivative.  A float or int v (numpy's float64
+    included) gives a float with the bits of the array path, except that
+    the array path turns a cubic(v) of -0.0 near v = 0 (v = -0.0, or a
+    negative subnormal v at lam < 1) into +0.0; nan maps to nan."""
+    M = p.truncation
+    if M is None:
+        return cubic(v, p)
     if isinstance(v, (float, int)):
         v = float(v)
-        if v > M:
-            return cubic(M, p) + cubic_prime(M, p) * (v - M)
-        if v < -M:
-            return cubic(-M, p) + cubic_prime(-M, p) * (v + M)
-        return cubic(v, p)
-    v = np.asarray(v, dtype=float)
-    inner = cubic(np.clip(v, -M, M), p)
-    upper = cubic(M, p) + cubic_prime(M, p) * (v - M)
-    lower = cubic(-M, p) + cubic_prime(-M, p) * (v + M)
-    out = np.where(v > M, upper, np.where(v < -M, lower, inner))
-    return out if out.ndim else float(out)
+        if -M <= v <= M:
+            return cubic(v, p)
+        c = M if v > M else -M
+    else:
+        v = np.asarray(v, dtype=float)
+        c = np.clip(v, -M, M)
+    return cubic(c, p) + cubic_prime(c, p) * (v - c)
 
 
-def nonlinearity(v, p: ModelParams):
-    """N0(v): cubic(v), or its truncated form when p.truncation is set."""
-    if p.truncation is None:
-        return cubic(v, p)
-    return cubic_truncated(v, p.truncation, p)
+def uncoupled_drift(v, x, p: ModelParams):
+    """-N0(v) + i_ext - x: the voltage drift without coupling, shared by
+    the network, the density equation and the limit system."""
+    return -nonlinearity(v, p) + p.i_ext - x
 
 
 def voltage_drift(v, x, vbar, p: ModelParams):
     """Deterministic voltage drift: -N0(v) + i_ext - x + (vbar - v)/epsilon,
     with N0 the (possibly truncated) cubic."""
-    return -nonlinearity(v, p) + p.i_ext - x + (vbar - v) / p.epsilon
+    return uncoupled_drift(v, x, p) + (vbar - v) / p.epsilon
 
 
 @dataclass

@@ -43,9 +43,9 @@ from functools import cached_property
 import numpy as np
 
 # The benchmark's traced run (perfbench/layers.py) wraps voltage_drift on
-# this module; the kernel's v-face drift follows it operation for operation.
-from .core import (InitCondition, ModelParams, init_variance, nonlinearity,  # noqa: F401
-                   require_finite, time_steps, voltage_drift)
+# this module.
+from .core import (InitCondition, ModelParams, init_variance, require_finite,  # noqa: F401
+                   time_steps, uncoupled_drift, voltage_drift)
 
 CFL_SAFETY = 0.9
 DENSITY_FLOOR = 1e-300
@@ -183,7 +183,7 @@ def _cfl_terms(grid: Grid, p: ModelParams) -> tuple:
     xc = grid.x_centers()[:, None]
     rest = (2.0 * (1.0 / grid.dv ** 2 + p.epsilon / grid.dx ** 2)
             + np.abs(p.a * xc - p.b * vc) / grid.dx)
-    y = (-nonlinearity(vc, p) + p.i_ext - xc - vc / p.epsilon) / grid.dv
+    y = (uncoupled_drift(vc, xc, p) - vc / p.epsilon) / grid.dv
     sides = []
     for side in (rest + y, rest - y):
         worst = int(np.argmax(side))
@@ -265,7 +265,7 @@ class _UpwindKernel:
         vf = self._v_faces = np.append(g.v_faces_interior(), g.v_max)
         xc = g.x_centers()[:, None]
         # the v-face drift without its coupling term, (jg - v_f)/eps, flat
-        self._drift_v = (-nonlinearity(vf[None, :], p) + p.i_ext - xc).reshape(-1)
+        self._drift_v = uncoupled_drift(vf[None, :], xc, p).reshape(-1)
         self._up_v = np.empty(nx * nv - 1, dtype=bool)
         self._speed_x = p.a * g.x_faces_interior()[:, None] - p.b * g.v_centers()[None, :]
         self._up_x = self._speed_x <= 0.0

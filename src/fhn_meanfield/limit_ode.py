@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlowUpError, ModelParams, nonlinearity, time_steps
+from .core import BlowUpError, ModelParams, nonlinearity, time_steps, uncoupled_drift
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ class LimitTrajectory:
 
 
 def limit_rhs(s: LimitState, p: ModelParams) -> tuple[float, float]:
-    n0 = nonlinearity(s.alpha, p)
-    return (-n0 + p.i_ext - s.beta, -p.a * s.beta + p.b * s.alpha)
+    return (uncoupled_drift(s.alpha, s.beta, p), -p.a * s.beta + p.b * s.alpha)
 
 
 def rk4_step(alpha: float, beta: float, p: ModelParams, dt: float) -> tuple[float, float]:

@@ -86,11 +86,7 @@ class SimConfig:
         require_finite(self)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        # more than core.MAX_STEPS steps raise here, before any work or output
+        # a bad t_end or dt, or too many steps, raise before any work or output
         time_steps(self.t_end, DEFAULT_DT if self.dt is None else self.dt)
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
@@ -268,7 +264,7 @@ class _Stepper:
 
         so vbar moves by h fbar + B xibar and each deviation from it takes
         the exact Ornstein-Uhlenbeck step.  The drift's operations are those
-        of core.voltage_drift without its coupling term.
+        of core.uncoupled_drift.
         """
         self.incr, self.last = self.last, self.incr
         incr, drift, relax = self.incr

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhn_meanfield import bifurcation
-from fhn_meanfield.bifurcation import (BISTABLE, CYCLE_DT, DEGENERATE_SADDLE_NODE,
+from fhn_meanfield.bifurcation import (BISTABLE, CYCLE_DT, DEGENERACY_TOL,
+                                       DEGENERATE_HOPF, DEGENERATE_SADDLE_NODE,
                                        MONOSTABLE_STABLE, OSCILLATORY,
                                        CycleDetectionError, classify,
                                        detect_limit_cycle, discriminant, trace_at)
-from fhn_meanfield.core import BlowUpError, ModelParams
+from fhn_meanfield.core import BlowUpError, ModelParams, cubic
 from fhn_meanfield.limit_ode import (LimitState, equilibria, limit_rhs, rk4_integrate,
                                      rk4_step)
 
@@ -143,6 +144,24 @@ def test_regime_flips_where_trace_crosses_zero():
     i_star = 0.5 * (lo + hi)
     assert classify(ModelParams(i_ext=i_star - 1e-3, **fam)).regime == MONOSTABLE_STABLE
     assert classify(ModelParams(i_ext=i_star + 1e-3, **fam)).regime == OSCILLATORY
+
+
+def test_classify_degenerate_hopf_at_a_vanishing_trace():
+    # q = lam + b/a = 14 > (1 + lam)^2 / 3, so the equilibrium is unique for
+    # every i_ext; T(v) = -3 v^2 + 10 v - 4.1 vanishes at v_h, and i_ext is
+    # set so that v_h is the equilibrium
+    a, b, lam = 0.1, 1.0, 4.0
+    v_h = (10.0 - np.sqrt(100.0 - 12.0 * 4.1)) / 6.0
+    i_h = float(cubic(v_h, ModelParams(lam=lam)) + b / a * v_h)
+    at = lambda i_ext: classify(ModelParams(a=a, b=b, lam=lam, i_ext=i_ext))
+    rep = at(i_h)
+    assert rep.regime == DEGENERATE_HOPF
+    (e,) = rep.equilibria
+    assert e.v == pytest.approx(v_h, abs=1e-12)
+    assert abs(e.trace) <= DEGENERACY_TOL and e.label == "marginal"
+    # T grows with i_ext here: dT/di_ext = T'(v_h) / (N0'(v_h) + b/a) > 0
+    assert at(i_h - 1e-6).regime == MONOSTABLE_STABLE
+    assert at(i_h + 1e-6).regime == OSCILLATORY
 
 
 def test_degenerate_saddle_node_annotation():
@@ -350,6 +369,14 @@ def test_detect_cycle_never_steps_past_max_time(monkeypatch):
     with pytest.raises(CycleDetectionError):
         detect_limit_cycle(p, LimitState(0.0, v + 0.5, x), max_time=30.0)
     assert 0 < len(steps) <= round(30.0 / CYCLE_DT)
+
+
+@pytest.mark.parametrize("max_time", [float("nan"), float("inf"), 0.0, -5.0])
+def test_detect_cycle_rejects_a_bad_max_time_before_any_step(monkeypatch, max_time):
+    p = ModelParams(a=0.01, b=0.1, lam=4.0, i_ext=6.0)
+    monkeypatch.setattr(bifurcation, "rk4_step", None)  # a step would raise TypeError
+    with pytest.raises(ValueError, match="max_time must be finite and > 0"):
+        detect_limit_cycle(p, LimitState(0.0, 0.5, 0.0), max_time=max_time)
 
 
 @pytest.mark.parametrize("max_time", [2000.0, 10.0])

@@ -568,6 +568,15 @@ COMPARE_SMALL = ["compare", "--epsilon", "0.2", "--t-end", "0.01", "--n", "16",
                  "--nv", "16", "--nx", "16"]
 
 
+@pytest.mark.parametrize("epsilon, warned", [("0.015", True), ("0.02", False)])
+def test_compare_warns_below_the_density_solver_epsilon(tmp_path, capsys, epsilon, warned):
+    argv = ["compare", "--epsilon", epsilon, "--t-end", "0.0004", "--n", "16",
+            "--nv", "16", "--nx", "16", "--out", str(tmp_path / "o")]
+    assert run(argv) == 0
+    err = capsys.readouterr().err
+    assert (f"warning: epsilon={epsilon} below {cli.PDE_EPSILON_WARN}" in err) == warned
+
+
 @pytest.mark.parametrize("seeds", ["0", "-1"])
 def test_compare_rejects_seeds_below_one(tmp_path, capsys, seeds):
     out = tmp_path / "o"

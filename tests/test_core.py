@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fhn_meanfield import fokker_planck
 from fhn_meanfield.core import (InitCondition, ModelParams, cubic, cubic_prime,
-                                cubic_truncated, init_variance, sample_initial,
-                                time_steps, voltage_drift)
+                                init_variance, nonlinearity, sample_initial,
+                                time_steps, uncoupled_drift, voltage_drift)
 from fhn_meanfield.fokker_planck import Grid
+from fhn_meanfield.limit_ode import LimitState, limit_rhs
 
 P4 = ModelParams(lam=4.0)
+P4_M10 = ModelParams(lam=4.0, truncation=10.0)
 
 
 def init_log_density(v, x, cond: InitCondition, p: ModelParams):
@@ -33,18 +36,19 @@ def test_cubic_hand_value():
 
 @given(st.floats(-10.0, 10.0))
 def test_truncated_identity_inside(v):
-    assert cubic_truncated(v, 10.0, P4) == cubic(v, P4)
+    assert nonlinearity(v, P4_M10) == cubic(v, P4)
 
 
 def test_truncated_hand_value():
-    # value 540 and slope 204 at v=10, extended one unit
-    assert cubic_truncated(11.0, 10.0, P4) == pytest.approx(744.0, abs=1e-12)
+    # value 540 and slope 204 at v=10, extended one unit; -1540 and 404 at -10
+    assert nonlinearity(11.0, P4_M10) == pytest.approx(744.0, abs=1e-12)
+    assert nonlinearity(-11.0, P4_M10) == pytest.approx(-1944.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("edge", [-10.0, 10.0])
 def test_truncated_c1_at_edges(edge):
     h = 1e-4
-    f = lambda v: cubic_truncated(v, 10.0, P4)
+    f = lambda v: nonlinearity(v, P4_M10)
     # value continuity: one-sided increments shrink with the step
     assert abs(f(edge + h) - f(edge)) < 1e3 * h
     # derivative continuity: second-order one-sided differences agree to
@@ -56,23 +60,54 @@ def test_truncated_c1_at_edges(edge):
 
 
 def test_truncated_rejects_bad_level():
-    with pytest.raises(ValueError):
-        cubic_truncated(0.0, -1.0, P4)
-    with pytest.raises(ValueError):
-        ModelParams(lam=4.0, truncation=0.0)
+    for level in (0.0, -1.0):
+        with pytest.raises(ValueError, match="truncation level must be > 0"):
+            ModelParams(lam=4.0, truncation=level)
 
 
 @pytest.mark.parametrize("M", [3.5, 10.0])
 def test_truncated_scalar_path_has_the_bits_of_the_array_path(M):
+    p = ModelParams(lam=4.0, truncation=M)
     values = [M, -M, np.nextafter(M, 0.0), np.nextafter(-M, 0.0),
               np.nextafter(M, np.inf), np.nextafter(-M, -np.inf),
-              0.0, 1e3, -1e3, np.nan]
-    array = cubic_truncated(np.array(values), M, P4)
+              0.0, -0.0, 1e3, -1e3, np.nan]
+    array = nonlinearity(np.array(values), p)
     for v, want in zip(values, array):
         for scalar in (float(v), np.float64(v)):
-            got = cubic_truncated(scalar, M, P4)
+            got = nonlinearity(scalar, p)
             assert type(got) is float
-            assert got.hex() == float(want).hex(), v
+            if v == 0.0 and np.signbit(v):
+                # the array path adds cubic'(-0.0) * (v - v) = lam * 0.0 to
+                # cubic(-0.0) = -0.0, and -0.0 + 0.0 is +0.0
+                assert got.hex() == "-0x0.0p+0" and float(want).hex() == "0x0.0p+0"
+            else:
+                assert got.hex() == float(want).hex(), v
+    # at lam < 1 the cubic of the least negative subnormal underflows to -0.0
+    small_lam = ModelParams(lam=0.3, truncation=M)
+    assert nonlinearity(-5e-324, small_lam).hex() == "-0x0.0p+0"
+    assert nonlinearity(np.array([-5e-324]), small_lam)[0].hex() == "0x0.0p+0"
+
+
+@pytest.mark.parametrize("truncation", [None, 2.5])
+def test_every_level_takes_the_uncoupled_drift_bit_for_bit(truncation):
+    p = ModelParams(a=0.3, b=0.1, lam=4.0, i_ext=0.7, epsilon=0.05, truncation=truncation)
+    rng = np.random.default_rng(5)
+    v, x = rng.uniform(-6.0, 6.0, 400), rng.uniform(-3.0, 3.0, 400)
+    f = uncoupled_drift(v, x, p)
+    assert np.array_equal(f, -nonlinearity(v, p) + p.i_ext - x)
+    assert np.array_equal(voltage_drift(v, x, 0.4, p), f + (0.4 - v) / p.epsilon)
+    assert [limit_rhs(LimitState(0.0, a, b), p)[0] for a, b in zip(v, x)] == f.tolist()
+
+    g = Grid(-6.0, 6.0, -3.0, 3.0, 24, 16)
+    vc, xc = g.v_centers()[None, :], g.x_centers()[:, None]
+    rest = (2.0 * (1.0 / g.dv ** 2 + p.epsilon / g.dx ** 2)
+            + np.abs(p.a * xc - p.b * vc) / g.dx)
+    y = (uncoupled_drift(vc, xc, p) - vc / p.epsilon) / g.dv
+    (big_a, _), (big_b, _), _ = fokker_planck._cfl_terms(g, p)
+    assert (big_a, big_b) == ((rest + y).max(), (rest - y).max())
+    kernel = fokker_planck._UpwindKernel(g, p, 1e-4)
+    vf = np.append(g.v_faces_interior(), g.v_max)
+    assert np.array_equal(kernel._drift_v, uncoupled_drift(vf[None, :], xc, p).reshape(-1))
 
 
 def test_voltage_drift_zero():
@@ -105,7 +140,7 @@ def test_voltage_drift_affine(v, x, vbar, h):
 
 def test_voltage_drift_uses_truncation():
     p = ModelParams(truncation=2.0)
-    expected = -cubic_truncated(5.0, 2.0, p) + p.i_ext - 0.0
+    expected = -nonlinearity(5.0, p) + p.i_ext - 0.0
     assert voltage_drift(5.0, 0.0, 5.0, p) == pytest.approx(expected)
 
 
@@ -115,6 +150,14 @@ def test_voltage_drift_uses_truncation():
 def test_params_validation(bad):
     with pytest.raises(ValueError):
         ModelParams(**bad)
+
+
+@pytest.mark.parametrize("field, bad", [
+    (field, bad) for field in ("a", "b", "lam", "i_ext", "sigma", "epsilon", "truncation")
+    for bad in ("1", 1j, [1.0], None) if not (field == "truncation" and bad is None)])
+def test_params_reject_what_is_not_a_real_number(field, bad):
+    with pytest.raises(TypeError, match=f"^{field} must be a real number"):
+        ModelParams(**{field: bad})
 
 
 @pytest.mark.parametrize("bad", [np.float32("nan"), np.float32("inf"), np.float16("-inf")])

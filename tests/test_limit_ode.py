@@ -198,6 +198,8 @@ def test_rk4_validation():
     p = ModelParams()
     with pytest.raises(ValueError):
         rk4_integrate(LimitState(0, 0, 0), p, -0.1, 1.0)
+    with pytest.raises(ValueError, match="record_stride must be >= 1"):
+        rk4_integrate(LimitState(0, 0, 0), p, 0.1, 1.0, record_stride=0)
 
 
 def test_monic_coefficients():

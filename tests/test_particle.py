@@ -567,3 +567,16 @@ def test_stationary_voltage_variance_has_no_step_bias():
     assert ratio == pytest.approx(exact, abs=0.01)
     assert em_ratio == pytest.approx(em_bias, abs=0.01)
     assert abs(ratio - 1.0) < abs(em_ratio - 1.0)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(n=0), "n must be >= 1"),
+    (dict(record_stride=0), "record_stride must be >= 1"),
+    (dict(t_end=-1.0), "t_end must be finite and >= 0"),
+    (dict(dt=0.0), "dt must be finite and > 0"),
+    (dict(dt=-1e-3), "dt must be finite and > 0"),
+])
+def test_sim_config_rejects_bad_settings(bad, match):
+    # t_end and dt are checked by core.time_steps, the step rule of every level
+    with pytest.raises(ValueError, match=match):
+        SimConfig(**{"n": 10, "t_end": 1.0, **bad})
