@@ -3,12 +3,13 @@ limit-cycle detection through a Poincare return map.
 
 The regime follows the equilibria found, the real roots of the equilibrium
 cubic: three give Bistable, two (a double root) a saddle-node, and a single
-one is stable for T < 0 and surrounded by an attracting cycle for T > 0,
-with T the Jacobian trace there,
+one is stable for T < 0 and surrounded by an attracting cycle for T > 0.
+At an equilibrium the limit system's Jacobian, its trace and determinant are
 
-    T(v*) = -3 v*^2 + 2 (1+lam) v* - lam - a.
+    [[-N0'(v*), -1], [b, -a]],   T = -N0'(v*) - a,   D = a N0'(v*) + b,
 
-A Hopf point sits at T = 0.  The cubic's discriminant
+with N0' = core.cubic_prime, evaluated once per equilibrium; the -a is the
+relaxing adaptation's.  A Hopf point sits at T = 0.  The cubic's discriminant
 
     Delta = -27 I^2 + 18 (1+lam) q I - 4 q^3 - 4 (1+lam)^3 I + (1+lam)^2 q^2
     with q = lam + b/a and I = i_ext
@@ -17,8 +18,7 @@ is reported, and |Delta| <= DEGENERACY_TOL only marks the saddle-node band.
 Bistable counts equilibria and does not promise that two of them are
 stable: at (a, b, lam, I) = (0.03, 0.09, 4, 2.5) all three are unstable
 inside a cycle of period 136.5.  Each equilibrium's label carries its own
-stability.  Note the -a in T: it is the trace of [[-N0'(v*), -1], [b, -a]],
-the linearization of the limit system with relaxing adaptation.
+stability.
 """
 
 from __future__ import annotations
@@ -91,21 +91,18 @@ def discriminant(p: ModelParams) -> float:
 
 
 def trace_at(vstar: float, p: ModelParams) -> float:
-    """Jacobian trace at the equilibrium (v*, (b/a) v*)."""
-    return -3.0 * vstar ** 2 + 2.0 * (1.0 + p.lam) * vstar - p.lam - p.a
-
-
-def determinant_at(vstar: float, p: ModelParams) -> float:
-    """Jacobian determinant a*N0'(v*) + b at the equilibrium."""
-    return p.a * cubic_prime(vstar, p) + p.b
+    """Jacobian trace -N0'(v*) - a at the equilibrium (v*, (b/a) v*), with
+    the bits of classify's trace."""
+    return -cubic_prime(vstar, p) - p.a
 
 
 def _equilibrium_info(v: float, x: float, p: ModelParams) -> EquilibriumInfo:
     """The Jacobian's trace, determinant and eigenvalue pair at (v, x), and
     the stability label of the pair's larger real part, which the trace and
     the discriminant give directly."""
-    trace = trace_at(v, p)
-    det = determinant_at(v, p)
+    slope = cubic_prime(v, p)
+    trace = -slope - p.a
+    det = p.a * slope + p.b
     disc = trace * trace - 4.0 * det
     if disc >= 0.0:
         s = math.sqrt(disc)

@@ -354,8 +354,8 @@ def _finish(cfg: ExperimentConfig, t0: float, results: dict, dt: float,
     if final_mean_v is not None:
         results["nearest_equilibrium_distance"] = float(min(
             abs(final_mean_v - e.v) for e in report.equilibria))
-    cfg = replace(cfg, sim=replace(cfg.sim, dt=dt))
     config = cfg.to_dict()
+    config["sim"]["dt"] = dt
     summary = {
         "version": __version__,
         "model": cfg.model,

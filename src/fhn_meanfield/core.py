@@ -11,9 +11,10 @@ variable relaxes as dx = (-a*x + b*v) dt.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -36,12 +37,26 @@ class BlowUpError(RuntimeError):
 
 
 def require_finite(obj) -> None:
-    """Reject a dataclass instance with a field that is nan or +-inf: a
-    Python float or a numpy float of any precision (integers are finite)."""
-    for name in obj.__dataclass_fields__:
+    """The field rule of the parameter dataclasses: a field annotated float
+    holds a finite real number (a Python or numpy float or integer), one
+    annotated int an integer, and None only where its default is None.
+    Raises TypeError or ValueError naming the field; values are kept."""
+    for name, integer, optional in _number_fields(type(obj)):
         value = getattr(obj, name)
-        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        if isinstance(value, (float, np.floating)) and not integer:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        elif not (isinstance(value, (int, np.integer)) or value is None and optional):
+            kind = "an integer" if integer else "a real number"
+            raise TypeError(f"{name} must be {kind}, got {value!r}")
+
+
+@functools.cache
+def _number_fields(cls) -> tuple[tuple[str, bool, bool], ...]:
+    """(name, annotated int, default None) of each number field of cls."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name] in (int, int | None), f.default is None)
+                 for f in fields(cls) if hints[f.name] in (float, int, float | None, int | None))
 
 
 # Most steps a run may take: a billion steps of the smallest ensemble
@@ -50,8 +65,8 @@ MAX_STEPS = 10 ** 9
 
 
 def time_steps(t_end: float, dt: float) -> tuple[int, float]:
-    """The number of steps and the step of a run over [0, t_end] whose step
-    is at most dt.
+    """The number of steps and the step, a float, of a run over [0, t_end]
+    whose step is at most dt.
 
     dt is kept bit for bit when it divides t_end to a relative 1e-9;
     otherwise the step is t_end/ceil(t_end/dt).  A run with t_end > 0 takes
@@ -67,9 +82,9 @@ def time_steps(t_end: float, dt: float) -> tuple[int, float]:
                          f"{MAX_STEPS:.0e} steps")
     n = round(t_end / dt)
     if abs(n * dt - t_end) <= 1e-9 * t_end:
-        return n, dt
+        return n, float(dt)
     n = max(1, math.ceil(t_end / dt))
-    return n, t_end / n
+    return n, float(t_end) / n
 
 
 @dataclass(frozen=True)
@@ -82,7 +97,7 @@ class ModelParams:
     equation.  adaptation_noise switches the sqrt(2*epsilon) diffusion on
     the recovery variable.  truncation, when set, activates the
     tangent-line drift outside [-M, M].  The others are real numbers, kept
-    as given (TypeError otherwise).
+    as given (require_finite).
     """
 
     a: float = 0.3
@@ -95,11 +110,6 @@ class ModelParams:
     truncation: float | None = None
 
     def __post_init__(self):
-        for name in ("a", "b", "lam", "i_ext", "sigma", "epsilon", "truncation"):
-            value = getattr(self, name)
-            if not (isinstance(value, (float, int, np.floating, np.integer))
-                    or value is None and name == "truncation"):
-                raise TypeError(f"{name} must be a real number, got {value!r}")
         require_finite(self)
         if not self.a > 0:
             raise ValueError(f"a must be > 0, got {self.a}")

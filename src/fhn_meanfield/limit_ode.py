@@ -88,9 +88,6 @@ def rk4_integrate(s0: LimitState, p: ModelParams, dt: float, t_end: float,
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
     n_steps, dt = time_steps(t_end, dt)
-    # a float step, like LimitState's floats, keeps numpy scalars out of
-    # every stage; float() of a numpy double is exact
-    dt = float(dt)
     alpha, beta = s0.alpha, s0.beta
     times = [s0.t]
     alphas = [alpha]

@@ -3,8 +3,8 @@
 Every preset pins all of its fields; horizons, time steps, and initial
 clusters are choices made here and echoed in run summaries.  fig2 and fig3
 carry the fig1 parameter set except where stated.  Presets whose natural
-starting point is an equilibrium (fig4, fig5) are seeded at the computed
-equilibrium of the limit system.
+starting point is an equilibrium (fig4, fig5) are seeded at the limit
+system's only equilibrium, and fail to load if it has several.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ def _fig1() -> Preset:
 
 
 def _fig2(a: float = 0.3, i_ext: float = 0.0, name: str = "fig2",
-          extra_notes: tuple[str, ...] = ()) -> Preset:
+          where: str = "on either side of the separatrix between the two "
+                       "stable equilibria") -> Preset:
     runs = []
     for eps_inv in (10, 50, 100):
         for v0 in (1.2, 1.35):
@@ -83,25 +84,19 @@ def _fig2(a: float = 0.3, i_ext: float = 0.0, name: str = "fig2",
     return Preset(
         name=name,
         notes=(
-            "two clusters started at (1.2, 1) and (1.35, 1), on either side "
-            "of the separatrix between the two stable equilibria",
+            "two clusters started at (1.2, 1) and (1.35, 1), " + where,
             "lambda=4, b=0.1 and sigma=1 as in fig1; i_ext=%g" % i_ext,
             "t_end=20, the default dt and records 0.05 apart are choices of "
             "this preset",
-        ) + extra_notes,
+        ),
         runs=tuple(runs))
 
 
 def _fig3() -> Preset:
-    return _fig2(a=0.03, i_ext=4.0, name="fig3", extra_notes=(
-        "same layout as fig2 with a=0.03 and i_ext=4; the unique "
-        "equilibrium is a weakly damped focus, so the finite network "
-        "shows noise-sustained oscillations around it",))
-
-
-def _equilibrium_point(p: ModelParams) -> tuple[float, float]:
-    eqs = equilibria(p)
-    return eqs[0] if len(eqs) == 1 else eqs[-1]
+    return _fig2(a=0.03, i_ext=4.0, name="fig3", where=(
+        "as in fig2; at a=0.03 the limit system's one equilibrium is a "
+        "stable node at (v, x) = (3, 10), eigenvalues -0.883 and -0.147, "
+        "and both relax toward it"))
 
 
 def _fig4() -> Preset:
@@ -109,7 +104,7 @@ def _fig4() -> Preset:
     for i0 in (5.0, 5.4, 5.7):
         p = ModelParams(a=0.01, b=0.1, lam=4.0, i_ext=i0, sigma=1.0,
                         epsilon=0.01, adaptation_noise=True)
-        v0, x0 = _equilibrium_point(p)
+        (v0, x0), = equilibria(p)  # the only one
         runs.append(PresetRun(
             label=f"i{i0:g}",
             params=p,
@@ -134,7 +129,7 @@ def _fig5() -> Preset:
     for i0 in (5.534, 5.5349):
         p = ModelParams(a=0.005, b=0.05, lam=4.0, i_ext=i0, sigma=0.5,
                         epsilon=1.0 / 220.0, adaptation_noise=True)
-        v0, x0 = _equilibrium_point(p)
+        (v0, x0), = equilibria(p)  # the only one
         runs.append(PresetRun(
             label=f"i{i0:g}",
             params=p,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from fhn_meanfield.bifurcation import (BISTABLE, CYCLE_DT, DEGENERACY_TOL,
                                        MONOSTABLE_STABLE, OSCILLATORY,
                                        CycleDetectionError, classify,
                                        detect_limit_cycle, discriminant, trace_at)
-from fhn_meanfield.core import BlowUpError, ModelParams, cubic
+from fhn_meanfield.core import BlowUpError, ModelParams, cubic, cubic_prime
 from fhn_meanfield.limit_ode import (LimitState, equilibria, limit_rhs, rk4_integrate,
                                      rk4_step)
 
@@ -228,6 +230,39 @@ def test_labels_follow_the_larger_real_part_of_the_eigenvalues(p):
         top = max(z.real for z in e.eigenvalues)
         assert e.label == ("stable" if top < -tol else "unstable" if top > tol else "marginal")
         assert sum(e.eigenvalues).real == pytest.approx(e.trace, abs=1e-9 * (1 + abs(e.trace)))
+
+
+@given(params_strategy)
+@settings(max_examples=300, deadline=None)
+def test_trace_and_determinant_read_one_slope_of_the_cubic(p):
+    for e in classify(p).equilibria:
+        assert e.trace == -cubic_prime(e.v, p) - p.a
+        assert e.det == p.a * cubic_prime(e.v, p) + p.b
+        assert trace_at(e.v, p) == e.trace
+
+
+def _written_out_trace_and_label(v, p):
+    # the label from the trace as it was once written out, -3 v^2 + 2 (1 + lam) v
+    # - lam - a, whose last bit can differ from -N0'(v) - a's
+    tr = -3.0 * v ** 2 + 2.0 * (1.0 + p.lam) * v - p.lam - p.a
+    disc = tr * tr - 4.0 * (p.a * cubic_prime(v, p) + p.b)
+    top = (tr + math.sqrt(disc)) / 2.0 if disc >= 0.0 else tr / 2.0
+    tol = bifurcation.DEGENERACY_TOL
+    return tr, "stable" if top < -tol else "unstable" if top > tol else "marginal"
+
+
+def test_labels_and_regimes_match_the_written_out_trace_on_the_regime_scan_rectangle():
+    tol = bifurcation.DEGENERACY_TOL
+    for lam in np.linspace(2.0, 6.0, 96):
+        for i_ext in np.linspace(-2.0, 6.0, 96):
+            p = ModelParams(a=0.3, b=0.1, lam=float(lam), i_ext=float(i_ext))
+            rep = classify(p)
+            written = [_written_out_trace_and_label(e.v, p) for e in rep.equilibria]
+            assert [e.label for e in rep.equilibria] == [label for _, label in written], p
+            if rep.regime in (MONOSTABLE_STABLE, OSCILLATORY, DEGENERATE_HOPF):
+                tr = written[0][0]
+                assert rep.regime == (DEGENERATE_HOPF if abs(tr) <= tol
+                                      else MONOSTABLE_STABLE if tr < 0.0 else OSCILLATORY), p
 
 
 def test_reports_are_immutable():

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from fhn_meanfield import cli, presets
+from fhn_meanfield.bifurcation import MONOSTABLE_STABLE, classify
 from fhn_meanfield.cli import main
 from fhn_meanfield.core import time_steps
 from fhn_meanfield.fokker_planck import stable_dt
-from fhn_meanfield.limit_ode import LimitState, rk4_integrate
+from fhn_meanfield.limit_ode import LimitState, equilibria, rk4_integrate
 from fhn_meanfield.particle import default_dt, simulate
 
 FAST_NET = ["--n", "64", "--t-end", "0.2", "--dt", "1e-3", "--epsilon", "0.05",
@@ -380,6 +381,40 @@ def test_every_preset_run_keeps_its_step_count_and_step():
         for r in presets.load(name).runs:
             dt = r.sim.dt if r.sim.dt is not None else default_dt(r.params)
             assert time_steps(r.sim.t_end, dt) == (round(r.sim.t_end / dt), dt), r.label
+
+
+def test_fig3_notes_state_its_classification():
+    fig3 = presets.load("fig3")
+    notes = " ".join(fig3.notes)
+    for r in fig3.runs:
+        rep = classify(r.params)
+        (e,) = rep.equilibria
+        low, high = sorted(z.real for z in e.eigenvalues)
+        assert rep.regime == MONOSTABLE_STABLE and (e.v, e.x) == pytest.approx((3.0, 10.0))
+        assert (f"stable node at (v, x) = (3, 10), eigenvalues {low:.3f} and {high:.3f}"
+                in notes)
+    assert "separatrix" not in notes and "focus" not in notes
+
+
+def test_fig4_and_fig5_start_at_their_only_equilibrium(monkeypatch):
+    for name in ("fig4", "fig5"):
+        for r in presets.load(name).runs:
+            assert [(r.init.mean_v, r.init.mean_x)] == equilibria(r.params), r.label
+    monkeypatch.setattr(presets, "equilibria", lambda p: [(0.0, 0.0), (1.0, 0.1), (2.0, 0.2)])
+    for name in ("fig4", "fig5"):
+        with pytest.raises(ValueError):  # several equilibria: no start is picked
+            presets.load(name)
+
+
+def test_a_run_checks_its_output_directory_once(tmp_path, monkeypatch):
+    checked = []
+    real = cli._non_directory
+    monkeypatch.setattr(cli, "_non_directory", lambda path: checked.append(path) or real(path))
+    assert run(["simulate-ode", "--t-end", "0.1", "--dt", "0.05", "--out", str(tmp_path),
+                "--label", "o"]) == 0
+    summary = json.loads((tmp_path / "o_summary.json").read_text())
+    assert summary["config"]["sim"]["dt"] == 0.05
+    assert checked == [tmp_path]
 
 
 @pytest.mark.parametrize("argv", [

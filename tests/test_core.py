@@ -9,6 +9,7 @@ from fhn_meanfield.core import (InitCondition, ModelParams, cubic, cubic_prime,
                                 time_steps, uncoupled_drift, voltage_drift)
 from fhn_meanfield.fokker_planck import Grid
 from fhn_meanfield.limit_ode import LimitState, limit_rhs
+from fhn_meanfield.particle import SimConfig
 
 P4 = ModelParams(lam=4.0)
 P4_M10 = ModelParams(lam=4.0, truncation=10.0)
@@ -160,6 +161,34 @@ def test_params_reject_what_is_not_a_real_number(field, bad):
         ModelParams(**{field: bad})
 
 
+@pytest.mark.parametrize("make, field, kind", [
+    (lambda: InitCondition(mean_v="1"), "mean_v", "a real number"),
+    (lambda: InitCondition(mean_x=None), "mean_x", "a real number"),
+    (lambda: InitCondition(concentration="0.3"), "concentration", "a real number"),
+    (lambda: SimConfig(n=10.5, t_end=0.1), "n", "an integer"),
+    (lambda: SimConfig(n=10, t_end="1"), "t_end", "a real number"),
+    (lambda: SimConfig(n=10, t_end=1.0, dt="0.1"), "dt", "a real number"),
+    (lambda: SimConfig(n=10, t_end=1.0, seed=1.5), "seed", "an integer"),
+    (lambda: SimConfig(n=10, t_end=1.0, record_stride=None), "record_stride", "an integer"),
+    (lambda: Grid(-1, 1, -1, 1, 16.5, 16), "nv", "an integer"),
+    (lambda: Grid(-1, 1, -1, 1, 16, np.float64(16)), "nx", "an integer"),
+    (lambda: Grid(-1, 1, "-1", 1, 16, 16), "x_min", "a real number"),
+], ids=["init-mean_v", "init-mean_x", "init-concentration", "sim-n", "sim-t_end",
+        "sim-dt", "sim-seed", "sim-record_stride", "grid-nv", "grid-nx", "grid-x_min"])
+def test_parameter_classes_reject_a_field_of_the_wrong_type(make, field, kind):
+    with pytest.raises(TypeError, match=f"^{field} must be {kind}, got"):
+        make()
+
+
+def test_parameter_classes_keep_numpy_and_integer_numbers_as_given():
+    cfg = SimConfig(n=np.int64(10), t_end=np.float32(1.0), seed=np.uint64(3), record_stride=2)
+    grid = Grid(np.float64(-1.0), 1, -1, 1.0, np.int32(16), 16)
+    init = InitCondition(mean_v=np.float16(1.0), mean_x=2)
+    assert (type(cfg.n), type(cfg.t_end), type(cfg.seed)) == (np.int64, np.float32, np.uint64)
+    assert (type(grid.v_min), type(grid.v_max), type(grid.nv)) == (np.float64, int, np.int32)
+    assert (type(init.mean_v), type(init.mean_x)) == (np.float16, int)
+
+
 @pytest.mark.parametrize("bad", [np.float32("nan"), np.float32("inf"), np.float16("-inf")])
 @pytest.mark.parametrize("make", [
     lambda bad: ModelParams(lam=bad),
@@ -245,6 +274,16 @@ def test_time_steps_bound_the_step_and_end_at_the_horizon(t_end, dt, m):
         assert abs(n * step - t_end) <= 4 * np.finfo(float).eps * t_end
     assert time_steps(t_end, step) == (n, step)
     assert time_steps(t_end, t_end / m) == (m, t_end / m)  # a dividing step is kept
+
+
+@pytest.mark.parametrize("kind", [np.float64, np.float32, int])
+def test_time_steps_return_a_float_step(kind):
+    for t_end, dt in ((2, 1), (3, 2), (6, 4)):  # a kept step, then two shrunk ones
+        n, step = time_steps(kind(t_end), kind(dt))
+        assert type(step) is float
+        assert (n, step) == time_steps(float(t_end), float(dt))
+    n, step = time_steps(kind(1), 0.15)
+    assert type(step) is float and (n, step) == (7, 1.0 / 7)
 
 
 def test_time_steps_edge_cases():
