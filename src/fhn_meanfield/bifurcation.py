@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import BlowUpError, ModelParams, cubic_prime, uncoupled_drift
+from .core import BlowUpError, ModelParams, cubic_prime, time_steps, uncoupled_drift
 from .limit_ode import LimitState, equilibria, equilibrium_cubic_coeffs, rk4_step
 
 BISTABLE = "Bistable"
@@ -166,17 +166,17 @@ def detect_limit_cycle(p: ModelParams, s0: LimitState, *,
     ranges rule out a weakly damped focus, whose return times agree while
     its laps shrink.  Returns None if the state stops moving (displacement
     below CYCLE_CONVERGENCE_TOL over one time unit, probed every 26 units).
-    Raises CycleDetectionError if neither happens within max_time time
-    units of s0; no step goes past max_time.  Raises BlowUpError if the
-    state is non-finite when a probe finds it still or the budget runs out.
-    A max_time that is not finite and > 0 raises ValueError.
+    Raises CycleDetectionError if neither happens in the steps
+    core.time_steps(max_time, CYCLE_DT), the last ending max_time after s0.
+    Raises BlowUpError if the state is non-finite when a probe finds it
+    still or the budget runs out, and ValueError if max_time is not finite
+    and > 0 or takes more than core.MAX_STEPS steps.
     """
     if not 0.0 < max_time < math.inf:
         raise ValueError(f"max_time must be finite and > 0, got {max_time}")
-    dt = CYCLE_DT
+    n_steps, dt = time_steps(max_time, CYCLE_DT)
     eqs = equilibria(p)
     midline = len(eqs) > 1
-    n_steps = int(max_time / dt + 1e-9)  # whole steps within max_time
     probe_steps = int(round(1.0 / dt))
     chunk_steps = int(round(26.0 / dt))  # a stationarity probe opens every chunk
 

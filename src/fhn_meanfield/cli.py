@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from . import presets as presets_mod
-from .bifurcation import (CycleDetectionError, classify, detect_limit_cycle,
+from .bifurcation import (CYCLE_DT, CycleDetectionError, classify, detect_limit_cycle,
                           discriminant, report_to_dict)
 from .core import (GAUSSIAN_CLUSTER, BlowUpError, InitCondition, ModelParams,
                    check_concentration, time_steps)
@@ -372,9 +372,9 @@ def _finish(cfg: ExperimentConfig, t0: float, results: dict, dt: float,
 
 
 def reference_trajectory(cfg: ExperimentConfig, alpha: float, beta: float, dt: float):
-    """The limit system from (alpha, beta) at t = 0 to the run's horizon with
-    step dt and the run's record stride; at the step an ensemble took it
-    records the ensemble's times exactly."""
+    """The limit system from (alpha, beta) at t = 0 to the run's horizon in
+    steps of at most dt (core.time_steps) and the run's record stride; at an
+    ensemble's step it records the ensemble's times exactly."""
     s0 = LimitState(t=0.0, alpha=alpha, beta=beta)
     return rk4_integrate(s0, cfg.params, dt, cfg.sim.t_end,
                          record_stride=cfg.sim.record_stride)
@@ -438,15 +438,15 @@ def run_pde(cfg: ExperimentConfig) -> dict:
 
 def run_ode(cfg: ExperimentConfig) -> dict:
     t0 = time.perf_counter()
-    _, dt = time_steps(cfg.sim.t_end, ODE_DT if cfg.sim.dt is None else cfg.sim.dt)
-    traj = reference_trajectory(cfg, cfg.init.mean_v, cfg.init.mean_x, dt)
+    traj = reference_trajectory(cfg, cfg.init.mean_v, cfg.init.mean_x,
+                                ODE_DT if cfg.sim.dt is None else cfg.sim.dt)
     _write_csv(cfg.out_dir / f"{cfg.label}_ode.csv",
                [("t", traj.t), ("alpha", traj.alpha), ("beta", traj.beta)])
 
     return _finish(cfg, t0, {
         "final_alpha": float(traj.alpha[-1]),
         "final_beta": float(traj.beta[-1]),
-    }, dt)
+    }, traj.dt)
 
 
 def run_compare(cfg: ExperimentConfig) -> dict:
@@ -514,6 +514,10 @@ def _cmd_classify(args) -> int:
 def _cmd_detect_cycle(args) -> int:
     if not 0.0 < args.max_time < float("inf"):
         raise ConfigError(f"--max-time must be finite and > 0, got {args.max_time}")
+    try:
+        time_steps(args.max_time, CYCLE_DT)  # the search's step count
+    except ValueError as err:
+        raise ConfigError(f"--max-time: {err}") from err
     cfg = resolve_config(args, args.model)
     report = classify(cfg.params)
     s0 = LimitState(t=0.0, alpha=cfg.init.mean_v, beta=cfg.init.mean_x)

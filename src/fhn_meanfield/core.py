@@ -39,24 +39,29 @@ class BlowUpError(RuntimeError):
 def require_finite(obj) -> None:
     """The field rule of the parameter dataclasses: a field annotated float
     holds a finite real number (a Python or numpy float or integer), one
-    annotated int an integer, and None only where its default is None.
-    Raises TypeError or ValueError naming the field; values are kept."""
-    for name, integer, optional in _number_fields(type(obj)):
+    annotated int an integer, one annotated bool a Python or numpy bool,
+    and None only where its default is None.  Raises TypeError or
+    ValueError naming the field; values are kept."""
+    for name, real, accepted, expected, optional in _typed_fields(type(obj)):
         value = getattr(obj, name)
-        if isinstance(value, (float, np.floating)) and not integer:
+        if real and isinstance(value, (float, np.floating)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        elif not (isinstance(value, (int, np.integer)) or value is None and optional):
-            kind = "an integer" if integer else "a real number"
-            raise TypeError(f"{name} must be {kind}, got {value!r}")
+        elif not (isinstance(value, accepted) or value is None and optional):
+            raise TypeError(f"{name} must be {expected}, got {value!r}")
 
 
 @functools.cache
-def _number_fields(cls) -> tuple[tuple[str, bool, bool], ...]:
-    """(name, annotated int, default None) of each number field of cls."""
+def _typed_fields(cls) -> tuple[tuple[str, bool, tuple, str, bool], ...]:
+    """(name, annotated float, the other types accepted, what is expected,
+    default None) of each field of cls annotated float or int (or None) or bool."""
+    real = (True, (int, np.integer), "a real number")
+    integer = (False, (int, np.integer), "an integer")
+    rules = {float: real, float | None: real, int: integer, int | None: integer,
+             bool: (False, (bool, np.bool_), "a bool")}
     hints = get_type_hints(cls)
-    return tuple((f.name, hints[f.name] in (int, int | None), f.default is None)
-                 for f in fields(cls) if hints[f.name] in (float, int, float | None, int | None))
+    return tuple((f.name, *rules[hints[f.name]], f.default is None)
+                 for f in fields(cls) if hints[f.name] in rules)
 
 
 # Most steps a run may take: a billion steps of the smallest ensemble
@@ -209,6 +214,8 @@ class InitCondition:
             raise ValueError(f"unknown init kind {self.kind!r}, expected one of {INIT_KINDS}")
         if self.kind == CUSTOM_SAMPLER and self.sampler is None:
             raise ValueError("custom init kind requires a sampler callable")
+        if not (self.sampler is None or callable(self.sampler)):
+            raise TypeError(f"sampler must be callable, got {self.sampler!r}")
 
 
 def init_variance(cond: InitCondition, p: ModelParams) -> float:

@@ -40,6 +40,7 @@ class LimitTrajectory:
     t: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
+    dt: float  # the step taken
 
     def __len__(self) -> int:
         return self.t.size
@@ -101,7 +102,7 @@ def rk4_integrate(s0: LimitState, p: ModelParams, dt: float, t_end: float,
             times.append(t)
             alphas.append(alpha)
             betas.append(beta)
-    return LimitTrajectory(np.asarray(times), np.asarray(alphas), np.asarray(betas))
+    return LimitTrajectory(np.asarray(times), np.asarray(alphas), np.asarray(betas), dt)
 
 
 def equilibrium_cubic_coeffs(p: ModelParams) -> tuple[float, float, float]:

@@ -90,10 +90,12 @@ class SimConfig:
         time_steps(self.t_end, DEFAULT_DT if self.dt is None else self.dt)
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
-        if not self.quantile_fractions or not all(
-                0.0 <= q <= 1.0 for q in self.quantile_fractions):
-            raise ValueError("quantile fractions must be a non-empty list in [0, 1], "
-                             f"got {self.quantile_fractions}")
+        qs = self.quantile_fractions
+        if not (isinstance(qs, (tuple, list)) and all(
+                isinstance(q, (float, int, np.floating, np.integer)) for q in qs)):
+            raise TypeError(f"quantile_fractions must be a list of real numbers, got {qs!r}")
+        if not qs or not all(0.0 <= q <= 1.0 for q in qs):
+            raise ValueError(f"quantile fractions must be a non-empty list in [0, 1], got {qs}")
 
 
 @dataclass(frozen=True)
@@ -351,7 +353,6 @@ def simulate(cfg: SimConfig, p: ModelParams, init: InitCondition) -> TrajectoryR
     once (_Stepper.scale), then stepped through.
     """
     n_steps, dt = time_steps(cfg.t_end, cfg.dt if cfg.dt is not None else default_dt(p))
-    stride = cfg.record_stride
     stream = NoiseStream(cfg.seed)
     state = sample_initial(init, cfg.n, p, stream.block(0))
 
@@ -361,24 +362,21 @@ def simulate(cfg: SimConfig, p: ModelParams, init: InitCondition) -> TrajectoryR
     ordered = np.empty_like(s)
     plan = _quantile_plan(n, cfg.quantile_fractions)
 
-    n_records = 1 + n_steps // stride + (n_steps % stride != 0)
-    times = np.zeros(n_records)
-    stats = np.empty((6, n_records))
-    quants = np.empty((2, n_records, len(cfg.quantile_fractions)))
+    times, stats, quants = [], [], []
 
-    def record(row: int, sums: np.ndarray) -> None:
-        stats[:, row] = np.concatenate(_moments(s, sums, ordered))
+    def record(t: float, sums: np.ndarray) -> None:
+        times.append(t)
+        stats.append(np.concatenate(_moments(s, sums, ordered)))
         np.copyto(ordered, s)
         ordered.sort(axis=1)
-        quants[:, row] = _interpolate(ordered, plan)
+        quants.append(_interpolate(ordered, plan))
 
     rng = stream.block(1)
     per_block = max(1, min(n_steps, NOISE_BLOCK_NORMALS // (stepper.rows * n)))
     block = np.empty((per_block, stepper.rows, n))
     sums = np.add.reduce(s, axis=1)
-    record(0, sums)
-    row = 1
     t = 0.0
+    record(t, sums)
     k = 0
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -390,17 +388,17 @@ def simulate(cfg: SimConfig, p: ModelParams, init: InitCondition) -> TrajectoryR
                     k += 1
                     t = cfg.t_end if k == n_steps else k * dt
                     sums = stepper.finite_sums(t)
-                    if k % stride == 0 or k == n_steps:
-                        times[row] = t
-                        record(row, sums)
-                        row += 1
+                    if k % cfg.record_stride == 0 or k == n_steps:
+                        record(t, sums)
     except BlowUpError as err:
         raise BlowUpError(
             f"{err} [n={cfg.n}, seed={cfg.seed}, t_end={cfg.t_end}]",
             t=err.t, index=err.index) from None
 
+    stats = np.stack(stats, axis=1)
+    quants = np.ascontiguousarray(np.stack(quants, axis=1))  # quantile rows are strided
     return TrajectoryRecord(
-        t=times, mean_v=stats[0], mean_x=stats[1], var_v=stats[2],
+        t=np.array(times, dtype=float), mean_v=stats[0], mean_x=stats[1], var_v=stats[2],
         var_x=stats[3], m4_v=stats[4], m4_x=stats[5],
         quantiles_v=quants[0], quantiles_x=quants[1],
         quantile_fractions=tuple(cfg.quantile_fractions), dt=dt,

@@ -32,26 +32,32 @@ class Preset:
     runs: tuple[PresetRun, ...]
 
 
-def _stride_for(dt: float, spacing: float = 0.05) -> int:
-    """Steps between records that are spacing apart in time."""
-    return max(1, int(round(spacing / dt)))
+def _run(label: str, params: ModelParams, init: InitCondition, n: int,
+         t_end: float, seed: int, dt: float | None = None, spacing: float = 0.05,
+         profile_diagnostics: bool = False) -> PresetRun:
+    """A preset run that records spacing apart in time at its own step (dt,
+    or default_dt(params) when dt is None)."""
+    stride = max(1, int(round(spacing / (default_dt(params) if dt is None else dt))))
+    sim = SimConfig(n=n, t_end=t_end, dt=dt, seed=seed, record_stride=stride)
+    return PresetRun(label, params, sim, init, profile_diagnostics)
+
+
+def _at_rest(p: ModelParams, n: int, t_end: float, seed: int, spacing: float = 0.05) -> PresetRun:
+    """A point cluster at the limit system's only equilibrium, labelled by
+    its input current; more than one equilibrium fails to unpack."""
+    (v0, x0), = equilibria(p)
+    return _run(f"i{p.i_ext:g}", p, InitCondition(mean_v=v0, mean_x=x0, kind=POINT_CLUSTER),
+                n, t_end, seed, spacing=spacing)
 
 
 def _fig1() -> Preset:
-    runs = []
-    for eps_inv in (25, 100, 225):
-        eps = 1.0 / eps_inv
-        dt = eps / 10.0
-        p = ModelParams(a=0.3, b=0.1, lam=4.0, i_ext=0.0, sigma=1.0,
-                        epsilon=eps, adaptation_noise=True)
-        runs.append(PresetRun(
-            label=f"epsinv{eps_inv}",
-            params=p,
-            sim=SimConfig(n=5000, t_end=20.0, dt=dt, seed=1225 + eps_inv,
-                          record_stride=_stride_for(dt)),
-            init=InitCondition(mean_v=-1.0, mean_x=0.0, concentration=0.3,
-                               kind=GAUSSIAN_CLUSTER),
-            profile_diagnostics=True))
+    runs = tuple(
+        _run(f"epsinv{eps_inv}", ModelParams(a=0.3, b=0.1, lam=4.0, i_ext=0.0, sigma=1.0,
+                                             epsilon=1.0 / eps_inv, adaptation_noise=True),
+             InitCondition(mean_v=-1.0, mean_x=0.0, concentration=0.3, kind=GAUSSIAN_CLUSTER),
+             n=5000, t_end=20.0, seed=1225 + eps_inv, dt=1.0 / eps_inv / 10.0,
+             profile_diagnostics=True)
+        for eps_inv in (25, 100, 225))
     return Preset(
         name="fig1",
         notes=(
@@ -61,26 +67,20 @@ def _fig1() -> Preset:
             "initial cluster at (v, x) = (-1, 0); the flow settles at the "
             "rest equilibrium near the origin",
         ),
-        runs=tuple(runs))
+        runs=runs)
 
 
 def _fig2(a: float = 0.3, i_ext: float = 0.0, name: str = "fig2",
           where: str = "on either side of the separatrix between the two "
                        "stable equilibria") -> Preset:
-    runs = []
-    for eps_inv in (10, 50, 100):
-        for v0 in (1.2, 1.35):
-            eps = 1.0 / eps_inv
-            p = ModelParams(a=a, b=0.1, lam=4.0, i_ext=i_ext, sigma=1.0,
-                            epsilon=eps, adaptation_noise=True)
-            runs.append(PresetRun(
-                label=f"epsinv{eps_inv}_v{v0:g}",
-                params=p,
-                sim=SimConfig(n=500, t_end=20.0, seed=2500 + eps_inv,
-                              record_stride=_stride_for(default_dt(p))),
-                init=InitCondition(mean_v=v0, mean_x=1.0,
-                                   concentration=min(a, 0.3),
-                                   kind=GAUSSIAN_CLUSTER)))
+    runs = tuple(
+        _run(f"epsinv{eps_inv}_v{v0:g}",
+             ModelParams(a=a, b=0.1, lam=4.0, i_ext=i_ext, sigma=1.0, epsilon=1.0 / eps_inv,
+                         adaptation_noise=True),
+             InitCondition(mean_v=v0, mean_x=1.0, concentration=min(a, 0.3),
+                           kind=GAUSSIAN_CLUSTER),
+             n=500, t_end=20.0, seed=2500 + eps_inv)
+        for eps_inv in (10, 50, 100) for v0 in (1.2, 1.35))
     return Preset(
         name=name,
         notes=(
@@ -89,7 +89,7 @@ def _fig2(a: float = 0.3, i_ext: float = 0.0, name: str = "fig2",
             "t_end=20, the default dt and records 0.05 apart are choices of "
             "this preset",
         ),
-        runs=tuple(runs))
+        runs=runs)
 
 
 def _fig3() -> Preset:
@@ -100,17 +100,11 @@ def _fig3() -> Preset:
 
 
 def _fig4() -> Preset:
-    runs = []
-    for i0 in (5.0, 5.4, 5.7):
-        p = ModelParams(a=0.01, b=0.1, lam=4.0, i_ext=i0, sigma=1.0,
-                        epsilon=0.01, adaptation_noise=True)
-        (v0, x0), = equilibria(p)  # the only one
-        runs.append(PresetRun(
-            label=f"i{i0:g}",
-            params=p,
-            sim=SimConfig(n=500, t_end=200.0, seed=int(4000 + 10 * i0),
-                          record_stride=_stride_for(default_dt(p), 0.1)),
-            init=InitCondition(mean_v=v0, mean_x=x0, kind=POINT_CLUSTER)))
+    runs = tuple(
+        _at_rest(ModelParams(a=0.01, b=0.1, lam=4.0, i_ext=i0, sigma=1.0,
+                             epsilon=0.01, adaptation_noise=True),
+                 n=500, t_end=200.0, seed=int(4000 + 10 * i0), spacing=0.1)
+        for i0 in (5.0, 5.4, 5.7))
     return Preset(
         name="fig4",
         notes=(
@@ -121,21 +115,15 @@ def _fig4() -> Preset:
             "t_end=200, the default dt and records 0.1 apart are choices of "
             "this preset",
         ),
-        runs=tuple(runs))
+        runs=runs)
 
 
 def _fig5() -> Preset:
-    runs = []
-    for i0 in (5.534, 5.5349):
-        p = ModelParams(a=0.005, b=0.05, lam=4.0, i_ext=i0, sigma=0.5,
-                        epsilon=1.0 / 220.0, adaptation_noise=True)
-        (v0, x0), = equilibria(p)  # the only one
-        runs.append(PresetRun(
-            label=f"i{i0:g}",
-            params=p,
-            sim=SimConfig(n=5000, t_end=60.0, seed=5534,
-                          record_stride=_stride_for(default_dt(p))),
-            init=InitCondition(mean_v=v0, mean_x=x0, kind=POINT_CLUSTER)))
+    runs = tuple(
+        _at_rest(ModelParams(a=0.005, b=0.05, lam=4.0, i_ext=i0, sigma=0.5,
+                             epsilon=1.0 / 220.0, adaptation_noise=True),
+                 n=5000, t_end=60.0, seed=5534)
+        for i0 in (5.534, 5.5349))
     return Preset(
         name="fig5",
         notes=(
@@ -147,7 +135,7 @@ def _fig5() -> Preset:
             "this preset; alternations of small and large oscillations vary "
             "between realizations",
         ),
-        runs=tuple(runs))
+        runs=runs)
 
 
 _BUILDERS = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}

@@ -11,7 +11,7 @@ from fhn_meanfield.bifurcation import (BISTABLE, CYCLE_DT, DEGENERACY_TOL,
                                        MONOSTABLE_STABLE, OSCILLATORY,
                                        CycleDetectionError, classify,
                                        detect_limit_cycle, discriminant, trace_at)
-from fhn_meanfield.core import BlowUpError, ModelParams, cubic, cubic_prime
+from fhn_meanfield.core import BlowUpError, ModelParams, cubic, cubic_prime, time_steps
 from fhn_meanfield.limit_ode import (LimitState, equilibria, limit_rhs, rk4_integrate,
                                      rk4_step)
 
@@ -404,6 +404,25 @@ def test_detect_cycle_never_steps_past_max_time(monkeypatch):
     with pytest.raises(CycleDetectionError):
         detect_limit_cycle(p, LimitState(0.0, v + 0.5, x), max_time=30.0)
     assert 0 < len(steps) <= round(30.0 / CYCLE_DT)
+
+
+@pytest.mark.parametrize("max_time", [30.0, 10.0, 100.01, 0.1])
+def test_detect_cycle_takes_the_steps_time_steps_takes(monkeypatch, max_time):
+    # the period-112 cycle cannot settle within these budgets; one that
+    # CYCLE_DT does not divide (100.01) ends at max_time with a shorter step
+    p = ModelParams(a=0.01, b=0.1, lam=4.0, i_ext=6.0)
+    (v, x), = equilibria(p)
+    steps = []
+
+    def counted(alpha, beta, q, dt):
+        steps.append(dt)
+        return rk4_step(alpha, beta, q, dt)
+
+    monkeypatch.setattr(bifurcation, "rk4_step", counted)
+    with pytest.raises(CycleDetectionError):
+        detect_limit_cycle(p, LimitState(0.0, v + 0.5, x), max_time=max_time)
+    n_steps, dt = time_steps(max_time, CYCLE_DT)
+    assert steps == [dt] * n_steps
 
 
 @pytest.mark.parametrize("max_time", [float("nan"), float("inf"), 0.0, -5.0])

@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fhn_meanfield import cli, presets
+from fhn_meanfield import bifurcation, cli, presets
 from fhn_meanfield.bifurcation import MONOSTABLE_STABLE, classify
 from fhn_meanfield.cli import main
-from fhn_meanfield.core import time_steps
+from fhn_meanfield.core import ModelParams, time_steps
 from fhn_meanfield.fokker_planck import stable_dt
 from fhn_meanfield.limit_ode import LimitState, equilibria, rk4_integrate
 from fhn_meanfield.particle import default_dt, simulate
@@ -211,6 +211,16 @@ def test_simulate_ode_summary_reports_integrator_step(tmp_path):
     assert float(rows[2].split(",")[0]) == summary["config"]["sim"]["dt"] == 0.01
 
 
+def test_simulate_ode_summary_step_is_the_trajectorys(tmp_path):
+    # 0.03 does not divide 1, so the step shrinks to 1/34
+    out = tmp_path / "o"
+    assert run(["simulate-ode", "--out", str(out), "--label", "o",
+                "--t-end", "1", "--dt", "0.03"]) == 0
+    summary = json.loads((out / "o_summary.json").read_text())
+    traj = rk4_integrate(LimitState(0.0, 0.0, 0.0), ModelParams(), 0.03, 1.0)
+    assert summary["config"]["sim"]["dt"] == traj.dt == time_steps(1.0, 0.03)[1] == 1 / 34
+
+
 def test_compare_smoke(tmp_path):
     out = tmp_path / "o"
     code = run(["compare", "--out", str(out), "--label", "cmp",
@@ -383,6 +393,16 @@ def test_every_preset_run_keeps_its_step_count_and_step():
             assert time_steps(r.sim.t_end, dt) == (round(r.sim.t_end / dt), dt), r.label
 
 
+def test_every_preset_run_records_its_spacing_apart():
+    # the notes' claim: records 0.05 apart, 0.1 for fig4, at the run's own step
+    for name in presets.available():
+        spacing = 0.1 if name == "fig4" else 0.05
+        for r in presets.load(name).runs:
+            _, dt = time_steps(r.sim.t_end, r.sim.dt if r.sim.dt is not None
+                               else default_dt(r.params))
+            assert abs(r.sim.record_stride * dt - spacing) < dt, (name, r.label)
+
+
 def test_fig3_notes_state_its_classification():
     fig3 = presets.load("fig3")
     notes = " ".join(fig3.notes)
@@ -488,8 +508,9 @@ def test_an_overflowing_discriminant_exits_2_before_any_output(tmp_path, capsys,
     assert captured.out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("max_time", ["nan", "-5", "0", "inf"])
-def test_detect_cycle_rejects_a_bad_max_time(capsys, max_time):
+@pytest.mark.parametrize("max_time", ["nan", "-5", "0", "inf", "2.6e7"])
+def test_detect_cycle_rejects_a_bad_max_time(capsys, monkeypatch, max_time):
+    monkeypatch.setattr(bifurcation, "rk4_step", None)  # a step would raise TypeError
     assert run(["detect-cycle", "--max-time", max_time]) == 2
     captured = capsys.readouterr()
     assert "--max-time" in captured.err and captured.out == ""

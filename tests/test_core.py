@@ -173,8 +173,17 @@ def test_params_reject_what_is_not_a_real_number(field, bad):
     (lambda: Grid(-1, 1, -1, 1, 16.5, 16), "nv", "an integer"),
     (lambda: Grid(-1, 1, -1, 1, 16, np.float64(16)), "nx", "an integer"),
     (lambda: Grid(-1, 1, "-1", 1, 16, 16), "x_min", "a real number"),
+    (lambda: ModelParams(adaptation_noise="off"), "adaptation_noise", "a bool"),
+    (lambda: ModelParams(adaptation_noise=1), "adaptation_noise", "a bool"),
+    (lambda: SimConfig(n=10, t_end=1.0, quantile_fractions=0.5), "quantile_fractions",
+     "a list of real numbers"),
+    (lambda: SimConfig(n=10, t_end=1.0, quantile_fractions=(0.5, "a")), "quantile_fractions",
+     "a list of real numbers"),
+    (lambda: InitCondition(kind="custom", sampler=3), "sampler", "callable"),
 ], ids=["init-mean_v", "init-mean_x", "init-concentration", "sim-n", "sim-t_end",
-        "sim-dt", "sim-seed", "sim-record_stride", "grid-nv", "grid-nx", "grid-x_min"])
+        "sim-dt", "sim-seed", "sim-record_stride", "grid-nv", "grid-nx", "grid-x_min",
+        "params-adaptation_noise-str", "params-adaptation_noise-int", "sim-quantiles-float",
+        "sim-quantiles-str", "init-sampler"])
 def test_parameter_classes_reject_a_field_of_the_wrong_type(make, field, kind):
     with pytest.raises(TypeError, match=f"^{field} must be {kind}, got"):
         make()
@@ -184,9 +193,11 @@ def test_parameter_classes_keep_numpy_and_integer_numbers_as_given():
     cfg = SimConfig(n=np.int64(10), t_end=np.float32(1.0), seed=np.uint64(3), record_stride=2)
     grid = Grid(np.float64(-1.0), 1, -1, 1.0, np.int32(16), 16)
     init = InitCondition(mean_v=np.float16(1.0), mean_x=2)
+    p = ModelParams(adaptation_noise=np.bool_(False))
     assert (type(cfg.n), type(cfg.t_end), type(cfg.seed)) == (np.int64, np.float32, np.uint64)
     assert (type(grid.v_min), type(grid.v_max), type(grid.nv)) == (np.float64, int, np.int32)
     assert (type(init.mean_v), type(init.mean_x)) == (np.float16, int)
+    assert type(p.adaptation_noise) is np.bool_
 
 
 @pytest.mark.parametrize("bad", [np.float32("nan"), np.float32("inf"), np.float16("-inf")])

@@ -15,8 +15,9 @@ P = ModelParams(a=0.3, b=0.1, lam=4.0, epsilon=0.01)
 
 
 def _flat_limit(t, alpha, beta):
+    """A limit at rest at the times t; no step was taken, so its dt is nan."""
     t = np.asarray(t, dtype=float)
-    return LimitTrajectory(t, np.full(t.size, alpha), np.full(t.size, beta))
+    return LimitTrajectory(t, np.full(t.size, alpha), np.full(t.size, beta), dt=float("nan"))
 
 
 def test_profile_recovers_gaussian_quadratic():
@@ -155,7 +156,7 @@ def test_compare_zero_mean_error_for_copied_means():
     p = ModelParams(a=0.3, epsilon=0.05)
     rec = simulate(SimConfig(n=200, t_end=0.2, dt=1e-3, seed=5, record_stride=20),
                    p, InitCondition(mean_v=1.0, mean_x=0.2))
-    limit = LimitTrajectory(rec.t, rec.mean_v.copy(), rec.mean_x.copy())
+    limit = LimitTrajectory(rec.t, rec.mean_v.copy(), rec.mean_x.copy(), rec.dt)
     comp = compare(rec, limit, p)
     assert np.array_equal(comp.t, rec.t)
     assert np.all(comp.mean_error == 0.0)

@@ -194,6 +194,13 @@ def test_rk4_integrate_from_numpy_scalars_has_the_bits_of_floats(truncation):
         assert np.array_equal(traj.beta, ref.beta)
 
 
+@pytest.mark.parametrize("dt, t_end", [(0.01, 30.0), (0.03, 1.0), (np.float64(0.013), 3.7),
+                                       (0.01, 0.0)])
+def test_rk4_integrate_reports_the_step_time_steps_takes(dt, t_end):
+    traj = rk4_integrate(LimitState(0.0, 2.1, 0.3), ModelParams(), dt, t_end, record_stride=3)
+    assert traj.dt == time_steps(t_end, dt)[1] and type(traj.dt) is float
+
+
 def test_rk4_validation():
     p = ModelParams()
     with pytest.raises(ValueError):

@@ -243,7 +243,7 @@ def test_csv_writers(tmp_path):
     state = EnsembleState(0.0, rng.standard_normal(2000) * 0.1,
                           rng.standard_normal(2000) * 0.2)
     rec = simulate(SimConfig(n=16, t_end=0.05, dt=0.01, seed=3), p, InitCondition())
-    comp = compare(rec, LimitTrajectory(rec.t, np.zeros(len(rec)), np.zeros(len(rec))), p)
+    comp = compare(rec, LimitTrajectory(rec.t, np.zeros(len(rec)), np.zeros(len(rec)), rec.dt), p)
     cpath = tmp_path / "comps.csv"
     cli.write_comparison_csv(cpath, comp)
     lines = cpath.read_text().splitlines()
