@@ -90,12 +90,6 @@ def discriminant(p: ModelParams) -> float:
     return delta
 
 
-def trace_at(vstar: float, p: ModelParams) -> float:
-    """Jacobian trace -N0'(v*) - a at the equilibrium (v*, (b/a) v*), with
-    the bits of classify's trace."""
-    return -cubic_prime(vstar, p) - p.a
-
-
 def _equilibrium_info(v: float, x: float, p: ModelParams) -> EquilibriumInfo:
     """The Jacobian's trace, determinant and eigenvalue pair at (v, x), and
     the stability label of the pair's larger real part, which the trace and

@@ -38,27 +38,29 @@ class BlowUpError(RuntimeError):
 
 def require_finite(obj) -> None:
     """The field rule of the parameter dataclasses: a field annotated float
-    holds a finite real number (a Python or numpy float or integer), one
-    annotated int an integer, one annotated bool a Python or numpy bool,
-    and None only where its default is None.  Raises TypeError or
-    ValueError naming the field; values are kept."""
-    for name, real, accepted, expected, optional in _typed_fields(type(obj)):
+    holds a finite real number (a Python or numpy float or integer, not a
+    bool), one annotated int an integer that is not a bool, one annotated
+    bool a Python or numpy bool, and None only where its default is None.
+    Raises TypeError or ValueError naming the field; values are kept."""
+    for name, real, accepted, refused, expected, optional in _typed_fields(type(obj)):
         value = getattr(obj, name)
         if real and isinstance(value, (float, np.floating)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        elif not (isinstance(value, accepted) or value is None and optional):
+        elif not (isinstance(value, accepted) and not isinstance(value, refused)
+                  or value is None and optional):
             raise TypeError(f"{name} must be {expected}, got {value!r}")
 
 
 @functools.cache
-def _typed_fields(cls) -> tuple[tuple[str, bool, tuple, str, bool], ...]:
-    """(name, annotated float, the other types accepted, what is expected,
-    default None) of each field of cls annotated float or int (or None) or bool."""
-    real = (True, (int, np.integer), "a real number")
-    integer = (False, (int, np.integer), "an integer")
+def _typed_fields(cls) -> tuple[tuple[str, bool, tuple, tuple, str, bool], ...]:
+    """(name, annotated float, the other types accepted, the types refused
+    among them, what is expected, default None) of each field of cls
+    annotated float or int (or None) or bool."""
+    real = (True, (int, np.integer), bool, "a real number")
+    integer = (False, (int, np.integer), bool, "an integer")
     rules = {float: real, float | None: real, int: integer, int | None: integer,
-             bool: (False, (bool, np.bool_), "a bool")}
+             bool: (False, (bool, np.bool_), (), "a bool")}
     hints = get_type_hints(cls)
     return tuple((f.name, *rules[hints[f.name]], f.default is None)
                  for f in fields(cls) if hints[f.name] in rules)

@@ -21,8 +21,9 @@ step then runs in-place ufuncs in the operation order of the plain formula,
 alternating between two density buffers owned by the call, so the results
 equal those of a fresh-array loop bit for bit.  The v-fluxes are one flat
 array with one face per cell and a zero-flux wall slot at each row end, so
-every v-direction pass is one contiguous pass over the grid.  fp_step is
-one step of the same kernel.
+every v-direction pass is one contiguous pass over the grid.  Each
+density's J[g] is read once, right after its step, for its record and as
+the next step's frozen moment.  fp_step is a solve of one step.
 
 The CFL bound is CFL_SAFETY over the largest cell denominator
 R_c + |y_c + r|, with R_c = K + |a x_c - b v_c|/dx, K = 2/dv^2 + 2 eps/dx^2,
@@ -222,18 +223,6 @@ def check_density_params(p: ModelParams) -> None:
             f"sigma = {p.sigma:g}, adaptation_noise = {p.adaptation_noise}")
 
 
-def fp_step(f: DensityField, p: ModelParams, dt: float) -> DensityField:
-    """One explicit conservative update with the first moment frozen from
-    the pre-step field.  Runs one step of the kernel that solve uses.
-    """
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    g = f.grid
-    rho_new = np.empty((g.nx, g.nv))
-    _UpwindKernel(g, p, dt).step(f.rho, rho_new, first_moment(f), f.t + dt)
-    return DensityField(grid=g, rho=rho_new, t=f.t + dt)
-
-
 class _UpwindKernel:
     """The explicit update for one (grid, params, dt): every time-independent
     array is computed once, every per-step array is preallocated.
@@ -361,24 +350,28 @@ def solve(f0: DensityField, p: ModelParams, t_end: float, *,
 
     buffers = [DensityField(g, np.empty((g.nx, g.nv))) for _ in range(2)]
     src = f0
-    moment = jgs[0]  # J[g] of src, when known
+    jg = jgs[0]  # J[g] of src, read once per density
     for k in range(1, n_steps + 1):
         dst = buffers[k % 2]
-        jg = first_moment(src) if moment is None else moment
         last = k == n_steps
         t = f0.t + (t_end if last else k * dt)
         kernel.step(src.rho, dst.rho, jg, t)
-        moment = None
+        jg = first_moment(dst)
         if k % record_stride == 0 or last:
-            moment = first_moment(dst)
             times.append(t)
-            jgs.append(moment)
+            jgs.append(jg)
             masses.append(mass(dst))
         if snapshot_stride is not None and (k % snapshot_stride == 0 or last):
             snaps.append(DensityField(g, dst.rho.copy(), t))
         src = dst
     return FpSolution(t=np.asarray(times), jg=np.asarray(jgs),
                       mass=np.asarray(masses), dt=dt, snapshots=snaps)
+
+
+def fp_step(f: DensityField, p: ModelParams, dt: float) -> DensityField:
+    """One explicit conservative update with the first moment frozen from
+    the pre-step field: the one step of solve over a horizon of dt."""
+    return solve(f, p, dt, dt=dt, snapshot_stride=1).snapshots[-1]
 
 
 def hopf_cole(f: DensityField, p: ModelParams) -> HopfColeField:

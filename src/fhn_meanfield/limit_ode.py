@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlowUpError, ModelParams, nonlinearity, time_steps, uncoupled_drift
+from .core import BlowUpError, ModelParams, nonlinearity, time_steps
 
 
 @dataclass(frozen=True)
@@ -46,16 +46,12 @@ class LimitTrajectory:
         return self.t.size
 
 
-def limit_rhs(s: LimitState, p: ModelParams) -> tuple[float, float]:
-    return (uncoupled_drift(s.alpha, s.beta, p), -p.a * s.beta + p.b * s.alpha)
-
-
 def rk4_step(alpha: float, beta: float, p: ModelParams, dt: float) -> tuple[float, float]:
-    # The four stages of limit_rhs in one body: the parameters are read
-    # once, and on the untruncated path the cubic is core.cubic written out
-    # on floats, in its operation order.  Each stage keeps limit_rhs's
-    # operation order, so a step gives the same bits as one made of four
-    # limit_rhs calls.
+    # The four stages of the vector field (core.uncoupled_drift, -a x + b v)
+    # in one body: the parameters are read once, and on the untruncated path
+    # the cubic is core.cubic written out on floats, in its operation order.
+    # Each stage keeps uncoupled_drift's operation order, so a step gives
+    # the same bits as one made of four calls of it.
     lam, i_ext, a, b = p.lam, p.i_ext, p.a, p.b
     cubic = p.truncation is None
     h = 0.5 * dt

@@ -92,7 +92,8 @@ class SimConfig:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
         qs = self.quantile_fractions
         if not (isinstance(qs, (tuple, list)) and all(
-                isinstance(q, (float, int, np.floating, np.integer)) for q in qs)):
+                isinstance(q, (float, int, np.floating, np.integer))
+                and not isinstance(q, bool) for q in qs)):
             raise TypeError(f"quantile_fractions must be a list of real numbers, got {qs!r}")
         if not qs or not all(0.0 <= q <= 1.0 for q in qs):
             raise ValueError(f"quantile fractions must be a non-empty list in [0, 1], got {qs}")

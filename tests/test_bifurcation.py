@@ -10,10 +10,10 @@ from fhn_meanfield.bifurcation import (BISTABLE, CYCLE_DT, DEGENERACY_TOL,
                                        DEGENERATE_HOPF, DEGENERATE_SADDLE_NODE,
                                        MONOSTABLE_STABLE, OSCILLATORY,
                                        CycleDetectionError, classify,
-                                       detect_limit_cycle, discriminant, trace_at)
-from fhn_meanfield.core import BlowUpError, ModelParams, cubic, cubic_prime, time_steps
-from fhn_meanfield.limit_ode import (LimitState, equilibria, limit_rhs, rk4_integrate,
-                                     rk4_step)
+                                       detect_limit_cycle, discriminant)
+from fhn_meanfield.core import (BlowUpError, ModelParams, cubic, cubic_prime, time_steps,
+                                uncoupled_drift)
+from fhn_meanfield.limit_ode import LimitState, equilibria, rk4_integrate, rk4_step
 
 params_strategy = st.builds(
     ModelParams,
@@ -74,8 +74,9 @@ def test_discriminant_matches_resultant(p):
 
 
 def test_trace_hand_value():
-    p = ModelParams(a=0.3, lam=4.0)
-    assert trace_at(0.0, p) == pytest.approx(-4.3)
+    e = classify(ModelParams(a=0.3, lam=4.0)).equilibria[0]
+    assert e.v == pytest.approx(0.0, abs=1e-12)
+    assert e.trace == pytest.approx(-4.3)
 
 
 def test_trace_hopf_boundary_as_a_vanishes():
@@ -84,14 +85,14 @@ def test_trace_hopf_boundary_as_a_vanishes():
     v = (2.0 * (1 + lam) - np.sqrt(4 * (1 + lam) ** 2 - 12 * lam)) / 6.0
     for a in (1e-2, 1e-4, 1e-6):
         p = ModelParams(a=a, lam=lam)
-        assert trace_at(v, p) == pytest.approx(-a, abs=1e-9)
+        assert -cubic_prime(v, p) - p.a == pytest.approx(-a, abs=1e-9)
 
 
 def _fd_jacobian(v, x, p, h=1e-6):
     j = np.zeros((2, 2))
     for col, (dv, dx) in enumerate([(h, 0.0), (0.0, h)]):
-        up = limit_rhs(LimitState(0.0, v + dv, x + dx), p)
-        dn = limit_rhs(LimitState(0.0, v - dv, x - dx), p)
+        up = (uncoupled_drift(v + dv, x + dx, p), -p.a * (x + dx) + p.b * (v + dv))
+        dn = (uncoupled_drift(v - dv, x - dx, p), -p.a * (x - dx) + p.b * (v - dv))
         j[0, col] = (up[0] - dn[0]) / (2 * h)
         j[1, col] = (up[1] - dn[1]) / (2 * h)
     return j
@@ -100,10 +101,10 @@ def _fd_jacobian(v, x, p, h=1e-6):
 @given(params_strategy)
 @settings(max_examples=40, deadline=None)
 def test_trace_matches_finite_difference_eigensum(p):
-    for v, x in equilibria(p):
-        eigs = np.linalg.eigvals(_fd_jacobian(v, x, p))
-        assert trace_at(v, p) == pytest.approx(float(eigs.sum().real),
-                                               abs=1e-6 * max(1.0, abs(v) ** 2))
+    for e in classify(p).equilibria:
+        eigs = np.linalg.eigvals(_fd_jacobian(e.v, e.x, p))
+        assert e.trace == pytest.approx(float(eigs.sum().real),
+                                        abs=1e-6 * max(1.0, abs(e.v) ** 2))
 
 
 def test_classify_bistable():
@@ -131,9 +132,8 @@ def test_regime_flips_where_trace_crosses_zero():
     fam = dict(a=0.01, b=0.1, lam=4.0)
 
     def trace_of(i0):
-        p = ModelParams(i_ext=i0, **fam)
-        (v, _), = equilibria(p)
-        return trace_at(v, p)
+        e, = classify(ModelParams(i_ext=i0, **fam)).equilibria
+        return e.trace
 
     lo, hi = 5.0, 6.0
     assert trace_of(lo) < 0 < trace_of(hi)
@@ -238,7 +238,6 @@ def test_trace_and_determinant_read_one_slope_of_the_cubic(p):
     for e in classify(p).equilibria:
         assert e.trace == -cubic_prime(e.v, p) - p.a
         assert e.det == p.a * cubic_prime(e.v, p) + p.b
-        assert trace_at(e.v, p) == e.trace
 
 
 def _written_out_trace_and_label(v, p):
@@ -284,7 +283,7 @@ def _sign_rule_regime(p):
         return None
     if delta > 0:
         return BISTABLE
-    tr = trace_at(eqs[0][0], p)
+    tr = -cubic_prime(eqs[0][0], p) - p.a
     if abs(tr) <= bifurcation.DEGENERACY_TOL:
         return bifurcation.DEGENERATE_HOPF
     return MONOSTABLE_STABLE if tr < 0 else OSCILLATORY

@@ -8,7 +8,7 @@ from fhn_meanfield.core import (InitCondition, ModelParams, cubic, cubic_prime,
                                 init_variance, nonlinearity, sample_initial,
                                 time_steps, uncoupled_drift, voltage_drift)
 from fhn_meanfield.fokker_planck import Grid
-from fhn_meanfield.limit_ode import LimitState, limit_rhs
+from fhn_meanfield.limit_ode import rk4_step
 from fhn_meanfield.particle import SimConfig
 
 P4 = ModelParams(lam=4.0)
@@ -97,7 +97,18 @@ def test_every_level_takes_the_uncoupled_drift_bit_for_bit(truncation):
     f = uncoupled_drift(v, x, p)
     assert np.array_equal(f, -nonlinearity(v, p) + p.i_ext - x)
     assert np.array_equal(voltage_drift(v, x, 0.4, p), f + (0.4 - v) / p.epsilon)
-    assert [limit_rhs(LimitState(0.0, a, b), p)[0] for a, b in zip(v, x)] == f.tolist()
+    # a four-stage RK4 of the limit system's vector field, written with it
+    dt = 0.01
+    for s in zip(v.tolist(), x.tolist()):
+        k1 = (uncoupled_drift(s[0], s[1], p), -p.a * s[1] + p.b * s[0])
+        s2 = (s[0] + 0.5 * dt * k1[0], s[1] + 0.5 * dt * k1[1])
+        k2 = (uncoupled_drift(s2[0], s2[1], p), -p.a * s2[1] + p.b * s2[0])
+        s3 = (s[0] + 0.5 * dt * k2[0], s[1] + 0.5 * dt * k2[1])
+        k3 = (uncoupled_drift(s3[0], s3[1], p), -p.a * s3[1] + p.b * s3[0])
+        s4 = (s[0] + dt * k3[0], s[1] + dt * k3[1])
+        k4 = (uncoupled_drift(s4[0], s4[1], p), -p.a * s4[1] + p.b * s4[0])
+        assert rk4_step(s[0], s[1], p, dt) == tuple(
+            s[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in (0, 1))
 
     g = Grid(-6.0, 6.0, -3.0, 3.0, 24, 16)
     vc, xc = g.v_centers()[None, :], g.x_centers()[:, None]
@@ -180,10 +191,17 @@ def test_params_reject_what_is_not_a_real_number(field, bad):
     (lambda: SimConfig(n=10, t_end=1.0, quantile_fractions=(0.5, "a")), "quantile_fractions",
      "a list of real numbers"),
     (lambda: InitCondition(kind="custom", sampler=3), "sampler", "callable"),
+    (lambda: ModelParams(a=True), "a", "a real number"),
+    (lambda: SimConfig(n=True, t_end=1.0), "n", "an integer"),
+    (lambda: SimConfig(n=10, t_end=1.0, record_stride=True), "record_stride", "an integer"),
+    (lambda: InitCondition(mean_v=False), "mean_v", "a real number"),
+    (lambda: SimConfig(n=10, t_end=1.0, quantile_fractions=(True, 0.5)), "quantile_fractions",
+     "a list of real numbers"),
 ], ids=["init-mean_v", "init-mean_x", "init-concentration", "sim-n", "sim-t_end",
         "sim-dt", "sim-seed", "sim-record_stride", "grid-nv", "grid-nx", "grid-x_min",
         "params-adaptation_noise-str", "params-adaptation_noise-int", "sim-quantiles-float",
-        "sim-quantiles-str", "init-sampler"])
+        "sim-quantiles-str", "init-sampler", "params-a-True", "sim-n-True",
+        "sim-record_stride-True", "init-mean_v-False", "sim-quantiles-bool"])
 def test_parameter_classes_reject_a_field_of_the_wrong_type(make, field, kind):
     with pytest.raises(TypeError, match=f"^{field} must be {kind}, got"):
         make()

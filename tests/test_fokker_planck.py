@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from fhn_meanfield import fokker_planck
 from fhn_meanfield.core import InitCondition, ModelParams, time_steps
 from fhn_meanfield.fokker_planck import (CFL_SAFETY, NEGATIVITY_TOL, CflError,
                                          DensityField, Grid, SchemeError, cfl_limit,
@@ -303,6 +304,19 @@ def test_solve_bit_identical_to_reference_loop(case):
     assert len(sol.snapshots) >= 1
 
 
+@pytest.mark.parametrize("record_stride", [1, 7, 10 ** 9])
+def test_solve_reads_the_first_moment_of_each_density_once(monkeypatch, record_stride):
+    # f0 and each step's density, whether recorded or not
+    f0 = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
+    calls = []
+    monkeypatch.setattr(fokker_planck, "first_moment",
+                        lambda f: calls.append(f) or first_moment(f))
+    sol = solve(f0, P01, 0.1, record_stride=record_stride)
+    n_steps = time_steps(0.1, stable_dt(f0.grid, P01))[0]
+    assert n_steps > 7 and len(sol.t) == 1 + -(-n_steps // record_stride)
+    assert len(calls) == n_steps + 1
+
+
 def test_fp_step_bit_identical_to_reference_step():
     f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P_TRUNC)
     f.t = 0.25
@@ -443,7 +457,6 @@ def test_moment_jump_outside_domain_fails_at_the_reference_step(monkeypatch):
     # not once the moment, relaxing towards rest, falls below 0.929: solve,
     # which checks each step's moment against the kernel's closed form, must
     # fail where the reference loop, which calls cfl_limit each step, fails
-    from fhn_meanfield import fokker_planck
     f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
     dt = 0.5 / 410
     assert cfl_limit(f, P01, first_moment(f))[0] > dt
@@ -475,7 +488,6 @@ def test_default_step_solve_evaluates_the_grid_bound_once(monkeypatch):
     # the full-grid CFL terms are computed by stable_dt and by the kernel,
     # and every step checks its moment in closed form: no step calls
     # cfl_limit or walks the grid for its bound
-    from fhn_meanfield import fokker_planck
     calls = []
     for name in ("cfl_limit", "_cfl_terms"):
         def counting(*args, name=name, exact=getattr(fokker_planck, name)):

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fhn_meanfield.core import ModelParams, cubic, nonlinearity, time_steps
-from fhn_meanfield.limit_ode import (LimitState, equilibria,
-                                     equilibrium_cubic_coeffs, limit_rhs,
+from fhn_meanfield.core import ModelParams, cubic, nonlinearity, time_steps, uncoupled_drift
+from fhn_meanfield.limit_ode import (LimitState, equilibria, equilibrium_cubic_coeffs,
                                      real_cubic_roots, rk4_integrate)
 
 params_strategy = st.builds(
@@ -40,7 +39,7 @@ def residual(v: float, p: ModelParams) -> float:
 def test_rhs_vanishes_at_equilibria():
     p = ModelParams(a=0.3, b=0.1, lam=4.0, i_ext=0.0)
     for v, x in equilibria(p):
-        d = limit_rhs(LimitState(0.0, v, x), p)
+        d = (uncoupled_drift(v, x, p), -p.a * x + p.b * v)
         assert abs(d[0]) < 1e-10 and abs(d[1]) < 1e-10
 
 
@@ -69,7 +68,7 @@ def test_equilibria_exact_factorization_single_root():
 
 def test_rhs_hand_value_at_single_equilibrium():
     p = ModelParams(a=0.03, b=0.1, lam=4.0, i_ext=4.0)
-    d = limit_rhs(LimitState(0.0, 3.0, 10.0), p)
+    d = (uncoupled_drift(3.0, 10.0, p), -p.a * 10.0 + p.b * 3.0)
     assert d == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
