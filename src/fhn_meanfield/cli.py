@@ -308,15 +308,14 @@ def _write_csv(path, columns) -> None:
     """Write a table to path, making its directory: a header of the column
     names, then one row per entry, each value formatted %.17g.  columns are
     (name, values) pairs of one length; a name may repeat, as two quantile
-    fractions can round to one column name."""
-    path = Path(path)
-    names = [name for name, _ in columns]
+    fractions can round to one column name.  A ragged table raises before
+    the file is opened."""
     values = [np.asarray(col, dtype=float).tolist() for _, col in columns]
-    path.parent.mkdir(parents=True, exist_ok=True)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"  # one % format per row
+    rows = [row % r for r in zip(*values, strict=True)]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*values, strict=True):
-            fh.write(",".join([f"{x:.17g}" for x in row]) + "\n")
+        fh.write(",".join([name for name, _ in columns]) + "\n" + "".join(rows))
 
 
 def write_timeseries_csv(path, rec: TrajectoryRecord) -> None:

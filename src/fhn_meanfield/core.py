@@ -221,8 +221,8 @@ class InitCondition:
 
 
 def init_variance(cond: InitCondition, p: ModelParams) -> float:
-    """Per-coordinate variance epsilon/concentration of the gaussian kind."""
-    return p.epsilon / cond.concentration
+    """Per-coordinate variance epsilon/concentration of the gaussian kind, a float."""
+    return float(p.epsilon) / cond.concentration
 
 
 def check_concentration(cond: InitCondition, p: ModelParams) -> None:

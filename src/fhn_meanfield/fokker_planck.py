@@ -371,6 +371,8 @@ def solve(f0: DensityField, p: ModelParams, t_end: float, *,
 def fp_step(f: DensityField, p: ModelParams, dt: float) -> DensityField:
     """One explicit conservative update with the first moment frozen from
     the pre-step field: the one step of solve over a horizon of dt."""
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     return solve(f, p, dt, dt=dt, snapshot_stride=1).snapshots[-1]
 
 

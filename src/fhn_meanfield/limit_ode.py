@@ -50,29 +50,30 @@ def rk4_step(alpha: float, beta: float, p: ModelParams, dt: float) -> tuple[floa
     # The four stages of the vector field (core.uncoupled_drift, -a x + b v)
     # in one body: the parameters are read once, and on the untruncated path
     # the cubic is core.cubic written out on floats, in its operation order.
-    # Each stage keeps uncoupled_drift's operation order, so a step gives
-    # the same bits as one made of four calls of it.
+    # Each stage is spelled i_ext - n0 - x and b v - a x, which saves two
+    # negations; negation is exact and addition commutes, so a step gives
+    # the same bits as one made of four calls of uncoupled_drift.
     lam, i_ext, a, b = p.lam, p.i_ext, p.a, p.b
     cubic = p.truncation is None
     h = 0.5 * dt
     n0 = alpha * (alpha - lam) * (alpha - 1.0) if cubic else nonlinearity(alpha, p)
-    k1v = -n0 + i_ext - beta
-    k1x = -a * beta + b * alpha
+    k1v = i_ext - n0 - beta
+    k1x = b * alpha - a * beta
     v = alpha + h * k1v
     x = beta + h * k1x
     n0 = v * (v - lam) * (v - 1.0) if cubic else nonlinearity(v, p)
-    k2v = -n0 + i_ext - x
-    k2x = -a * x + b * v
+    k2v = i_ext - n0 - x
+    k2x = b * v - a * x
     v = alpha + h * k2v
     x = beta + h * k2x
     n0 = v * (v - lam) * (v - 1.0) if cubic else nonlinearity(v, p)
-    k3v = -n0 + i_ext - x
-    k3x = -a * x + b * v
+    k3v = i_ext - n0 - x
+    k3x = b * v - a * x
     v = alpha + dt * k3v
     x = beta + dt * k3x
     n0 = v * (v - lam) * (v - 1.0) if cubic else nonlinearity(v, p)
-    k4v = -n0 + i_ext - x
-    k4x = -a * x + b * v
+    k4v = i_ext - n0 - x
+    k4x = b * v - a * x
     w = dt / 6.0
     return (alpha + w * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
             beta + w * (k1x + 2.0 * k2x + 2.0 * k3x + k4x))
@@ -91,10 +92,11 @@ def rk4_integrate(s0: LimitState, p: ModelParams, dt: float, t_end: float,
     betas = [beta]
     for k in range(1, n_steps + 1):
         alpha, beta = rk4_step(alpha, beta, p, dt)
-        t = s0.t + (t_end if k == n_steps else k * dt)
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise BlowUpError(f"limit trajectory non-finite at t={t:.6g}", t=t)
-        if k % record_stride == 0 or k == n_steps:
+        finite = math.isfinite(alpha) and math.isfinite(beta)
+        if not finite or k % record_stride == 0 or k == n_steps:
+            t = s0.t + (t_end if k == n_steps else k * dt)
+            if not finite:
+                raise BlowUpError(f"limit trajectory non-finite at t={t:.6g}", t=t)
             times.append(t)
             alphas.append(alpha)
             betas.append(beta)

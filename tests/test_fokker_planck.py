@@ -83,6 +83,13 @@ def test_cfl_violation_names_cell_and_required_dt():
     assert f"ix={err.cell[0]}, iv={err.cell[1]})" in str(err)
 
 
+@pytest.mark.parametrize("dt", [-1.0, np.nan, np.inf, 0.0])
+def test_fp_step_names_a_bad_step(dt):
+    f = gaussian_field(small_grid(), InitCondition(mean_v=2.0, mean_x=1.0), P01)
+    with pytest.raises(ValueError, match=r"^dt must be finite and > 0, got"):
+        fp_step(f, P01, dt)
+
+
 def test_negative_density_guard():
     grid = small_grid()
     rho = np.zeros((grid.nx, grid.nv))

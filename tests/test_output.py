@@ -260,7 +260,18 @@ def test_csv_writers(tmp_path):
 
 def test_table_columns_must_have_one_length(tmp_path):
     with pytest.raises(ValueError):
-        cli._write_csv(tmp_path / "t.csv", [("a", [1.0, 2.0]), ("b", [1.0])])
+        cli._write_csv(tmp_path / "out" / "t.csv", [("a", [1.0, 2.0]), ("b", [1.0])])
+    assert not (tmp_path / "out").exists()  # a ragged table leaves no file
+
+
+def test_table_values_keep_the_bytes_of_the_per_value_format(tmp_path):
+    values = [np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, np.nan, 0.1]
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, [("a", values), ("b", values[::-1])])
+    want = "a,b\n" + "".join(f"{_fmt(a)},{_fmt(b)}\n" for a, b in zip(values, values[::-1]))
+    assert path.read_bytes() == want.encode()
+    cli._write_csv(path, [("a", []), ("b", np.empty(0))])
+    assert path.read_bytes() == b"a,b\n"
 
 
 # ---------------------------------------------------------------------------

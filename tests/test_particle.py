@@ -344,6 +344,50 @@ def test_simulate_matches_plain_loop_bitwise_for_any_cli_seed(seed):
     _check_against_plain_loop(dict(epsilon=0.05), 64, 0.05, 7, seed)
 
 
+@pytest.mark.parametrize("truncation", [None, 2.0])
+def test_simulate_gives_one_record_for_any_real_type_of_parameter(truncation):
+    # values exact in binary, so every type holds the same number; the
+    # initial draw and the step take them as floats, so the record keeps its bits
+    fields = dict(a=0.5, b=3.0, lam=4.0, i_ext=10.0, sigma=0.75, epsilon=0.0625,
+                  truncation=truncation)
+    cfg = SimConfig(n=50, t_end=0.05, dt=1e-3, seed=4, record_stride=7)
+    want = simulate(cfg, ModelParams(**fields), PLAIN_LOOP_INIT)
+    exact_ints = {k: int(v) for k, v in fields.items() if v is not None and v == int(v)}
+    for given in ({k: np.float64(v) for k, v in fields.items() if v is not None},
+                  {k: np.float32(v) for k, v in fields.items() if v is not None},
+                  exact_ints):
+        p = ModelParams(**{**fields, **given})
+        _assert_same_record(simulate(cfg, p, PLAIN_LOOP_INIT), want)
+
+
+def test_untruncated_steps_allocate_less_than_a_row():
+    import tracemalloc
+
+    # the step runs in place: 20 steps of 20 000 neurons, each with its
+    # finiteness check, make no array of a row's size (156 KiB); the
+    # truncated drift allocates in core.nonlinearity, so it is not checked
+    n, dt = 20_000, 1e-3
+    rng = np.random.default_rng(3)
+    s = np.stack((1.2 + 0.1 * rng.standard_normal(n), 0.4 + 0.1 * rng.standard_normal(n)))
+    stepper = particle._Stepper(ModelParams(epsilon=0.05), dt, s)
+    noise = rng.standard_normal((21, stepper.rows, n))
+    noise_sums = stepper.scale(noise)
+
+    def step(k):
+        stepper.step(np.add.reduce(s[0]).item() / n, noise[k], noise_sums[k])
+        stepper.finite_sums((k + 1) * dt)
+
+    step(0)  # warm-up
+    tracemalloc.start()
+    try:
+        for k in range(1, 21):
+            step(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
+
+
 def test_noise_block_draws_do_not_depend_on_chunk_size():
     for seed in (2 ** 70 + 5, -1):
         stream = NoiseStream(seed)
