@@ -24,7 +24,6 @@ stability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import BlowUpError, ModelParams, cubic_prime, time_steps, uncoupled_drift
@@ -60,8 +59,7 @@ class EquilibriumInfo(NamedTuple):
     label: str  # stable | unstable | marginal
 
 
-@dataclass(frozen=True)
-class LimitCycle:
+class LimitCycle(NamedTuple):
     period: float
     v_min: float
     v_max: float

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from . import presets as presets_mod
-from .bifurcation import (CYCLE_DT, CycleDetectionError, classify, detect_limit_cycle,
-                          discriminant, report_to_dict)
+from .bifurcation import (CycleDetectionError, classify, detect_limit_cycle, discriminant,
+                          report_to_dict)
 from .core import (GAUSSIAN_CLUSTER, BlowUpError, InitCondition, ModelParams,
                    check_concentration, time_steps)
 from .diagnostics import (MIN_SAMPLES, Profile, ProfileComparison, compare as diag_compare,
@@ -55,12 +55,12 @@ class ConfigError(ValueError):
 # configuration keys and resolution
 
 def _parse_bool(text: str) -> bool:
+    """The INI spellings of a boolean: true/false, on/off, yes/no, 1/0."""
+    states = configparser.ConfigParser.BOOLEAN_STATES
     lowered = text.strip().lower()
-    table = {"true": True, "on": True, "yes": True, "1": True,
-             "false": False, "off": False, "no": False, "0": False}
-    if lowered not in table:
+    if lowered not in states:
         raise ConfigError(f"expected a boolean, got {text!r}")
-    return table[lowered]
+    return states[lowered]
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -494,38 +494,20 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_limit(args) -> int:
+    """classify and detect-cycle: print the classification report as JSON;
+    detect-cycle adds the cycle found from its start, or null."""
     cfg = resolve_config(args, args.model)
-    json_out = Path(args.json_out) if args.json_out else None
-    if json_out is not None and (json_out.is_dir() or _non_directory(json_out.parent)):
-        raise ConfigError(f"--json-out {str(json_out)!r} is a directory or lies under a file")
-    report = classify(cfg.params)
-    payload = {"version": __version__, "config": cfg.to_dict()}
-    payload.update(report_to_dict(report))
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if json_out is not None:
-        json_out.parent.mkdir(parents=True, exist_ok=True)
-        json_out.write_text(text + "\n")
-    return 0
-
-
-def _cmd_detect_cycle(args) -> int:
-    if not 0.0 < args.max_time < float("inf"):
-        raise ConfigError(f"--max-time must be finite and > 0, got {args.max_time}")
-    try:
-        time_steps(args.max_time, CYCLE_DT)  # the search's step count
-    except ValueError as err:
-        raise ConfigError(f"--max-time: {err}") from err
-    cfg = resolve_config(args, args.model)
-    report = classify(cfg.params)
-    s0 = LimitState(t=0.0, alpha=cfg.init.mean_v, beta=cfg.init.mean_x)
-    cycle = detect_limit_cycle(cfg.params, s0, max_time=args.max_time)
-    payload = {"version": __version__, "config": cfg.to_dict()}
-    payload.update(report_to_dict(report))
-    payload["cycle"] = None if cycle is None else {
-        "period": cycle.period, "v_min": cycle.v_min, "v_max": cycle.v_max}
-    payload["start"] = {"alpha": s0.alpha, "beta": s0.beta}
+    payload = {"version": __version__, "config": cfg.to_dict(),
+               **report_to_dict(classify(cfg.params))}
+    if args.model == "cycle":
+        s0 = LimitState(t=0.0, alpha=cfg.init.mean_v, beta=cfg.init.mean_x)
+        try:
+            cycle = detect_limit_cycle(cfg.params, s0, max_time=args.max_time)
+        except ValueError as err:  # the search budget
+            raise ConfigError(f"--max-time: {err}") from err
+        payload["cycle"] = None if cycle is None else cycle._asdict()
+        payload["start"] = {"alpha": s0.alpha, "beta": s0.beta}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -591,10 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
                  "integrate the n-neuron ensemble")
     _add_command(sub, "simulate-pde", "pde", _cmd_run, "integrate the density equation")
     _add_command(sub, "simulate-ode", "ode", _cmd_run, "integrate the limit system")
-    sp = _add_command(sub, "classify", "classify", _cmd_classify,
-                      "closed-form regime classification")
-    sp.add_argument("--json-out", help="also write the JSON report here")
-    sp = _add_command(sub, "detect-cycle", "cycle", _cmd_detect_cycle,
+    _add_command(sub, "classify", "classify", _cmd_limit,
+                 "closed-form regime classification")
+    sp = _add_command(sub, "detect-cycle", "cycle", _cmd_limit,
                       "Poincare-section cycle detection")
     sp.add_argument("--max-time", dest="max_time", type=float, default=2000.0,
                     help="time units integrated from the start point before giving "

@@ -8,14 +8,12 @@ epsilon.  x takes an Euler-Maruyama step.  vbar is reduced from the
 pre-step state, so the result does not depend on update order.
 
 A run's noise is one SFC64 stream per block of NoiseStream(seed): block 0
-draws the initial ensemble and block 1 every step's draws in order.
-simulate draws them for a block of whole steps at a time, at most
-NOISE_BLOCK_NORMALS normals in one call, and at least one step's; a block's
-draws do not depend on how the stream is split, so trajectories are
-bitwise reproducible for a fixed configuration and seed.  The ensemble
-lives in one preallocated (2, n) array, voltages in row 0 and adaptation
-values in row 1, which every step updates in place; em_step runs the same
-update on a copy of a single state, with a block of one step.
+draws the initial ensemble and block 1 every step's draws in order, so
+trajectories are bitwise reproducible for a fixed configuration and seed.
+The ensemble lives in one preallocated (2, n) array, voltages in row 0 and
+adaptation values in row 1, which every step updates in place.  One loop,
+_Stepper.run, takes the steps: simulate runs it over the whole horizon,
+and em_step is one step of it on a copy of a single state.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ DEFAULT_QUANTILES = (0.10, 0.25, 0.75, 0.90)
 # and the benchmark workloads all hold.
 DEFAULT_DT = 1e-2
 
-# simulate draws the normals of as many whole steps as fit in 2**16 doubles
+# _Stepper.run draws the normals of as many whole steps as fit in 2**16 doubles
 # (512 KiB) with one standard_normal call, which spreads the call's fixed
 # cost over many steps when n is small; a step of more draws takes its own.
 NOISE_BLOCK_NORMALS = 2 ** 16
@@ -209,8 +207,8 @@ def quantiles(values: np.ndarray, qs: Sequence[float]) -> np.ndarray:
 
 class _Stepper:
     """Step constants, row views and scratch buffers for in-place steps of
-    the state s, shape (2, n).  step() is the only arithmetic path of a
-    step, shared by em_step and simulate.
+    the state s, shape (2, n).  run() is the only loop and step() the only
+    arithmetic path of a step, shared by em_step and simulate.
 
     The noise arrives in blocks of whole steps, shape (m, rows, n): the
     voltage row, then the adaptation row when adaptation noise is on.
@@ -326,48 +324,68 @@ class _Stepper:
                 f"(dt={self.dt:.3g}; reduce dt)", t=t, index=bad)
         return sums
 
+    def run(self, rng: np.random.Generator, n_steps: int, t0: float, t_end: float,
+            stride: int, record) -> float:
+        """Take n_steps steps from time t0 with rng's standard normals and
+        return the time the last one ends.  Step k ends at t0 + k dt, the
+        last at t0 + t_end; record(t, row sums) follows every stride-th
+        step and the last.  A non-finite state raises BlowUpError
+        (finite_sums).
+
+        One standard_normal call draws the normals of a block of whole steps
+        into one reused (K, rows, n) buffer, K = NOISE_BLOCK_NORMALS //
+        (rows n), at least 1 and at most n_steps; a NoiseStream block gives
+        the same draws however it is split.
+        """
+        n = self.n
+        per_block = max(1, min(n_steps, NOISE_BLOCK_NORMALS // (self.rows * n)))
+        block = np.empty((per_block, self.rows, n))
+        sums = np.add.reduce(self.s, axis=1)
+        t, t_last, k = t0, t0 + t_end, 0
+        dt, step, finite_sums = self.dt, self.step, self.finite_sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            while k < n_steps:
+                draws = block[:min(per_block, n_steps - k)]
+                rng.standard_normal(out=draws)
+                for noise, noise_sum in zip(draws, self.scale(draws)):
+                    step(sums.item(0) / n, noise, noise_sum)
+                    k += 1
+                    t = t_last if k == n_steps else t0 + k * dt
+                    sums = finite_sums(t)
+                    if k % stride == 0 or k == n_steps:
+                        record(t, sums)
+        return t
+
 
 def em_step(state: EnsembleState, p: ModelParams, cfg: SimConfig,
             rng: np.random.Generator) -> EnsembleState:
-    """One step of the ensemble, with vbar reduced from state: the update
-    simulate makes in place (see _Stepper.step), here on a copy of state,
-    with the step's draws as a block of one step.  A non-finite result
-    raises BlowUpError naming the time and the neuron, which signals dt too
-    large for the explicit non-stiff drift.
+    """One step of simulate's loop (_Stepper.run) from state, on a copy of
+    it, with rng's draws and no record.  The step is core.time_steps of
+    cfg.dt (or default_dt) over itself, a float.  A non-finite result raises
+    BlowUpError naming the time and the neuron, which signals dt too large
+    for the explicit non-stiff drift.
     """
     dt = cfg.dt if cfg.dt is not None else default_dt(p)
+    _, dt = time_steps(dt, dt)
     s = np.stack((state.v, state.x))
-    stepper = _Stepper(p, dt, s)
-    noise = rng.standard_normal((1, stepper.rows, state.n))
-    (noise_sum,) = stepper.scale(noise)
-    with np.errstate(over="ignore", invalid="ignore"):
-        stepper.step(np.add.reduce(s, axis=1).item(0) / state.n, noise[0], noise_sum)
-        t_new = state.t + dt
-        stepper.finite_sums(t_new)
-    return EnsembleState(t=t_new, v=s[0], x=s[1])
+    t = _Stepper(p, dt, s).run(rng, 1, state.t, dt, 1, lambda t, sums: None)
+    return EnsembleState(t=t, v=s[0], x=s[1])
 
 
 def simulate(cfg: SimConfig, p: ModelParams, init: InitCondition) -> TrajectoryRecord:
     """Integrate to t_end, recording statistics every record_stride steps
     (the initial and final states are always recorded).  The step is
-    core.time_steps of t_end and cfg.dt (or default_dt).  The final ensemble
-    is attached for warm restarts and sample-level diagnostics.
-
-    The normals come from block 1 of the seed's NoiseStream, on the calling
-    thread, one standard_normal call per block of whole steps into one
-    reused (K, rows, n) buffer, with K = NOISE_BLOCK_NORMALS // (rows n),
-    at least 1 and at most the step count.  Each block is summed and scaled
-    once (_Stepper.scale), then stepped through.
+    core.time_steps of t_end and cfg.dt (or default_dt), and the normals
+    come from block 1 of the seed's NoiseStream (_Stepper.run).  The final
+    ensemble is attached for warm restarts and sample-level diagnostics.
     """
     n_steps, dt = time_steps(cfg.t_end, cfg.dt if cfg.dt is not None else default_dt(p))
     stream = NoiseStream(cfg.seed)
     state = sample_initial(init, cfg.n, p, stream.block(0))
 
     s = np.stack((state.v, state.x))
-    n = s.shape[1]
-    stepper = _Stepper(p, dt, s)
     ordered = np.empty_like(s)
-    plan = _quantile_plan(n, cfg.quantile_fractions)
+    plan = _quantile_plan(s.shape[1], cfg.quantile_fractions)
 
     times, stats, quants = [], [], []
 
@@ -378,27 +396,10 @@ def simulate(cfg: SimConfig, p: ModelParams, init: InitCondition) -> TrajectoryR
         ordered.sort(axis=1)
         quants.append(_interpolate(ordered, plan))
 
-    rng = stream.block(1)
-    per_block = max(1, min(n_steps, NOISE_BLOCK_NORMALS // (stepper.rows * n)))
-    block = np.empty((per_block, stepper.rows, n))
-    sums = np.add.reduce(s, axis=1)
-    t = 0.0
-    record(t, sums)
-    k = 0
-    step, finite_sums, stride, t_end = (stepper.step, stepper.finite_sums,
-                                        cfg.record_stride, cfg.t_end)
+    record(0.0, np.add.reduce(s, axis=1))
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            while k < n_steps:
-                draws = block[:min(per_block, n_steps - k)]
-                rng.standard_normal(out=draws)
-                for noise, noise_sum in zip(draws, stepper.scale(draws)):
-                    step(sums.item(0) / n, noise, noise_sum)
-                    k += 1
-                    t = t_end if k == n_steps else k * dt
-                    sums = finite_sums(t)
-                    if k % stride == 0 or k == n_steps:
-                        record(t, sums)
+        t = _Stepper(p, dt, s).run(stream.block(1), n_steps, 0.0, cfg.t_end,
+                                   cfg.record_stride, record)
     except BlowUpError as err:
         raise BlowUpError(
             f"{err} [n={cfg.n}, seed={cfg.seed}, t_end={cfg.t_end}]",

@@ -31,15 +31,6 @@ def test_classify_json(capsys):
     assert "cycle" not in payload  # only detect-cycle integrates a cycle
 
 
-def test_classify_json_out_file(tmp_path, capsys):
-    out = tmp_path / "cls.json"
-    assert run(["classify", "--i-ext", "4", "--a", "0.03",
-                "--json-out", str(out)]) == 0
-    capsys.readouterr()
-    payload = json.loads(out.read_text())
-    assert payload["regime"] == "MonostableStable"
-
-
 def test_simulate_network_outputs(tmp_path):
     out = tmp_path / "o"
     code = run(["simulate-network", "--out", str(out), "--label", "demo",
@@ -244,6 +235,23 @@ def test_detect_cycle_oscillatory(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["regime"] == "Oscillatory"
     assert payload["cycle"]["period"] > 0
+
+
+@pytest.mark.parametrize("flags", [["--a", "0.2", "--b", "2", "--i-ext", "8"],
+                                   ["--a", "0.03", "--b", "0.09", "--i-ext", "2.5"]],
+                         ids=["one equilibrium", "three equilibria"])
+def test_detect_cycle_prints_classifys_report_with_its_cycle(capsys, flags):
+    assert run(["classify", *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert run(["detect-cycle", *flags]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    cycle, start = payload.pop("cycle"), payload.pop("start")
+    config, classify_config = payload.pop("config"), report.pop("config")
+    assert payload == report
+    assert {k: config["params"][k] for k in classify_config["params"]} == \
+        classify_config["params"]
+    assert set(cycle) == {"period", "v_min", "v_max"} and cycle["period"] > 0
+    assert start == {"alpha": config["init"]["mean_v"], "beta": config["init"]["mean_x"]}
 
 
 def test_detect_cycle_stable_returns_null(capsys):
@@ -612,6 +620,36 @@ def test_removed_keys_exit_2(tmp_path, capsys):
     assert info.value.code == 2
 
 
+BOOLEAN_SPELLINGS = {"true": True, "on": True, "yes": True, "1": True,
+                     "false": False, "off": False, "no": False, "0": False}
+
+
+@pytest.mark.parametrize("text", [*BOOLEAN_SPELLINGS, " ON "])
+def test_a_boolean_takes_the_ini_spellings_as_flag_and_as_ini_value(tmp_path, text):
+    want = BOOLEAN_SPELLINGS[text.strip().lower()]
+    args = cli.build_parser().parse_args(["simulate-network", "--adaptation-noise", text])
+    assert args.adaptation_noise is want
+    ini = tmp_path / "b.ini"
+    ini.write_text(f"[params]\nadaptation_noise = {text}\n")
+    assert cli.load_config_file(str(ini))["params"]["adaptation_noise"] is want
+
+
+def test_a_boolean_that_is_no_spelling_exits_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as info:
+        run(["simulate-network", "--adaptation-noise", "maybe", "--out", str(out)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--adaptation-noise" in captured.err and "'maybe'" in captured.err
+    assert captured.out == "" and not out.exists()
+    ini = tmp_path / "b.ini"
+    ini.write_text("[params]\nadaptation_noise = maybe\n")
+    assert run(["simulate-network", "--config", str(ini), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "expected a boolean, got 'maybe'" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_adaptation_noise_flag_takes_the_ini_words(tmp_path):
     out = tmp_path / "o"
     assert run(["simulate-network", "--out", str(out), "--label", "q",
@@ -776,16 +814,6 @@ def test_an_unusable_output_path_exits_2_before_any_work(tmp_path, monkeypatch, 
     captured = capsys.readouterr()
     assert f"{str(blocker)!r} is not a directory" in captured.err
     assert captured.out == "" and blocker.read_text() == "keep"
-
-
-@pytest.mark.parametrize("where", ["directory", "under a file"])
-def test_classify_rejects_an_unusable_json_out_before_printing(tmp_path, capsys, where):
-    (tmp_path / "taken").write_text("keep")
-    target = tmp_path if where == "directory" else tmp_path / "taken" / "cls.json"
-    assert run(["classify", "--json-out", str(target)]) == 2
-    captured = capsys.readouterr()
-    assert "--json-out" in captured.err and captured.out == ""
-    assert (tmp_path / "taken").read_text() == "keep"
 
 
 def test_classify_ignores_a_file_named_like_the_default_output(tmp_path, monkeypatch,
@@ -959,7 +987,7 @@ GUARD_VALUES = {
     "--x-min": "-3", "--x-max": "4", "--nv": "24", "--nx": "24", "--snapshot-stride": "1",
     "--init-kind": "point", "--init-mean-v": "1.5", "--init-mean-x": "0.25",
     "--init-concentration": "0.2", "--out": "elsewhere", "--label": "other",
-    "--json-out": "report.json", "--max-time": "5", "--seeds": "2",
+    "--max-time": "5", "--seeds": "2",
 }
 
 

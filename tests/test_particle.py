@@ -126,6 +126,20 @@ def test_em_step_blowup_reports_time_and_index():
     assert info.value.t == pytest.approx(0.05)
 
 
+def test_em_step_takes_the_step_time_steps_takes():
+    # a float32 step is taken as the float time_steps returns, as simulate
+    # takes it, so the step constants are not computed in float32
+    p = ModelParams(epsilon=0.0625)
+    rng = np.random.default_rng(8)
+    state = EnsembleState(0.0, 1.2 + 0.1 * rng.standard_normal(8),
+                          0.4 + 0.1 * rng.standard_normal(8))
+    want = em_step(state, p, SimConfig(n=8, t_end=1.0, dt=2 ** -10), NoiseStream(3).block(1))
+    got = em_step(state, p, SimConfig(n=8, t_end=1.0, dt=np.float32(2 ** -10)),
+                  NoiseStream(3).block(1))
+    assert np.array_equal(got.v, want.v) and np.array_equal(got.x, want.x)
+    assert type(got.t) is float and got.t == want.t == 2 ** -10
+
+
 def test_noiseless_ensemble_stays_near_stable_equilibrium():
     p = ModelParams(a=0.3, b=0.1, lam=4.0, sigma=0.0, adaptation_noise=False,
                     epsilon=0.01)
@@ -144,8 +158,9 @@ class _PermutedDraws:
         self.rng = rng
         self.perm = perm
 
-    def standard_normal(self, shape):
-        return self.rng.standard_normal(shape)[..., self.perm]
+    def standard_normal(self, *, out):
+        self.rng.standard_normal(out=out)
+        out[...] = out[..., self.perm]
 
 
 def test_permutation_equivariance():

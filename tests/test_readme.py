@@ -1,5 +1,5 @@
 """The README's library sketch runs as written, and its configuration
-tables name the keys of cli._KEYS."""
+tables name the keys of cli._KEYS and each command's other options."""
 
 import re
 from pathlib import Path
@@ -64,6 +64,22 @@ def test_the_per_command_key_table_matches_the_key_table():
                 listed = _named(cell)
             expected = set() if model is None else _keys_of(section, model)
             assert listed == expected, (row[0], section)
+
+
+def test_the_per_command_table_names_every_other_option():
+    # the other column: each option outside -h, --config, --preset and the
+    # flags of the keys the command reads
+    rows = _table(README.read_text(), "| command | `[params]` |")
+    sub = next(a for a in cli.build_parser()._actions if a.choices)
+    for row in rows:
+        parser = sub.choices[_named(row[0]).pop()]
+        model = parser.get_default("model")
+        common = {"-h", "--help", "--config", "--preset"}
+        for section, key, _, _, models in cli._KEYS:
+            if model in models:
+                common.update(cli._flag(section, key)[1])
+        options = {name for action in parser._actions for name in action.option_strings}
+        assert _named(row[-1]) == options - common, row[0]
 
 
 def test_the_section_key_table_matches_the_key_table():
