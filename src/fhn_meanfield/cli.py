@@ -47,8 +47,8 @@ ODE_DT = 0.01  # default RK4 step of simulate-ode
 
 
 class ConfigError(ValueError):
-    """Bad configuration input.  A ValueError, so a flag parser that raises
-    it makes argparse report a usage error."""
+    """Bad configuration input.  A ValueError, so a key's parser may raise
+    it and _parse_value names the key."""
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +132,14 @@ def _flag(section: str, key: str) -> tuple[str, tuple[str, ...]]:
     return dest, ("--" + dest.replace("_", "-"),)
 
 
+def _parse_value(section: str, key: str, parse, raw):
+    """A key's value from its INI or flag text, by the key's parser."""
+    try:
+        return parse(raw)
+    except ValueError as err:
+        raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({err})") from err
+
+
 def load_config_file(path: str) -> dict:
     """Parse the INI config into {section: {field: value}}; any unknown
     section or key is an error."""
@@ -153,11 +161,7 @@ def load_config_file(path: str) -> dict:
             if (section, key) not in rows:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             field, parse = rows[section, key]
-            try:
-                settings.setdefault(section, {})[field] = parse(raw)
-            except ValueError as err:
-                raise ConfigError(
-                    f"bad value for {section}.{key}: {raw!r} ({err})") from err
+            settings.setdefault(section, {})[field] = _parse_value(section, key, parse, raw)
     return settings
 
 
@@ -238,7 +242,8 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
     """The run's configuration: the preset's run (or the dataclass defaults),
     then the INI config file, then flags.  The preset and the file may set
     any key; flags are taken only for keys the model reads, and one that
-    args lacks or holds as None is not set.
+    args lacks or holds as None is not set.  A flag's text goes through its
+    key's parser, as an INI value does, so both give one error message.
 
     The density solver (pde, compare) needs sigma = 1, adaptation noise on,
     a gaussian cluster with mass on its grid and, at its own step, at most
@@ -260,10 +265,10 @@ def resolve_config(args: argparse.Namespace, model: str) -> ExperimentConfig:
     if getattr(args, "config", None):
         for section, values in load_config_file(args.config).items():
             given[section].update(values)
-    for section, key, field, _, models in _KEYS:
+    for section, key, field, parse, models in _KEYS:
         value = getattr(args, _flag(section, key)[0], None)
         if value is not None and model in models:
-            given[section][field] = value
+            given[section][field] = _parse_value(section, key, parse, value)
     seeds = getattr(args, "seeds", None)
 
     try:
@@ -552,8 +557,7 @@ def _add_command(sub, name: str, model: str, func, text: str):
         if section not in groups:
             groups[section] = sp.add_argument_group(_SECTIONS[section])
         dest, names = _flag(section, key)
-        groups[section].add_argument(*names, dest=dest, type=parse,
-                                     metavar=_METAVARS.get(parse),
+        groups[section].add_argument(*names, dest=dest, metavar=_METAVARS.get(parse),
                                      help=f"[{section}] {key}")
     if "output" in groups:
         groups["output"].description = (

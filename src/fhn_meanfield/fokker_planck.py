@@ -19,9 +19,11 @@ without its coupling term (so the cubic is never evaluated in a step), the
 x-face speeds with their upwind mask, and the flux and scratch buffers.  A
 step then runs in-place ufuncs in the operation order of the plain formula,
 alternating between two density buffers owned by the call, so the results
-equal those of a fresh-array loop bit for bit.  The v-fluxes are one flat
-array with one face per cell and a zero-flux wall slot at each row end, so
-every v-direction pass is one contiguous pass over the grid.  Each
+equal those of a fresh-array loop bit for bit.  Every array a step streams
+over, the density buffers included, starts on a 64-byte cache line whatever
+the heap's state; solve copies f0 into the first buffer once.  The v-fluxes
+are one flat array with one face per cell and a zero-flux wall slot at each
+row end, so every v-direction pass is one contiguous pass over the grid.  Each
 density's J[g] is read once, right after its step, for its record and as
 the next step's frozen moment.  fp_step is a solve of one step.
 
@@ -223,6 +225,17 @@ def check_density_params(p: ModelParams) -> None:
             f"sigma = {p.sigma:g}, adaptation_noise = {p.adaptation_noise}")
 
 
+def _aligned(shape, dtype=float, lead: int = 0) -> np.ndarray:
+    """A zeroed C-ordered array whose flat item lead starts on a 64-byte
+    cache line.  malloc aligns numpy's large arrays to 16 bytes only, and
+    a ufunc loop whose vectors straddle two lines runs slower."""
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    raw = np.zeros(nbytes + 64, dtype=np.uint8)
+    start = -(raw.ctypes.data + lead * dtype.itemsize) % 64
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
 class _UpwindKernel:
     """The explicit update for one (grid, params, dt): every time-independent
     array is computed once, every per-step array is preallocated.
@@ -239,6 +252,10 @@ class _UpwindKernel:
     so each v-pass runs over the flat slots 1 .. nx*nv - 1 in one go.  It
     writes garbage into the walls between rows, which are zeroed before
     the divergence, slot 1 + k minus slot k.
+
+    Each array step() streams over, the two density buffers of solve
+    included, starts on a 64-byte line, and the v-fluxes so that their
+    first written slot, _fv[1], does.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, dt: float):
@@ -246,18 +263,23 @@ class _UpwindKernel:
         g = self.grid = grid
         self.p, self.dt = p, dt
         nx, nv = g.nx, g.nv
-        # fluxes with their zero walls, and one grid-sized scratch array
-        self._fv = np.zeros(nx * nv + 1)
-        self._hx = np.zeros((nx + 1, nv))
-        self._scratch = np.empty(nx * nv)
+        # fluxes with their zero walls, one grid-sized scratch array and the
+        # two density buffers; the v-passes write from _fv[1] on
+        self._fv = _aligned(nx * nv + 1, lead=1)
+        self._hx = _aligned((nx + 1, nv))
+        self._scratch = _aligned(nx * nv)
+        self.buffers = (_aligned((nx, nv)), _aligned((nx, nv)))
         self._terms = _cfl_terms(g, p)
         vf = self._v_faces = np.append(g.v_faces_interior(), g.v_max)
         xc = g.x_centers()[:, None]
         # the v-face drift without its coupling term, (jg - v_f)/eps, flat
-        self._drift_v = uncoupled_drift(vf[None, :], xc, p).reshape(-1)
-        self._up_v = np.empty(nx * nv - 1, dtype=bool)
-        self._speed_x = p.a * g.x_faces_interior()[:, None] - p.b * g.v_centers()[None, :]
-        self._up_x = self._speed_x <= 0.0
+        self._drift_v = _aligned(nx * nv)
+        self._drift_v[:] = uncoupled_drift(vf[None, :], xc, p).reshape(-1)
+        self._up_v = _aligned(nx * nv - 1, dtype=bool)
+        self._speed_x = _aligned((nx - 1, nv))
+        self._speed_x[:] = p.a * g.x_faces_interior()[:, None] - p.b * g.v_centers()[None, :]
+        self._up_x = _aligned((nx - 1, nv), dtype=bool)
+        np.less_equal(self._speed_x, 0.0, out=self._up_x)
 
     def step(self, src: np.ndarray, dst: np.ndarray, jg: float, t_new: float) -> None:
         """Write the density one step after src into dst, a C-ordered
@@ -274,7 +296,7 @@ class _UpwindKernel:
         # dst and the scratch array double as upwind buffers until the sum
         spare = dst.reshape(-1)
         scratch = self._scratch
-        flat = src.ravel()  # a copy only when src is not C-ordered
+        flat = src.ravel()
 
         # v-direction interface fluxes H = U g_up + d_v g, on flat slots
         # 1 .. nx*nv - 1: the wall slots between rows get garbage here
@@ -322,6 +344,20 @@ class _UpwindKernel:
                               f"(cell ix={ix}, iv={iv})", cell=(ix, iv), t=t_new)
 
 
+def _check_initial(rho: np.ndarray, jg: float) -> None:
+    """Reject an initial density that no step can take: a cell that is not
+    finite or lies below NEGATIVITY_TOL, or a J[g] that is not finite."""
+    ok = (rho >= NEGATIVITY_TOL) & (rho < np.inf)  # False also for NaN
+    if not ok.all():
+        ix, iv = divmod(int(np.argmin(ok)), rho.shape[1])
+        raise ValueError(f"the initial density is {rho[ix, iv]:.3e} at cell ix={ix}, "
+                         f"iv={iv}; it must be finite and >= {NEGATIVITY_TOL:g}")
+    if not np.isfinite(jg):
+        ix, iv = divmod(int(np.argmax(rho)), rho.shape[1])
+        raise ValueError(f"J[g] of the initial density is {jg}: its largest cell, "
+                         f"ix={ix}, iv={iv}, holds {rho[ix, iv]:.3e}")
+
+
 def solve(f0: DensityField, p: ModelParams, t_end: float, *,
           dt: float | None = None, record_stride: int = 1,
           snapshot_stride: int | None = None) -> FpSolution:
@@ -330,8 +366,11 @@ def solve(f0: DensityField, p: ModelParams, t_end: float, *,
 
     The step is core.time_steps of t_end and dt, which is an upper bound;
     dt=None bounds it by stable_dt, so every step is stable for any first
-    moment on the grid.  The steps alternate between two buffers owned by
-    this call; f0 is not written.
+    moment on the grid.  f0.rho is copied once into the first of the
+    kernel's two buffers, between which the steps alternate; f0 is not
+    written.  An initial density with a cell that is not finite or lies
+    below NEGATIVITY_TOL, or whose J[g] is not finite, raises ValueError
+    before the first step.
     """
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
@@ -341,16 +380,19 @@ def solve(f0: DensityField, p: ModelParams, t_end: float, *,
     n_steps, dt = time_steps(t_end, stable_dt(g, p) if dt is None else dt)
     kernel = _UpwindKernel(g, p, dt)
 
+    buffers = [DensityField(g, rho) for rho in kernel.buffers]
+    src = buffers[0]
+    np.copyto(src.rho, f0.rho)
+    jg = first_moment(f0)  # J[g] of src, read once per density
+    _check_initial(src.rho, jg)
+
     times = [f0.t]
-    jgs = [first_moment(f0)]
+    jgs = [jg]
     masses = [mass(f0)]
     snaps: list[DensityField] = []
     if snapshot_stride is not None:
         snaps.append(DensityField(g, f0.rho.copy(), f0.t))
 
-    buffers = [DensityField(g, np.empty((g.nx, g.nv))) for _ in range(2)]
-    src = f0
-    jg = jgs[0]  # J[g] of src, read once per density
     for k in range(1, n_steps + 1):
         dst = buffers[k % 2]
         last = k == n_steps

@@ -628,7 +628,7 @@ BOOLEAN_SPELLINGS = {"true": True, "on": True, "yes": True, "1": True,
 def test_a_boolean_takes_the_ini_spellings_as_flag_and_as_ini_value(tmp_path, text):
     want = BOOLEAN_SPELLINGS[text.strip().lower()]
     args = cli.build_parser().parse_args(["simulate-network", "--adaptation-noise", text])
-    assert args.adaptation_noise is want
+    assert cli.resolve_config(args, "network").params.adaptation_noise is want
     ini = tmp_path / "b.ini"
     ini.write_text(f"[params]\nadaptation_noise = {text}\n")
     assert cli.load_config_file(str(ini))["params"]["adaptation_noise"] is want
@@ -636,18 +636,46 @@ def test_a_boolean_takes_the_ini_spellings_as_flag_and_as_ini_value(tmp_path, te
 
 def test_a_boolean_that_is_no_spelling_exits_2_before_any_output(tmp_path, capsys):
     out = tmp_path / "o"
-    with pytest.raises(SystemExit) as info:
-        run(["simulate-network", "--adaptation-noise", "maybe", "--out", str(out)])
-    assert info.value.code == 2
+    assert run(["simulate-network", "--adaptation-noise", "maybe", "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert "--adaptation-noise" in captured.err and "'maybe'" in captured.err
+    assert captured.err == ("configuration error: bad value for params.adaptation_noise: "
+                            "'maybe' (expected a boolean, got 'maybe')\n")
     assert captured.out == "" and not out.exists()
     ini = tmp_path / "b.ini"
     ini.write_text("[params]\nadaptation_noise = maybe\n")
     assert run(["simulate-network", "--config", str(ini), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert "expected a boolean, got 'maybe'" in captured.err
-    assert captured.out == "" and not out.exists()
+    assert capsys.readouterr() == captured
+    assert not out.exists()
+
+
+# one bad value per parser, and the reason it gives
+BAD_VALUES = [
+    ("params", "a", "abc", "could not convert string to float: 'abc'"),
+    ("sim", "n", "abc", "invalid literal for int() with base 10: 'abc'"),
+    ("params", "adaptation_noise", "maybe", "expected a boolean, got 'maybe'"),
+    ("sim", "quantiles", "0.1,x", "expected a list of numbers, got '0.1,x'"),
+]
+
+
+@pytest.mark.parametrize("section, key, text, reason", BAD_VALUES,
+                         ids=[row[1] for row in BAD_VALUES])
+def test_a_bad_value_reads_the_same_as_flag_and_as_ini_value(tmp_path, capsys, section,
+                                                              key, text, reason):
+    parsers = {row[1]: row[3] for row in cli._KEYS}
+    assert {parsers[row[1]] for row in BAD_VALUES} == {float, int, cli._parse_bool,
+                                                       cli._parse_floats}
+    out = tmp_path / "o"
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {text}\n")
+    flag = cli._flag(section, key)[1][0]
+    errors = []
+    for argv in ([flag, text], ["--config", str(ini)]):
+        assert run(["simulate-network", *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == (
+        f"configuration error: bad value for {section}.{key}: {text!r} ({reason})\n")
 
 
 def test_adaptation_noise_flag_takes_the_ini_words(tmp_path):

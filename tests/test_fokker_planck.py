@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -91,28 +92,61 @@ def test_fp_step_names_a_bad_step(dt):
 
 
 def test_negative_density_guard():
+    # solve refuses such a density before its first step, so the step's own
+    # guard is reached through the kernel
+    from fhn_meanfield.fokker_planck import _UpwindKernel
     grid = small_grid()
     rho = np.zeros((grid.nx, grid.nv))
     rho[5, 5] = -1.0
     rho[2, 40] = -0.5  # earlier in the row-major order, but not the lowest
     dt = stable_dt(grid, P01)
+    kernel = _UpwindKernel(grid, P01, dt)
     with pytest.raises(SchemeError) as info:
-        fp_step(DensityField(grid, rho, 0.25), P01, dt=dt)
+        kernel.step(rho, np.empty_like(rho), first_moment(DensityField(grid, rho)), 0.25 + dt)
     # the lowest cell of the failed density, named with its time
     assert info.value.cell == (5, 5) and info.value.t == 0.25 + dt
     assert str(info.value).endswith(f"at t={0.25 + dt:.6g} (cell ix=5, iv=5)")
 
 
 def test_nan_moment_trips_the_negativity_guard():
+    from fhn_meanfield.fokker_planck import _UpwindKernel
     f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
-    f.rho[5, 5] = np.nan
+    dt = time_steps(0.01, stable_dt(f.grid, P01))[1]
+    kernel = _UpwindKernel(f.grid, P01, dt)
     with pytest.raises(SchemeError, match="nan") as info:
-        solve(f, P01, 0.01)
+        kernel.step(f.rho, np.empty_like(f.rho), np.nan, dt)
     assert info.value.cell == (0, 0)  # a NaN moment spreads NaN everywhere
-    assert info.value.t == time_steps(0.01, stable_dt(f.grid, P01))[1]  # the first step
-    with pytest.raises(SchemeError, match="nan") as info:
-        fp_step(f, P01, 1e-4)
-    assert info.value.t == 1e-4
+    assert info.value.t == dt
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # the 1e308 cell's J[g]
+@pytest.mark.parametrize("value, cell, what", [
+    (np.inf, (0, 0), "inf at cell ix=0, iv=0"),
+    (-np.inf, (3, 7), "-inf at cell ix=3, iv=7"),
+    (np.nan, (5, 5), "nan at cell ix=5, iv=5"),
+    (-1.0, (31, 47), "-1.000e+00 at cell ix=31, iv=47"),
+    (1e308, (0, 0), "J[g] of the initial density is -inf: its largest cell, ix=0, iv=0"),
+])
+def test_solve_rejects_a_bad_initial_density_before_its_first_step(monkeypatch, value,
+                                                                   cell, what):
+    f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
+    f.rho[cell] = value
+    rho0 = f.rho.copy()
+    steps = []
+    monkeypatch.setattr(fokker_planck._UpwindKernel, "step",
+                        lambda *args: steps.append(args))
+    for call in (lambda: solve(f, P01, 0.01), lambda: solve(f, P01, 0.0),
+                 lambda: fp_step(f, P01, 1e-4)):
+        with pytest.raises(ValueError, match=r"^(the initial density is )?" + re.escape(what)) as info:
+            call()
+        assert not isinstance(info.value, (CflError, SchemeError))
+    assert steps == [] and np.array_equal(f.rho, rho0, equal_nan=True)
+
+
+def test_solve_takes_an_initial_density_at_the_negativity_tolerance():
+    f = gaussian_field(small_grid(), InitCondition(mean_v=1.0, mean_x=0.5), P01)
+    f.rho[4, 4] = NEGATIVITY_TOL
+    _solve_matching_the_reference(f, P01, 0.01, snapshot_stride=5)
 
 
 @pytest.mark.parametrize("changes", [dict(sigma=0.5), dict(sigma=0.0),
@@ -418,6 +452,59 @@ def test_kernel_steps_allocate_less_than_half_a_grid_array():
     finally:
         tracemalloc.stop()
     assert peak < f0.rho.nbytes / 2
+
+
+@pytest.mark.parametrize("grid", [ORACLE_GRID, small_grid(nv=11, nx=9)],
+                         ids=["oracle", "small"])
+def test_every_array_a_step_streams_over_starts_on_a_cache_line(grid):
+    from fhn_meanfield.fokker_planck import _UpwindKernel
+    held = []
+    for size in (0, 1, 40, 4096 + 24, 3 * grid.nx * grid.nv + 8):
+        held.append(bytearray(size))  # heap states that numpy's arrays inherit
+        k = _UpwindKernel(grid, P01, stable_dt(grid, P01))
+        # _fv[1:], where the v-passes write, rather than _fv itself
+        streamed = [k._fv[1:], k._hx, k._scratch, k._drift_v, k._speed_x, k._up_v,
+                    k._up_x, *k.buffers]
+        assert [a.ctypes.data % 64 for a in streamed] == [0] * len(streamed)
+        assert all(a.flags.c_contiguous and a.flags.writeable for a in streamed)
+
+
+def _at_line_offset(rho, offset):
+    """A copy of rho whose first byte lies offset bytes past a 64-byte line."""
+    raw = np.empty(rho.nbytes + 64, dtype=np.uint8)
+    start = (offset - raw.ctypes.data) % 64
+    out = raw[start:start + rho.nbytes].view(float).reshape(rho.shape)
+    out[...] = rho
+    return out
+
+
+def test_solve_gives_the_same_bits_wherever_the_initial_density_lies():
+    f0 = gaussian_field(ORACLE_GRID, InitCondition(mean_v=2.0, mean_x=1.0,
+                                                   concentration=0.3), P01)
+    horizon = 20 * stable_dt(ORACLE_GRID, P01)
+
+    def run(rho):
+        kept = rho.copy()
+        sol = solve(DensityField(ORACLE_GRID, rho, 0.5), P01, horizon, record_stride=3,
+                    snapshot_stride=7)
+        assert np.array_equal(rho, kept)  # solve never writes its input
+        return sol
+
+    want = run(f0.rho)
+    placed = [_at_line_offset(f0.rho, offset) for offset in range(0, 64, 8)]
+    assert sorted(rho.ctypes.data % 64 for rho in placed) == list(range(0, 64, 8))
+    sols = [run(rho) for rho in placed]
+    for size in (1, 4097, (1 << 20) + 3):
+        junk = bytearray(size)  # an odd-sized allocation just before the call
+        sols.append(run(f0.rho))
+        del junk
+    for sol in sols:
+        assert np.array_equal(sol.t, want.t)
+        assert np.array_equal(sol.jg, want.jg)
+        assert np.array_equal(sol.mass, want.mass)
+        assert len(sol.snapshots) == len(want.snapshots) == 4
+        for got, ref in zip(sol.snapshots, want.snapshots):
+            assert got.t == ref.t and np.array_equal(got.rho, ref.rho)
 
 
 def test_first_moment_reuses_one_read_only_centres_array():
