@@ -15,6 +15,7 @@ relaxing adaptation's.  A Hopf point sits at T = 0.  The cubic's discriminant
     with q = lam + b/a and I = i_ext
 
 is reported, and |Delta| <= DEGENERACY_TOL only marks the saddle-node band.
+classify reads the cubic's coefficients once, for Delta and the roots alike.
 Bistable counts equilibria and does not promise that two of them are
 stable: at (a, b, lam, I) = (0.03, 0.09, 4, 2.5) all three are unstable
 inside a cycle of period 136.5.  Each equilibrium's label carries its own
@@ -27,7 +28,8 @@ import math
 from typing import NamedTuple
 
 from .core import BlowUpError, ModelParams, cubic_prime, time_steps, uncoupled_drift
-from .limit_ode import LimitState, equilibria, equilibrium_cubic_coeffs, rk4_step
+from .limit_ode import (LimitState, equilibria, equilibrium_cubic_coeffs,
+                        real_cubic_roots, rk4_step)
 
 BISTABLE = "Bistable"
 MONOSTABLE_STABLE = "MonostableStable"
@@ -75,7 +77,10 @@ def discriminant(p: ModelParams) -> float:
     """The discriminant above, of the equilibrium cubic v^3 + c2 v^2 + q v
     + c0 with 1 + lam = -c2 and I = -c0.  Raises ValueError when it is not
     finite, as when q ** 3 overflows."""
-    c2, q, c0 = equilibrium_cubic_coeffs(p)
+    return _discriminant(*equilibrium_cubic_coeffs(p), p)
+
+
+def _discriminant(c2: float, q: float, c0: float, p: ModelParams) -> float:
     lam1, i0 = -c2, -c0
     try:
         delta = (-27.0 * i0 ** 2 + 18.0 * lam1 * q * i0 - 4.0 * q ** 3
@@ -114,10 +119,14 @@ def classify(p: ModelParams) -> BifurcationReport:
 
     The regime follows the equilibria found: DegenerateSaddleNode when two
     are found or |Delta| <= DEGENERACY_TOL, else Bistable for three and the
-    trace rule for one, DegenerateHopf when |T| <= DEGENERACY_TOL.
+    trace rule for one, DegenerateHopf when |T| <= DEGENERACY_TOL.  The
+    cubic's coefficients are read once and give both Delta and the roots,
+    with the bits of discriminant(p) and equilibria(p).
     """
-    delta = discriminant(p)
-    infos = tuple([_equilibrium_info(v, x, p) for v, x in equilibria(p)])
+    c2, c1, c0 = equilibrium_cubic_coeffs(p)
+    delta = _discriminant(c2, c1, c0, p)
+    ba = p.b / p.a
+    infos = tuple([_equilibrium_info(v, ba * v, p) for v in real_cubic_roots(c2, c1, c0)])
 
     if abs(delta) <= DEGENERACY_TOL or len(infos) == 2:
         if len(infos) == 3:
@@ -126,7 +135,7 @@ def classify(p: ModelParams) -> BifurcationReport:
             gaps = [infos[1].v - infos[0].v, infos[2].v - infos[1].v]
             k = 0 if gaps[0] <= gaps[1] else 1
             mid = 0.5 * (infos[k].v + infos[k + 1].v)
-            merged = _equilibrium_info(mid, (p.b / p.a) * mid, p)
+            merged = _equilibrium_info(mid, ba * mid, p)
             infos = (merged, infos[2]) if k == 0 else (infos[0], merged)
         return BifurcationReport(delta, infos, DEGENERATE_SADDLE_NODE)
     if len(infos) == 3:

@@ -344,18 +344,23 @@ class _UpwindKernel:
                               f"(cell ix={ix}, iv={iv})", cell=(ix, iv), t=t_new)
 
 
-def _check_initial(rho: np.ndarray, jg: float) -> None:
-    """Reject an initial density that no step can take: a cell that is not
-    finite or lies below NEGATIVITY_TOL, or a J[g] that is not finite."""
+def _initial_moment(f0: DensityField) -> float:
+    """J[g] of an initial density that a step can take.  Raises ValueError
+    for a cell that is not finite or lies below NEGATIVITY_TOL, and then,
+    with numpy's floating-point warnings off, for a J[g] that is not finite."""
+    rho = f0.rho
     ok = (rho >= NEGATIVITY_TOL) & (rho < np.inf)  # False also for NaN
     if not ok.all():
         ix, iv = divmod(int(np.argmin(ok)), rho.shape[1])
         raise ValueError(f"the initial density is {rho[ix, iv]:.3e} at cell ix={ix}, "
                          f"iv={iv}; it must be finite and >= {NEGATIVITY_TOL:g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        jg = first_moment(f0)
     if not np.isfinite(jg):
         ix, iv = divmod(int(np.argmax(rho)), rho.shape[1])
         raise ValueError(f"J[g] of the initial density is {jg}: its largest cell, "
                          f"ix={ix}, iv={iv}, holds {rho[ix, iv]:.3e}")
+    return jg
 
 
 def solve(f0: DensityField, p: ModelParams, t_end: float, *,
@@ -383,8 +388,7 @@ def solve(f0: DensityField, p: ModelParams, t_end: float, *,
     buffers = [DensityField(g, rho) for rho in kernel.buffers]
     src = buffers[0]
     np.copyto(src.rho, f0.rho)
-    jg = first_moment(f0)  # J[g] of src, read once per density
-    _check_initial(src.rho, jg)
+    jg = _initial_moment(f0)  # J[g] of src, read once per density
 
     times = [f0.t]
     jgs = [jg]

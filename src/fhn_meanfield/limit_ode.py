@@ -108,12 +108,18 @@ def equilibrium_cubic_coeffs(p: ModelParams) -> tuple[float, float, float]:
     return (-(1.0 + p.lam), p.lam + p.b / p.a, -p.i_ext)
 
 
+_THIRDS = tuple(2.0 * math.pi * k / 3.0 for k in range(3))  # trigonometric root phases
+
+
 def real_cubic_roots(c2: float, c1: float, c0: float) -> list[float]:
     """Distinct real roots of the monic cubic, ascending.
 
     Analytic bootstrap (trigonometric for three real roots, Cardano for
-    one), then Newton polish; avoids fragility right at a vanishing
-    discriminant.  A double root appears once in the output.
+    one), then up to 50 Newton steps of polish; avoids fragility right at a
+    vanishing discriminant.  A double root appears once in the output.
+    An iterate equal to the one two steps back starts a two-cycle between
+    adjacent doubles, which no stopping test ends; the polish stops there
+    and returns the iterate on which the 50 steps would have ended.
     """
     # depressed form y^3 + py + q with v = y - c2/3
     shift = -c2 / 3.0
@@ -129,7 +135,7 @@ def real_cubic_roots(c2: float, c1: float, c0: float) -> list[float]:
         m = 2.0 * math.sqrt(-pp / 3.0)
         arg = 3.0 * qq / (pp * m)
         theta = math.acos(min(1.0, max(-1.0, arg))) / 3.0
-        ys = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
+        ys = [m * math.cos(theta - third) for third in _THIRDS]
     elif disc < 0.0:
         # one real root; pick the numerically stable Cardano branch
         s = math.sqrt(qq * qq / 4.0 + pp ** 3 / 27.0)
@@ -142,8 +148,8 @@ def real_cubic_roots(c2: float, c1: float, c0: float) -> list[float]:
 
     roots = []
     for y in ys:
-        r = y + shift
-        for _ in range(50):
+        r, r1 = y + shift, math.nan  # r1: the iterate before r; r2: the one before that
+        for k in range(50):
             f = ((r + c2) * r + c1) * r + c0
             if abs(f) < 1e-15 * scale:
                 break
@@ -151,11 +157,17 @@ def real_cubic_roots(c2: float, c1: float, c0: float) -> list[float]:
             if fp == 0.0:
                 break
             step = f / fp
-            r -= step
+            r, r1, r2 = r - step, r, r1
             if abs(step) < 1e-16 * max(1.0, abs(r)):
+                break
+            if r == r2:  # the loop only alternates between r1 and r from here
+                if k % 2 == 0:  # an odd number of the 50 steps is left: it ends on r1
+                    r = r1
                 break
         roots.append(r)
 
+    if len(roots) == 1:
+        return roots
     roots.sort()
     distinct: list[float] = []
     for r in roots:

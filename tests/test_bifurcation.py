@@ -264,6 +264,71 @@ def test_labels_and_regimes_match_the_written_out_trace_on_the_regime_scan_recta
                                       else MONOSTABLE_STABLE if tr < 0.0 else OSCILLATORY), p
 
 
+def _classify_by_composition(p):
+    # classify as discriminant, equilibria and one _equilibrium_info per
+    # equilibrium, each reading the cubic's coefficients anew
+    delta = discriminant(p)
+    infos = tuple([bifurcation._equilibrium_info(v, x, p) for v, x in equilibria(p)])
+    merged = False
+    if abs(delta) <= DEGENERACY_TOL or len(infos) == 2:
+        if len(infos) == 3:
+            gaps = [infos[1].v - infos[0].v, infos[2].v - infos[1].v]
+            k = 0 if gaps[0] <= gaps[1] else 1
+            mid = 0.5 * (infos[k].v + infos[k + 1].v)
+            pair = bifurcation._equilibrium_info(mid, (p.b / p.a) * mid, p)
+            infos = (pair, infos[2]) if k == 0 else (infos[0], pair)
+            merged = True
+        return (delta, infos, DEGENERATE_SADDLE_NODE), merged
+    if len(infos) == 3:
+        return (delta, infos, BISTABLE), merged
+    tr = infos[0].trace
+    regime = (DEGENERATE_HOPF if abs(tr) <= DEGENERACY_TOL
+              else MONOSTABLE_STABLE if tr < 0.0 else OSCILLATORY)
+    return (delta, infos, regime), merged
+
+
+def _bits(report):
+    # the report with every float as float.hex, so -0.0 differs from 0.0
+    delta, infos, regime = report
+    return (delta.hex(), regime, [
+        (e.v.hex(), e.x.hex(), e.trace.hex(), e.det.hex(),
+         [(z.real.hex(), z.imag.hex()) for z in e.eigenvalues], e.label)
+        for e in infos])
+
+
+def _saddle_node_band(a, b, lam):
+    # points within 1e-9 of each saddle-node current, where a double root
+    # v solves 3 v^2 - 2 (1 + lam) v + q = 0
+    q = lam + b / a
+    root = math.sqrt((1.0 + lam) ** 2 - 3.0 * q)
+    for v in ((1.0 + lam - root) / 3.0, (1.0 + lam + root) / 3.0):
+        i_sn = v ** 3 - (1.0 + lam) * v ** 2 + q * v
+        for d in (-1e-9, -3e-10, -1e-12, 0.0, 1e-12, 3e-10, 1e-9):
+            yield ModelParams(a=a, b=b, lam=lam, i_ext=i_sn + d)
+
+
+def test_classify_has_the_bits_of_its_composition_on_the_regime_scan_rectangle():
+    points = [ModelParams(a=0.3, b=0.1, lam=float(lam), i_ext=float(i_ext))
+              for lam in np.linspace(2.0, 6.0, 61) for i_ext in np.linspace(-2.0, 6.0, 61)]
+    points += [p for lam in np.linspace(2.0, 6.0, 21)
+               for p in _saddle_node_band(0.3, 0.1, float(lam))]
+    points += [p for a, b, lam in ((0.5, 0.05, 3.0), (0.1, 0.01, 8.0), (1.0, 0.3, 5.0))
+               for p in _saddle_node_band(a, b, lam)]
+    points.append(ModelParams(a=0.03, b=0.09, lam=4.0, i_ext=2.5))
+    merges = 0
+    for p in points:
+        ref, merged = _classify_by_composition(p)
+        assert _bits(classify(p)) == _bits(ref), p
+        merges += merged
+    assert merges >= 20  # the DegenerateSaddleNode merge of a split double root
+
+
+@given(params_strategy)
+@settings(max_examples=300, deadline=None)
+def test_classify_has_the_bits_of_its_composition(p):
+    assert _bits(classify(p)) == _bits(_classify_by_composition(p)[0])
+
+
 def test_reports_are_immutable():
     rep = classify(ModelParams())
     with pytest.raises(AttributeError):

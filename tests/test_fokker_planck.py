@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -119,13 +120,15 @@ def test_nan_moment_trips_the_negativity_guard():
     assert info.value.t == dt
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")  # the 1e308 cell's J[g]
 @pytest.mark.parametrize("value, cell, what", [
     (np.inf, (0, 0), "inf at cell ix=0, iv=0"),
     (-np.inf, (3, 7), "-inf at cell ix=3, iv=7"),
     (np.nan, (5, 5), "nan at cell ix=5, iv=5"),
     (-1.0, (31, 47), "-1.000e+00 at cell ix=31, iv=47"),
     (1e308, (0, 0), "J[g] of the initial density is -inf: its largest cell, ix=0, iv=0"),
+    # rows ix=0 and ix=1 overflow to -inf and +inf
+    (1e308, ([0, 0, 1], [0, 1, -1]), "J[g] of the initial density is nan: its largest "
+                                     "cell, ix=0, iv=0"),
 ])
 def test_solve_rejects_a_bad_initial_density_before_its_first_step(monkeypatch, value,
                                                                    cell, what):
@@ -137,7 +140,9 @@ def test_solve_rejects_a_bad_initial_density_before_its_first_step(monkeypatch, 
                         lambda *args: steps.append(args))
     for call in (lambda: solve(f, P01, 0.01), lambda: solve(f, P01, 0.0),
                  lambda: fp_step(f, P01, 1e-4)):
-        with pytest.raises(ValueError, match=r"^(the initial density is )?" + re.escape(what)) as info:
+        with (warnings.catch_warnings(),
+              pytest.raises(ValueError, match=r"^(the initial density is )?" + re.escape(what)) as info):
+            warnings.simplefilter("error")  # the error, not a warning, reports the cell
             call()
         assert not isinstance(info.value, (CflError, SchemeError))
     assert steps == [] and np.array_equal(f.rho, rho0, equal_nan=True)

@@ -106,6 +106,86 @@ def test_cubic_solver_against_numpy_roots(c2, c1, c0):
         assert ours == pytest.approx(dedup, abs=2e-5)
 
 
+def _real_cubic_roots_with_50_newton_steps(c2, c1, c0, steps):
+    # real_cubic_roots with its polish written as the plain 50-step loop it
+    # replaces; appends the Newton steps each root takes to steps
+    shift = -c2 / 3.0
+    pp = c1 - c2 * c2 / 3.0
+    qq = c0 + c2 * (2.0 * c2 * c2 - 9.0 * c1) / 27.0
+    disc = -4.0 * pp ** 3 - 27.0 * qq ** 2
+    scale = max(1.0, abs(c2), abs(c1), abs(c0))
+    if abs(pp) < 1e-14 * scale and abs(qq) < 1e-14 * scale:
+        ys = [math.copysign(abs(qq) ** (1.0 / 3.0), -qq) if qq else 0.0]
+    elif disc > 0.0:
+        m = 2.0 * math.sqrt(-pp / 3.0)
+        arg = 3.0 * qq / (pp * m)
+        theta = math.acos(min(1.0, max(-1.0, arg))) / 3.0
+        ys = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
+    elif disc < 0.0:
+        s = math.sqrt(qq * qq / 4.0 + pp ** 3 / 27.0)
+        u = -qq / 2.0 + s if qq <= 0 else -qq / 2.0 - s
+        u = math.copysign(abs(u) ** (1.0 / 3.0), u)
+        ys = [u + (-pp / (3.0 * u) if u != 0.0 else 0.0)]
+    else:
+        ys = [3.0 * qq / pp, -3.0 * qq / (2.0 * pp)]
+    roots = []
+    for y in ys:
+        r = y + shift
+        n = 0
+        for _ in range(50):
+            f = ((r + c2) * r + c1) * r + c0
+            if abs(f) < 1e-15 * scale:
+                break
+            fp = (3.0 * r + 2.0 * c2) * r + c1
+            if fp == 0.0:
+                break
+            step = f / fp
+            r -= step
+            n += 1
+            if abs(step) < 1e-16 * max(1.0, abs(r)):
+                break
+        steps.append(n)
+        roots.append(r)
+    roots.sort()
+    distinct = []
+    for r in roots:
+        if not distinct or abs(r - distinct[-1]) > 1e-9 * max(1.0, abs(r)):
+            distinct.append(r)
+    return distinct
+
+
+# (c2, c1, c0) with a root whose 50 Newton steps end in a cycle: a fixed
+# point, where r - step rounds back to r, or a two-cycle of adjacent doubles.
+# The number is the steps after which the polish sees the cycle and stops;
+# after 3 it returns the iterate before the last
+STALLED_POLISH = [
+    # on the regime-scan rectangle (a = 0.3, b = 0.1)
+    ("-0x1.2ceeb0d7118abp+2", "0x1.0244062c66e00p+2", "-0x1.46441d3b651d4p+2"),  # fixed, 2
+    ("-0x1.37e2b251037efp+2", "0x1.0d3807a658d44p+2", "-0x1.ed115d1ef34a0p+1"),  # fixed, 3
+    ("-0x1.2fa392b2d71dbp+2", "0x1.04f8e8082c730p+2", "-0x1.4b86667a3e0ebp+2"),  # 2-cycle, 2
+    ("-0x1.4dec829dd1da4p+2", "0x1.2341d7f3272f9p+2", "-0x1.77574fb9bb7c4p-1"),  # 2-cycle, 2
+    # near a double root
+    ("0x1.5e4bbf10d05f8p-1", "-0x1.075503760ec3dp+4", "0x1.649e36b6765e3p+4"),  # 2-cycle, 3
+    ("-0x1.1e26d06b73b98p+0", "-0x1.d15fe501e085ap+3", "-0x1.0bf7b1f2a62f0p+4"),  # 2-cycle, 3
+]
+
+
+@pytest.mark.parametrize("coeffs", STALLED_POLISH)
+def test_a_stalled_polish_returns_the_root_of_the_50_step_loop(coeffs):
+    c2, c1, c0 = (float.fromhex(c) for c in coeffs)
+    steps = []
+    ref = _real_cubic_roots_with_50_newton_steps(c2, c1, c0, steps)
+    assert 50 in steps
+    assert [r.hex() for r in real_cubic_roots(c2, c1, c0)] == [r.hex() for r in ref]
+
+
+@given(st.floats(-10, 10), st.floats(-30, 30), st.floats(-30, 30))
+@settings(max_examples=300)
+def test_real_cubic_roots_has_the_bits_of_the_50_step_loop(c2, c1, c0):
+    ref = _real_cubic_roots_with_50_newton_steps(c2, c1, c0, [])
+    assert [r.hex() for r in real_cubic_roots(c2, c1, c0)] == [r.hex() for r in ref]
+
+
 def test_rk4_stationary_at_equilibrium():
     p = ModelParams(a=0.3, b=0.1, lam=4.0, i_ext=0.0)
     v, x = equilibria(p)[-1]
