@@ -41,8 +41,8 @@ DEGENERACY_TOL = 1e-9  # about 1000x double-precision noise at these magnitudes
 
 # Poincare-section cycle detection
 CYCLE_DT = 0.025  # RK4 step
-CYCLE_MIN_RETURNS = 5  # laps whose return times are averaged into the period
-CYCLE_SPREAD_TOL = 0.01  # largest relative spread of their return times and v-ranges
+CYCLE_SECTION_TOL = 1e-7  # largest move of the section point per lap, over the lap's v-range
+CYCLE_SPREAD_TOL = 0.01  # drift of the v-range's middle, over the range, that moves the midline
 CYCLE_CONVERGENCE_TOL = 1e-8  # displacement over one time unit of a settled state
 
 
@@ -156,17 +156,18 @@ def detect_limit_cycle(p: ModelParams, s0: LimitState, *,
 
     Integrates from s0 by RK4 at CYCLE_DT and watches upward crossings of
     the section v = v* (the unique equilibrium), each placed within its
-    step by a cubic Hermite interpolant.  With several equilibria
-    the section is the running midline instead, the middle of the v-range
-    since s0; it moves only when that middle has drifted by more than
-    CYCLE_SPREAD_TOL of the range, and the laps counted so far are then
-    dropped.  Each lap between two crossings has a return time and a
-    v-range v_max - v_min.  Once the last CYCLE_MIN_RETURNS laps agree in
-    both, each to a relative spread below CYCLE_SPREAD_TOL, returns their
-    mean return time and the v_min and v_max of the last lap.  Agreeing
-    ranges rule out a weakly damped focus, whose return times agree while
-    its laps shrink.  Returns None if the state stops moving (displacement
-    below CYCLE_CONVERGENCE_TOL over one time unit, probed every 26 units).
+    step, time and x alike, by cubic Hermite interpolants.  With several
+    equilibria the section is the running midline instead, the middle of
+    the v-range since s0; it moves only when that middle has drifted by
+    more than CYCLE_SPREAD_TOL of the range, and the laps counted so far
+    are then dropped.  The x of successive crossings is the Poincare
+    map's orbit.  Once it has moved by at most CYCLE_SECTION_TOL of the
+    lap's v-range v_max - v_min on 2 successive laps, returns their mean
+    return time and the v_min and v_max of the last lap.  At a weakly
+    damped focus the laps shrink by a steady factor, so the move stays a
+    steady share of the range and settles nothing.  Returns None if the
+    state stops moving (displacement below CYCLE_CONVERGENCE_TOL over one
+    time unit, probed every 26 units).
     Raises CycleDetectionError if neither happens in the steps
     core.time_steps(max_time, CYCLE_DT), the last ending max_time after s0.
     Raises BlowUpError if the state is non-finite when a probe finds it
@@ -185,17 +186,15 @@ def detect_limit_cycle(p: ModelParams, s0: LimitState, *,
     section = alpha if midline else eqs[0][0]
     lo = hi = alpha  # v-range of the lap in progress
     v_lo = v_hi = alpha  # v-range since s0, up to the last crossing
-    returns: list[float] = []  # return time of each lap
-    ranges: list[float] = []  # v-range of each lap
-    last_cross = None
+    last_cross = last_x = None  # time and x of the last crossing
+    last_return = None  # return time of the last lap, if its move was within tolerance
+    laps = 0  # laps since the section last moved
     for start in range(0, n_steps, chunk_steps):
         if midline:
             v_lo, v_hi = min(v_lo, lo), max(v_hi, hi)
             mid = 0.5 * (v_lo + v_hi)
             if abs(mid - section) > CYCLE_SPREAD_TOL * (v_hi - v_lo):
-                section, last_cross = mid, None
-                returns.clear()
-                ranges.clear()
+                section, last_cross, last_return, laps = mid, None, None, 0
         ref_a, ref_b = alpha, beta
         probe_end = start + probe_steps
         moved = 0.0
@@ -213,23 +212,25 @@ def detect_limit_cycle(p: ModelParams, s0: LimitState, *,
             elif alpha > hi:
                 hi = alpha
             if prev < section <= alpha:
-                cross = (k + _crossing(p, dt, section, prev, prev_b, alpha, beta)) * dt
+                frac, x = _crossing(p, dt, section, prev, prev_b, alpha, beta)
+                cross = (k + frac) * dt
                 if last_cross is not None:
-                    returns.append(cross - last_cross)
-                    ranges.append(hi - lo)
-                    recent = returns[-CYCLE_MIN_RETURNS:]
-                    if (len(recent) == CYCLE_MIN_RETURNS and _agree(recent)
-                            and _agree(ranges[-CYCLE_MIN_RETURNS:])):
-                        return LimitCycle(period=sum(recent) / CYCLE_MIN_RETURNS,
+                    laps += 1
+                    ret = cross - last_cross
+                    if abs(x - last_x) > CYCLE_SECTION_TOL * (hi - lo):
+                        ret = None
+                    elif last_return is not None:
+                        return LimitCycle(period=0.5 * (last_return + ret),
                                           v_min=lo, v_max=hi)
-                last_cross = cross
+                    last_return = ret
+                last_cross, last_x = cross, x
                 v_lo, v_hi = min(v_lo, lo), max(v_hi, hi)
                 lo = hi = alpha
 
     _require_finite(alpha, beta, s0.t + n_steps * dt)
     raise CycleDetectionError(
         f"no convergence and no settled cycle within {max_time} time units "
-        f"(laps seen: {len(returns)})")
+        f"(laps seen: {laps})")
 
 
 def _require_finite(alpha: float, beta: float, t: float) -> None:
@@ -238,11 +239,12 @@ def _require_finite(alpha: float, beta: float, t: float) -> None:
 
 
 def _crossing(p: ModelParams, dt: float, section: float,
-              v0: float, x0: float, v1: float, x1: float) -> float:
+              v0: float, x0: float, v1: float, x1: float) -> tuple[float, float]:
     """Where, as a fraction of the step from (v0, x0) to (v1, x1), the cubic
-    Hermite interpolant of v meets the section, for v0 < section <= v1.
+    Hermite interpolant of v meets the section, for v0 < section <= v1, and
+    the x there by the Hermite interpolant of x.
 
-    The interpolant takes the step's end values and v-slopes, so its error
+    The interpolants take the step's end values and slopes, so their error
     is fourth order in dt like RK4's own; a linear one would be second
     order and would bound the step instead.  Newton from the linear guess.
     """
@@ -257,12 +259,10 @@ def _crossing(p: ModelParams, dt: float, section: float,
         if slope <= 0.0:
             break
         s = min(1.0, max(0.0, s - (c0 + s * (m0 + s * (c2 + s * c3))) / slope))
-    return s
-
-
-def _agree(values: list[float]) -> bool:
-    """Whether positive values spread by less than CYCLE_SPREAD_TOL of their mean."""
-    return max(values) - min(values) < CYCLE_SPREAD_TOL * sum(values) / len(values)
+    n0 = dt * (p.b * v0 - p.a * x0)
+    n1 = dt * (p.b * v1 - p.a * x1)
+    e = x1 - x0
+    return s, x0 + s * (n0 + s * (3.0 * e - 2.0 * n0 - n1 + s * (n0 + n1 - 2.0 * e)))
 
 
 def report_to_dict(report: BifurcationReport) -> dict:

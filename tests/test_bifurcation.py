@@ -439,6 +439,69 @@ def test_detect_cycle_finds_no_cycle_at_a_weakly_damped_focus(i_ext):
     assert detect_limit_cycle(p, LimitState(0.0, e.v + 0.5, e.x)) is None
 
 
+@pytest.mark.parametrize("a, b, i_ext, trace_band", [
+    (0.1, 1.0, 22.48317, (-1.1e-3, -0.9e-3)),
+    (0.1, 1.0, 22.48220, (-3.3e-4, -2.7e-4)),
+    (0.2, 2.0, 22.34415, (-1.1e-3, -0.9e-3)),
+    (0.2, 2.0, 22.34317, (-3.3e-4, -2.7e-4)),
+])
+def test_detect_cycle_returns_no_cycle_at_a_weak_focus_by_a_hopf_point(a, b, i_ext, trace_band):
+    # by the upper Hopf point each lap shrinks by a factor near 1: return
+    # times and ranges change by under 1% a lap, while the section point
+    # moves by a steady share of the range
+    p = ModelParams(a=a, b=b, lam=4.0, i_ext=i_ext)
+    rep = classify(p)
+    e = rep.equilibria[0]
+    assert rep.regime == MONOSTABLE_STABLE and trace_band[0] < e.trace < trace_band[1]
+    for dv in (0.5, 0.05, 0.01):
+        try:
+            out = detect_limit_cycle(p, LimitState(0.0, e.v + dv, e.x), max_time=300.0)
+        except CycleDetectionError:
+            out = None
+        assert out is None, dv
+
+
+def test_detect_cycle_near_a_hopf_point_gives_one_period_from_every_start():
+    # the cycle attracts at about the trace, 1e-2 per time unit, so laps
+    # agree to 1% long before the orbit has settled
+    p = ModelParams(a=0.2, b=2.0, lam=4.0, i_ext=22.32884)
+    rep = classify(p)
+    e = rep.equilibria[0]
+    assert rep.regime == OSCILLATORY and 0.9e-2 < e.trace < 1.1e-2
+    far = detect_limit_cycle(p, LimitState(0.0, e.v + 0.5, e.x))
+    near = detect_limit_cycle(p, LimitState(0.0, e.v + 0.01, e.x))
+    assert near.period == pytest.approx(far.period, rel=1e-6)
+    period, v_min, v_max = _reference_lap(p, LimitState(0.0, e.v + 0.5, e.x), 1000.0, e.v)
+    assert far.period == pytest.approx(period, rel=1e-5)
+    assert far.v_min == pytest.approx(v_min, abs=1e-3)
+    assert far.v_max == pytest.approx(v_max, abs=1e-3)
+
+
+@pytest.mark.parametrize("a, b, lam, i_ext", [
+    (0.2, 2.0, 4.0, 8.0), (0.1, 1.0, 4.0, 6.0), (0.1, 1.0, 4.0, 10.0),
+    (0.01, 0.1, 4.0, 6.0), (0.02, 0.2, 5.0, 9.0),
+])
+def test_detect_cycle_stops_by_the_third_upward_crossing(monkeypatch, a, b, lam, i_ext):
+    # these cycles attract fast: two whole laps settle the section map
+    p = ModelParams(a=a, b=b, lam=lam, i_ext=i_ext)
+    (v, x), = equilibria(p)
+    alpha, beta, crossings, to_third = v + 0.5, x, 0, 0
+    while crossings < 3:
+        prev = alpha
+        alpha, beta = rk4_step(alpha, beta, p, CYCLE_DT)
+        to_third += 1
+        crossings += prev < v <= alpha
+    steps = []
+
+    def counted(*args):
+        steps.append(None)
+        return rk4_step(*args)
+
+    monkeypatch.setattr(bifurcation, "rk4_step", counted)
+    assert detect_limit_cycle(p, LimitState(0.0, v + 0.5, x)) is not None
+    assert len(steps) <= to_third
+
+
 def test_detect_cycle_around_three_equilibria_from_each_of_them():
     # the section is the running midline; any level the cycle crosses
     # gives the same return time
@@ -509,23 +572,28 @@ def test_detect_cycle_raises_on_a_non_finite_trajectory(max_time):
 
 
 def test_hermite_crossing_is_fourth_order():
-    # one RK4 step of h straddles the section mid-step; the crossing time is
-    # placed to O(h^4), where a linear interpolant is off by O(h^2)
+    # one RK4 step of h straddles the section mid-step; the crossing time
+    # and the x there are placed to O(h^4), where a linear interpolant is
+    # off by O(h^2)
     p = ModelParams(a=0.1, b=1.0, lam=4.0, i_ext=10.0)
     (v, x), = equilibria(p)
     fine = 1e-4
     tr = rk4_integrate(LimitState(0.0, v + 0.5, x), p, fine, 60.0)
     k = np.flatnonzero((tr.alpha[:-1] < v) & (tr.alpha[1:] >= v))[-1]
-    t_cross = tr.t[k] + fine * (v - tr.alpha[k]) / (tr.alpha[k + 1] - tr.alpha[k])
-    errs = []
+    w = (v - tr.alpha[k]) / (tr.alpha[k + 1] - tr.alpha[k])
+    t_cross = tr.t[k] + fine * w
+    x_cross = tr.beta[k] + w * (tr.beta[k + 1] - tr.beta[k])
+    t_errs, x_errs = [], []
     for h in (0.05, 0.025):
         j = int(round((t_cross - h / 2) / fine))
         a0, b0 = tr.alpha[j], tr.beta[j]
         a1, b1 = rk4_step(a0, b0, p, h)
-        frac = bifurcation._crossing(p, h, v, a0, b0, a1, b1)
-        errs.append(abs(tr.t[j] + frac * h - t_cross))
-    assert errs[1] < 1e-6
-    assert errs[0] / errs[1] > 10.0
+        frac, x_at = bifurcation._crossing(p, h, v, a0, b0, a1, b1)
+        t_errs.append(abs(tr.t[j] + frac * h - t_cross))
+        x_errs.append(abs(x_at - x_cross))
+    for errs in (t_errs, x_errs):
+        assert errs[1] < 1e-6
+        assert errs[0] / errs[1] > 10.0
 
 
 def test_discriminant_requires_positive_a():
